@@ -13,7 +13,7 @@ import numpy as np
 from .diffcore import Checkpoint, LrSchedule, ParamTensor, load_checkpoint, params_digest, save_checkpoint
 from .errors import ConfigError, InvalidInput
 from .geometry import Action, ViewingAngle, apply_action
-from .observation import ANGLE_SCALE, OFFSET_SCALE, Episode, FrameObservation
+from .observation import OFFSET_SCALE, Episode, FrameObservation
 from .regressor import RegressorNetwork, naive_action
 from .selector import SelectorNetwork, select_greedy
 
@@ -58,14 +58,6 @@ class PilotModel:
 
     def digest(self) -> str:
         return params_digest(self.params())
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {p.name: p.values.copy() for p in self.params()}
-
-    def restore(self, snapshot: dict[str, np.ndarray]) -> None:
-        for p in self.params():
-            p.values[...] = snapshot[p.name]
-            p.zero_grad()
 
     def load_param_values(self, values: dict[str, np.ndarray]) -> None:
         own = self.param_map()

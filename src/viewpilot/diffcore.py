@@ -9,7 +9,6 @@ batch-first 2-D array; backward helpers expect 2-D batches.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -85,10 +84,60 @@ class TanhRnnCell:
         All arguments are (B, dim) batches saved from the forward pass.
         """
         dpre = dh * (1.0 - h * h)
-        self.w_xh.grad += dpre.T @ x
-        self.w_hh.grad += dpre.T @ h_prev
-        self.b.grad += dpre.sum(axis=0)
+        self.accumulate_grads(dpre, x, h_prev)
         return dpre @ self.w_xh.values, dpre @ self.w_hh.values
+
+    def unroll(self, xs: np.ndarray) -> np.ndarray:
+        """Hidden states (B, T+1, H) over a (B, T, D) input sequence, from a
+        zero initial state at index 0.
+
+        The input projection of every step is one GEMM ahead of the
+        recurrence; each step then adds only ``h @ W_hh`` and the bias, in
+        the summation order of :meth:`step`. The states are a batch-major
+        view of a time-major array.
+        """
+        b, t_total, d = xs.shape
+        if d != self.input_dim:
+            raise InvalidInput(f"cell expects input {self.input_dim}, got {d}")
+        xproj = (xs.reshape(-1, d) @ self.w_xh.values.T).reshape(b, t_total, self.hidden_dim)
+        hs = np.empty((t_total + 1, b, self.hidden_dim))
+        h = hs[0]
+        h[...] = 0.0
+        w_hh, bias = self.w_hh.values.T, self.b.values
+        for t in range(t_total):
+            h = np.add(xproj[:, t], h @ w_hh, out=hs[t + 1])
+            h += bias
+            np.tanh(h, out=h)
+        return hs.transpose(1, 0, 2)
+
+    def accumulate_grads(self, dpre: np.ndarray, xs: np.ndarray, h_prevs: np.ndarray) -> None:
+        """Parameter grads of many recorded steps as one GEMM each.
+
+        ``dpre`` (pre-activation grads), ``xs`` and ``h_prevs`` share their
+        leading axes, e.g. (B, T, ·).
+        """
+        dpre = dpre.reshape(-1, self.hidden_dim)
+        self.w_xh.grad += dpre.T @ xs.reshape(-1, self.input_dim)
+        self.w_hh.grad += dpre.T @ h_prevs.reshape(-1, self.hidden_dim)
+        self.b.grad += dpre.sum(axis=0)
+
+    def backward_unroll(self, dh: np.ndarray, xs: np.ndarray, hs: np.ndarray) -> np.ndarray:
+        """BPTT through :meth:`unroll` for outside grads ``dh`` (B, T, H) on
+        ``hs[:, 1:]``; accumulates parameter grads and returns dLoss/dh0.
+
+        The reverse loop carries only the recurrence; the parameter grads
+        follow from the stacked pre-activation grads afterwards.
+        """
+        deriv = 1.0 - hs[:, 1:] * hs[:, 1:]
+        dpre = np.empty((dh.shape[1],) + hs[:, 0].shape)  # time-major
+        carry = np.zeros_like(hs[:, 0])
+        w_hh = self.w_hh.values
+        for t in reversed(range(dh.shape[1])):
+            d = np.add(dh[:, t], carry, out=dpre[t])
+            d *= deriv[:, t]
+            carry = d @ w_hh
+        self.accumulate_grads(dpre.transpose(1, 0, 2), xs, hs[:, :-1])
+        return carry
 
 
 def rnn_cell_forward(x: np.ndarray, h_prev: np.ndarray, cell: TanhRnnCell) -> np.ndarray:
@@ -161,11 +210,9 @@ def bptt_backward(record: RnnSequenceRecord, upstream: Sequence[np.ndarray]) -> 
     record.consumed = True
     if len(upstream) != len(record):
         raise InvalidInput(f"expected {len(record)} upstream grads, got {len(upstream)}")
-    carry = np.zeros_like(record.hs[0])
-    for t in reversed(range(len(record))):
-        dh = upstream[t] + carry
-        _, carry = record.cell.backward_step(dh, record.xs[t], record.hs[t], record.hs[t + 1])
-    return carry
+    return record.cell.backward_unroll(
+        np.stack(upstream, axis=1), np.stack(record.xs, axis=1), np.stack(record.hs, axis=1)
+    )
 
 
 @dataclass(frozen=True)
@@ -280,6 +327,8 @@ def gradient_check(
 
 
 def params_digest(params: Sequence[ParamTensor]) -> str:
+    import hashlib  # only checkpoints need it; kept off the import path
+
     h = hashlib.sha256()
     for p in sorted(params, key=lambda p: p.name):
         h.update(p.name.encode())

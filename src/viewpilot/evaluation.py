@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -169,28 +168,6 @@ def offline_dp(
     return [views[g] for g in path]
 
 
-def dp_path_value(
-    episode: Episode,
-    path: Sequence[ViewingAngle],
-    grid: Sequence[ViewingAngle],
-    smooth_weight: float = 1.0,
-    eta: float = DEFAULT_ETA,
-) -> float:
-    """Objective value of a grid path, folded in the same order as the DP."""
-    grid_arr = np.array([[v.azimuth, v.elevation] for v in grid])
-    unary = _dp_unaries(episode, grid_arr, eta)
-    index = {(v.azimuth, v.elevation): g for g, v in enumerate(grid)}
-    ids = [index[(p.azimuth, p.elevation)] for p in path]
-    daz = np.abs(
-        (grid_arr[:, None, 0] - grid_arr[None, :, 0] + 180.0) % 360.0 - 180.0
-    )
-    trans = smooth_weight * np.hypot(daz, grid_arr[:, None, 1] - grid_arr[None, :, 1])
-    value = unary[0, ids[0]]
-    for t in range(1, len(ids)):
-        value = (value - trans[ids[t - 1], ids[t]]) + unary[t, ids[t]]
-    return float(value)
-
-
 # ---------------------------------------------------------------------------
 # Benchmarks
 # ---------------------------------------------------------------------------
@@ -271,6 +248,8 @@ def benchmark(
             return i, mean_overlap(traj, ep.gt, h_span=h_span), mean_velocity_difference(traj)
 
         if jobs > 1:
+            from concurrent.futures import ThreadPoolExecutor  # kept off the import path
+
             with ThreadPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(run, enumerate(episodes)))
         else:

@@ -111,19 +111,3 @@ def check_trajectory_loss(
 
     return gradient_check(loss_fn, [tensor], tolerance=tolerance, step=step)
 
-
-def run_all(
-    seeds, dims: ModelDims = CHECK_DIMS, frames: int = CHECK_FRAMES,
-    tolerance: float = 1e-4, corrupt: str | None = None,
-) -> dict[str, GradCheckResult]:
-    """Run every check for every seed; keys are '<mode>@seed<k>'."""
-    results: dict[str, GradCheckResult] = {}
-    for seed in seeds:
-        for mode in MODES:
-            results[f"{mode}@seed{seed}"] = check_model(
-                mode, seed, dims=dims, frames=frames, tolerance=tolerance, corrupt=corrupt
-            )
-        results[f"trajectory_loss@seed{seed}"] = check_trajectory_loss(
-            seed, tolerance=tolerance
-        )
-    return results

@@ -6,6 +6,18 @@ sequence windows, checkpoints, and a metrics log.
 The rollout is batched over windows: every array carries a leading window
 dimension B. Hidden states reset to zero at window boundaries and each
 window's viewing angle starts at its first frame's ground truth.
+
+The selector reads only the detector observations, never the chosen view,
+so its whole recurrence runs before the steering loop: one GEMM projects
+every frame's input, each step adds only the recurrent term, and the head,
+softmax and sampling run once over (B, T, N). Only the steering regressor
+is sequential over frames, because each offset input depends on the
+previous viewing angle. The extra REINFORCE samples branch off states that
+are known once that loop is done, so their rewards come from one batched
+step afterwards. The backward pass runs the regressor and selector chains
+as two reverse loops that carry only their recurrences, and accumulates
+weight gradients with one GEMM over all B*T steps. The ``RolloutTape``
+stores the forward as batch-major (B, T[+1], .) arrays.
 """
 
 from __future__ import annotations
@@ -21,9 +33,9 @@ from .agent import ModelDims, PilotModel, save_model_checkpoint, load_model_chec
 from .diffcore import LrSchedule
 from .errors import InvalidInput, NumericsError
 from .geometry import ViewingAngle, angular_distance, signed_azimuth_delta_array
-from .observation import ANGLE_SCALE, OFFSET_SCALE, Episode, episode_arrays
+from .observation import OFFSET_SCALE, Episode, episode_arrays
 from .regressor import loss_grad, loss_terms
-from .selector import sample_indices, softmax
+from .selector import softmax
 
 DEFAULT_ETA = 40.9
 
@@ -102,35 +114,112 @@ class WindowBatch:
         return self.flat.shape[1]
 
 
-def _wrap_az_inplace(angles: np.ndarray) -> None:
-    angles[:, 0] %= 360.0
-    angles[:, 0][angles[:, 0] == 360.0] = 0.0
+def _land(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Viewing angles from (..., 2) unclamped ones into ``out``: azimuth
+    wrapped into [0, 360), elevation clamped to [-90, 90]."""
+    az = np.remainder(raw[..., 0], 360.0, out=out[..., 0])
+    az[az == 360.0] = 0.0  # a tiny negative azimuth wraps to 360.0
+    np.minimum(np.maximum(raw[..., 1], -90.0), 90.0, out=out[..., 1])
+    return out
 
 
-def _offset_to(target: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Wrap-aware (target - start) for (B, 2) angle arrays."""
-    return np.stack(
-        [signed_azimuth_delta_array(target[:, 0] - start[:, 0]), target[:, 1] - start[:, 1]],
-        axis=1,
-    )
+def _follow_offset(pos: np.ndarray, angle: np.ndarray, out: np.ndarray) -> None:
+    """The regressor's offset input into ``out``: wrap-aware pos - angle
+    (signed_azimuth_delta_array, in place) over OFFSET_SCALE."""
+    off = pos - angle
+    az = off[..., 0]
+    az += 180.0
+    az %= 360.0
+    az -= 180.0
+    az[az == -180.0] = 180.0
+    np.divide(off, OFFSET_SCALE, out=out)
 
 
 @dataclass
 class RolloutTape:
-    """Everything the backward pass needs from one batched forward rollout."""
+    """Everything the backward pass needs from one batched forward rollout.
+
+    Arrays are batch-major: B windows, T frames, Q reward samples per frame,
+    and state arrays carry T+1 entries with the initial state at index 0.
+    The selector entries are complete before steering starts, since the
+    selector never sees the chosen view; its input is ``batch.flat``. The
+    regressor entries belong to sample q=0, the one that drives the
+    rollout, and are batch-major views of the time-major arrays the
+    steering loop fills.
+    """
 
     batch: WindowBatch
-    xs: list  # selector inputs per t, views into batch.flat
-    hs: list  # selector hidden states, hs[0] is the initial state
-    probs: list  # selection distributions per t
-    indices: np.ndarray  # (B, T, Q) sampled/forced slot indices; q=0 drives the rollout
+    hs: np.ndarray  # (B, T+1, H) selector hidden states
+    probs: np.ndarray  # (B, T, N) selection distributions
+    indices: np.ndarray  # (B, T, Q) sampled/forced slot indices
     rewards: np.ndarray  # (B, T, Q) per-sample rewards
-    dhats: list  # naive offsets per t
-    xrs: list  # regressor inputs per t
-    mus: list  # regressor hidden states, mus[0] initial
-    el_free: list  # (B,) bool per t: elevation not clamped at this step
+    xrs: np.ndarray  # (B, T, k+2) regressor inputs: motion, offset / OFFSET_SCALE
+    mus: np.ndarray  # (B, T+1, R) regressor hidden states
+    el_free: np.ndarray  # (B, T) bool: elevation not clamped at this step
     pred: np.ndarray  # (B, T, 2) rolled-out viewing angles
     consumed: bool = False
+
+
+def _selector_pass(model: PilotModel, batch: WindowBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Selector hidden states (B, T+1, H) and distributions (B, T, N)."""
+    hs = model.selector.cell.unroll(batch.flat)
+    logits = model.selector.head.apply(hs[:, 1:].reshape(-1, hs.shape[2]))
+    return hs, softmax(logits.reshape(batch.size, batch.frames, -1))
+
+
+def _steer(model: PilotModel, batch: WindowBatch, selected: np.ndarray):
+    """Roll the steering regressor over the selections ``selected`` (B, T).
+
+    Each step is the arithmetic of ``RegressorNetwork.forward`` written
+    into preallocated buffers, which keeps the per-frame call count low.
+    Returns time-major arrays: regressor inputs (T, B, k+2), hidden states
+    (T+1, B, R), unclamped angles (T, B, 2) and viewing angles (T+1, B, 2),
+    each state array with the initial state first.
+    """
+    b, t_total = selected.shape
+    k = batch.motions.shape[3]
+    cell, w_r = model.regressor.cell, model.regressor.head.w.values.T
+    w_xh, w_hh, bias = cell.w_xh.values.T, cell.w_hh.values.T, cell.b.values
+    pick = (np.arange(b), np.arange(t_total)[:, None], selected.T)
+    pos = batch.positions[pick]
+    xr = np.empty((t_total, b, k + 2))
+    xr[..., :k] = batch.motions[pick]
+    mus = np.zeros((t_total + 1, b, cell.hidden_dim))
+    raw = np.empty((t_total, b, 2))
+    angles = np.empty((t_total + 1, b, 2))
+    angles[0] = batch.gt[:, 0]
+    for t in range(t_total):
+        _follow_offset(pos[t], angles[t], xr[t, :, k:])
+        pre = xr[t] @ w_xh
+        pre += mus[t] @ w_hh
+        pre += bias
+        mu = np.tanh(pre, out=mus[t + 1])
+        np.add(angles[t], mu @ w_r, out=raw[t])
+        _land(raw[t], angles[t + 1])
+    return xr, mus, raw, angles
+
+
+def _branch_rewards(
+    model: PilotModel, batch: WindowBatch, selected: np.ndarray, angles: np.ndarray,
+    mus: np.ndarray, eta: float,
+) -> np.ndarray:
+    """Rewards (B, T, S) of one steering step per extra sample ``selected``
+    (B, T, S), each branching off the rollout's state entering its frame:
+    time-major ``angles`` (T, B, 2) and ``mus`` (T, B, R). No branch feeds
+    another, so all of them run as one batch of the regressor's forward."""
+    b, t_total, s = selected.shape
+    pick = (np.arange(b)[:, None, None], np.arange(t_total)[:, None], selected)
+    prev = angles.transpose(1, 0, 2)[:, :, None]
+    naive = np.empty((b, t_total, s, 2))
+    _follow_offset(batch.positions[pick], prev, naive)
+    mu_prev = np.broadcast_to(mus.transpose(1, 0, 2)[:, :, None], (b, t_total, s, mus.shape[2]))
+    _, delta = model.regressor.forward(
+        batch.motions[pick].reshape(b * t_total * s, -1),
+        naive.reshape(-1, 2),
+        mu_prev.reshape(b * t_total * s, -1),
+    )
+    raw = prev + delta.reshape(b, t_total, s, 2)
+    return reward_array(_land(raw, raw), batch.gt[:, :, None], eta)
 
 
 def rollout_window(
@@ -148,83 +237,52 @@ def rollout_window(
     The viewing angle starts at each window's first ground-truth angle.
     Sample q=0 drives the rollout; extra samples (q >= 1) branch off the
     current state for their reward and are then discarded.
+
+    Every selection is made before steering starts. The uniforms come from
+    one ``rng.random((T, draws, B))`` call, the same stream as drawing
+    ``sample_indices`` per frame, sample after sample.
     """
     b, t_total = batch.size, batch.frames
     n = batch.positions.shape[2]
-    k = batch.motions.shape[3]
-    rows = np.arange(b)
-    w_r = model.regressor.head.w.values
+    hs, probs = _selector_pass(model, batch)
 
-    h = model.selector.initial_state(b)
-    mu = model.regressor.initial_state(b)
-    angle = batch.gt[:, 0].copy()
-
-    xs, hs, probs_list, dhats, xrs, mus, el_free = [], [h], [], [], [], [mu], []
     indices = np.empty((b, t_total, q_samples), dtype=np.int64)
+    draws = q_samples
+    if forced_indices is not None:
+        forced = np.asarray(forced_indices, dtype=np.int64)
+        if forced.shape != (b, t_total):
+            raise InvalidInput(f"forced indices must be {(b, t_total)}, got {forced.shape}")
+        indices[..., 0] = forced
+        draws -= 1
+    elif greedy:
+        indices[..., 0] = np.argmax(probs, axis=-1)
+        draws -= 1
+    if draws > 0:
+        if rng is None:
+            raise InvalidInput("sampled selection requires an rng")
+        u = rng.random((t_total, draws, b)).transpose(2, 0, 1)
+        cum = np.cumsum(probs, axis=-1)
+        sampled = (cum[:, :, None, :] <= u[..., None]).sum(axis=-1)
+        indices[..., q_samples - draws :] = np.minimum(sampled, n - 1)
+    if np.any(indices < 0) or np.any(indices >= n):
+        raise InvalidInput("selection index out of range")
+
+    xr, mus, raw, angles = _steer(model, batch, indices[..., 0])
+    pred = angles[1:].transpose(1, 0, 2)
     rewards = np.empty((b, t_total, q_samples))
-    pred = np.empty((b, t_total, 2))
-
-    for t in range(t_total):
-        x = batch.flat[:, t]
-        h = model.selector.cell.step(x, h)
-        probs = softmax(model.selector.head.apply(h))
-        if forced_indices is not None:
-            idx = np.asarray(forced_indices[:, t], dtype=np.int64)
-        elif greedy:
-            idx = np.argmax(probs, axis=1)
-        else:
-            if rng is None:
-                raise InvalidInput("sampled rollout requires an rng")
-            idx = sample_indices(probs, rng)
-        if np.any(idx < 0) or np.any(idx >= n):
-            raise InvalidInput("selection index out of range")
-
-        p_sel = batch.positions[rows, t, idx]
-        m_sel = batch.motions[rows, t, idx]
-        dhat = _offset_to(p_sel, angle)
-        xr = np.concatenate([m_sel, dhat / OFFSET_SCALE], axis=1)
-        mu = model.regressor.cell.step(xr, mus[-1])
-        delta = mu @ w_r.T
-
-        raw_el = angle[:, 1] + delta[:, 1]
-        free = np.abs(raw_el) < 90.0
-        nxt = np.empty_like(angle)
-        nxt[:, 0] = angle[:, 0] + delta[:, 0]
-        nxt[:, 1] = np.clip(raw_el, -90.0, 90.0)
-        _wrap_az_inplace(nxt)
-
-        indices[:, t, 0] = idx
-        rewards[:, t, 0] = reward_array(nxt, batch.gt[:, t], eta)
-        for q in range(1, q_samples):
-            if rng is None:
-                raise InvalidInput("extra reward samples require an rng")
-            idx_q = sample_indices(probs, rng)
-            p_q = batch.positions[rows, t, idx_q]
-            m_q = batch.motions[rows, t, idx_q]
-            dhat_q = _offset_to(p_q, angle)
-            mu_q = model.regressor.cell.step(
-                np.concatenate([m_q, dhat_q / OFFSET_SCALE], axis=1), mus[-1]
-            )
-            l_q = np.empty_like(angle)
-            delta_q = mu_q @ w_r.T
-            l_q[:, 0] = angle[:, 0] + delta_q[:, 0]
-            l_q[:, 1] = np.clip(angle[:, 1] + delta_q[:, 1], -90.0, 90.0)
-            _wrap_az_inplace(l_q)
-            indices[:, t, q] = idx_q
-            rewards[:, t, q] = reward_array(l_q, batch.gt[:, t], eta)
-
-        xs.append(x)
-        hs.append(h)
-        probs_list.append(probs)
-        dhats.append(dhat)
-        xrs.append(xr)
-        mus.append(mu)
-        el_free.append(free)
-        pred[:, t] = nxt
-        angle = nxt
-
+    rewards[..., 0] = reward_array(pred, batch.gt, eta)
+    if q_samples > 1:
+        rewards[..., 1:] = _branch_rewards(model, batch, indices[..., 1:], angles[:-1], mus[:-1], eta)
     return RolloutTape(
-        batch, xs, hs, probs_list, indices, rewards, dhats, xrs, mus, el_free, pred
+        batch=batch,
+        hs=hs,
+        probs=probs,
+        indices=indices,
+        rewards=rewards,
+        xrs=xr.transpose(1, 0, 2),
+        mus=mus.transpose(1, 0, 2),
+        el_free=np.abs(raw[..., 1].T) < 90.0,
+        pred=pred,
     )
 
 
@@ -234,29 +292,19 @@ def rollout_loss(tape: RolloutTape, lam: float) -> tuple[float, float]:
     return float(reg.mean()), float(smo.mean())
 
 
-def policy_upstream(tape: RolloutTape, pg_weight: float, baseline: bool) -> list[np.ndarray]:
-    """Descent-direction upstream gradients at the selector logits per frame.
+def policy_upstream(tape: RolloutTape, pg_weight: float, baseline: bool) -> np.ndarray:
+    """Descent-direction upstream gradients (B, T, N) at the selector logits.
 
     REINFORCE ascends the expected reward, so the loss-gradient upstream is
     the negated average of r_q * (onehot(i_q) - S) over the Q samples,
     scaled by pg_weight and the 1/B batch mean.
     """
-    b, t_total, q = tape.rewards.shape
-    n = tape.probs[0].shape[1]
-    rows = np.arange(b)
-    scale = -pg_weight / (q * b)
-    out = []
-    for t in range(t_total):
-        r = tape.rewards[:, t, :]
-        if baseline:
-            r = r - r.mean(axis=1, keepdims=True)
-        u = np.zeros((b, n))
-        for j in range(q):
-            onehot = np.zeros((b, n))
-            onehot[rows, tape.indices[:, t, j]] = 1.0
-            u += r[:, j : j + 1] * (onehot - tape.probs[t])
-        out.append(scale * u)
-    return out
+    b, _, q = tape.rewards.shape
+    r = tape.rewards
+    if baseline:
+        r = r - r.mean(axis=2, keepdims=True)
+    onehot = tape.indices[..., None] == np.arange(tape.probs.shape[2])
+    return (-pg_weight / (q * b)) * (r[..., None] * (onehot - tape.probs[:, :, None])).sum(axis=2)
 
 
 def backward_window(
@@ -273,6 +321,10 @@ def backward_window(
     recurrence and the viewing-angle chain; the policy-gradient term enters
     at the selector softmax and backpropagates through the selector
     recurrence. Gradients are for the batch-mean objective.
+
+    The two chains share no state, so each runs its own reverse loop that
+    carries only the recurrence; weight grads then come from one GEMM over
+    all B*T steps.
     """
     if tape.consumed:
         raise NumericsError("rollout tape already consumed")
@@ -280,31 +332,35 @@ def backward_window(
     b, t_total = tape.batch.size, tape.batch.frames
     k = tape.batch.motions.shape[3]
     sel, reg = model.selector, model.regressor
-    w_r = reg.head.w
 
-    dl_loss = loss_grad(tape.pred, tape.batch.gt, lam) * (sup_weight / b)
-    upstream = policy_upstream(tape, pg_weight, baseline)
-
+    # Regressor / viewing-angle chain, time-major. The offset input depends
+    # on the previous angle, so its gradient joins the angle carry.
+    dl_loss = (loss_grad(tape.pred, tape.batch.gt, lam) * (sup_weight / b)).transpose(1, 0, 2)
+    gate = np.ones_like(dl_loss)
+    gate[..., 1] = tape.el_free.T
+    mus = tape.mus.transpose(1, 0, 2)
+    deriv = 1.0 - mus[1:] * mus[1:]
+    w_r, w_hh = reg.head.w.values, reg.cell.w_hh.values
+    w_off = reg.cell.w_xh.values[:, k:]
+    ddelta = np.empty_like(dl_loss)
+    dpre = np.empty_like(deriv)
     carry_l = np.zeros((b, 2))
     carry_mu = np.zeros((b, reg.hidden_dim))
-    carry_h = np.zeros((b, sel.hidden_dim))
     for t in reversed(range(t_total)):
-        # regressor / viewing-angle chain
-        g_l = dl_loss[:, t] + carry_l
-        gate = np.column_stack([np.ones(b), tape.el_free[t].astype(np.float64)])
-        ddelta = g_l * gate
-        mu_t = tape.mus[t + 1]
-        w_r.grad += ddelta.T @ mu_t
-        dmu = ddelta @ w_r.values + carry_mu
-        dxr, carry_mu = reg.cell.backward_step(dmu, tape.xrs[t], tape.mus[t], mu_t)
-        ddhat = dxr[:, k:] / OFFSET_SCALE  # chain through the half-turn input scaling
-        carry_l = g_l * gate - ddhat
+        g = np.add(dl_loss[t], carry_l, out=ddelta[t])
+        g *= gate[t]
+        d = np.add(g @ w_r, carry_mu, out=dpre[t])
+        d *= deriv[t]
+        carry_mu = d @ w_hh
+        carry_l = g - (d @ w_off) / OFFSET_SCALE  # through the half-turn input scaling
+    reg.head.w.grad += ddelta.reshape(-1, 2).T @ mus[1:].reshape(-1, reg.hidden_dim)
+    reg.cell.accumulate_grads(dpre, tape.xrs.transpose(1, 0, 2), mus[:-1])
 
-        # selector chain (policy gradient only; selection itself is discrete)
-        u = upstream[t]
-        sel.head.w.grad += u.T @ tape.hs[t + 1]
-        dh = u @ sel.head.w.values + carry_h
-        _, carry_h = sel.cell.backward_step(dh, tape.xs[t], tape.hs[t], tape.hs[t + 1])
+    # Selector chain (policy gradient only; selection itself is discrete).
+    u = policy_upstream(tape, pg_weight, baseline).reshape(b * t_total, -1)
+    sel.head.w.grad += u.T @ tape.hs[:, 1:].reshape(b * t_total, -1)
+    dh = (u @ sel.head.w.values).reshape(b, t_total, -1)
+    sel.cell.backward_unroll(dh, tape.batch.flat, tape.hs)
 
 
 def surrogate_loss(
@@ -323,46 +379,20 @@ def surrogate_loss(
     REINFORCE rewards to ``frozen_rewards`` (REINFORCE treats rewards as
     constants), leaving exactly the differentiable paths the training step
     backpropagates: sup_weight * (regression + lam * smoothness) minus
-    pg_weight * mean_q(r * log S(i_q)), both averaged over the batch.
+    pg_weight * mean_q(r * log S(i_q)), both averaged over the batch. The
+    forward is the training rollout's own selector and steering passes.
     """
     if frozen_rewards.ndim != 3 or frozen_rewards.shape[2] != 1:
         raise InvalidInput("surrogate_loss covers the single-sample (Q=1) estimator")
-    b, t_total = batch.size, batch.frames
-    rows = np.arange(b)
-    need_pg, need_sup = pg_weight != 0.0, sup_weight != 0.0
-    sel_cell, sel_head = model.selector.cell, model.selector.head
-    reg_cell, w_r = model.regressor.cell, model.regressor.head.w.values
-    pg = 0.0
-    h = model.selector.initial_state(b)
-    mu = model.regressor.initial_state(b)
-    angle = batch.gt[:, 0].copy()
-    pred = np.empty((b, t_total, 2))
-    for t in range(t_total):
-        idx = forced_indices[:, t]
-        if need_pg:
-            h = np.tanh(
-                batch.flat[:, t] @ sel_cell.w_xh.values.T
-                + h @ sel_cell.w_hh.values.T
-                + sel_cell.b.values
-            )
-            logp = np.log(softmax(h @ sel_head.w.values.T))
-            pg += float((frozen_rewards[:, t, 0] * logp[rows, idx]).sum())
-        if need_sup:
-            dhat = _offset_to(batch.positions[rows, t, idx], angle)
-            xr = np.concatenate([batch.motions[rows, t, idx], dhat / OFFSET_SCALE], axis=1)
-            mu = np.tanh(
-                xr @ reg_cell.w_xh.values.T + mu @ reg_cell.w_hh.values.T + reg_cell.b.values
-            )
-            delta = mu @ w_r.T
-            nxt = np.empty_like(angle)
-            nxt[:, 0] = angle[:, 0] + delta[:, 0]
-            nxt[:, 1] = np.clip(angle[:, 1] + delta[:, 1], -90.0, 90.0)
-            _wrap_az_inplace(nxt)
-            pred[:, t] = nxt
-            angle = nxt
-    total = -pg_weight * pg / b
-    if need_sup:
-        reg_term, smo_term = loss_terms(pred, batch.gt)
+    forced = np.asarray(forced_indices, dtype=np.int64)
+    total = 0.0
+    if pg_weight != 0.0:
+        _, probs = _selector_pass(model, batch)
+        logp = np.log(np.take_along_axis(probs, forced[..., None], axis=2))
+        total -= pg_weight * float((frozen_rewards * logp).sum()) / batch.size
+    if sup_weight != 0.0:
+        angles = _steer(model, batch, forced)[3]
+        reg_term, smo_term = loss_terms(angles[1:].transpose(1, 0, 2), batch.gt)
         total += sup_weight * float(reg_term.mean() + lam * smo_term.mean())
     return total
 
@@ -594,45 +624,3 @@ def train(
                     _rng_record(config.seed, done),
                 )
     return model, history
-
-
-# ---------------------------------------------------------------------------
-# Candidate rewards (diagnostics / oracle surface)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StepContext:
-    """Frozen rollout context entering frame t: l_{t-1} and the regressor state."""
-
-    angle: ViewingAngle
-    regressor_mu: np.ndarray
-
-
-def candidate_reward(
-    model: PilotModel,
-    frame,
-    gt: ViewingAngle,
-    index: int,
-    context: StepContext,
-    eta: float = DEFAULT_ETA,
-    bypass_regressor: bool = False,
-) -> float:
-    """Reward the regressor path would earn for steering toward candidate
-    ``index`` at this frame, branching off ``context`` without mutating it."""
-    from .geometry import apply_action
-    from .regressor import naive_action
-
-    if not 0 <= index < len(frame.objects):
-        raise InvalidInput(f"candidate index {index} out of range")
-    obj = frame.objects[index]
-    naive = naive_action(obj.position, context.angle)
-    if bypass_regressor:
-        landed = apply_action(context.angle, naive)
-    else:
-        naive_vec = np.array([naive.d_azimuth, naive.d_elevation]) / OFFSET_SCALE
-        _, delta = model.regressor.forward(obj.motion, naive_vec, context.regressor_mu)
-        from .geometry import Action
-
-        landed = apply_action(context.angle, Action(float(delta[0]), float(delta[1])))
-    return reward(landed, gt, eta)

@@ -77,6 +77,19 @@ class TestTanhRnnCell:
         with pytest.raises(InvalidInput):
             cell.step(np.ones(5), np.zeros(4))
 
+    def test_unroll_matches_stepping(self):
+        rng = np.random.default_rng(2)
+        cell = TanhRnnCell("c", 5, 6, rng)
+        cell.b.values[...] = rng.normal(size=6)
+        xs = rng.normal(size=(3, 7, 5))
+        hs = cell.unroll(xs)
+        assert hs.shape == (3, 8, 6)
+        h = np.zeros((3, 6))
+        np.testing.assert_array_equal(hs[:, 0], h)
+        for t in range(7):
+            h = cell.step(xs[:, t], h)
+            np.testing.assert_allclose(hs[:, t + 1], h, rtol=0, atol=1e-14)
+
 
 class TestBpttBackward:
     def test_zero_upstream_gives_zero_grads(self):

@@ -1,0 +1,107 @@
+"""Tests for the training path: finite-difference checks of every
+hand-derived backward pass, and the contracts the batched rollout keeps
+with the per-frame computations it replaces."""
+
+import numpy as np
+import pytest
+
+from viewpilot.agent import ModelDims, PilotModel, pilot_episode
+from viewpilot.geometry import signed_azimuth_delta_array
+from viewpilot.gradcheck import MODES, check_model, check_trajectory_loss
+from viewpilot.observation import SceneConfig, episode_arrays, generate_dataset, synth_scene
+from viewpilot.selector import policy_gradient_contribution, sample_indices
+from viewpilot.training import (
+    WindowBatch,
+    pack_windows,
+    policy_upstream,
+    rollout_window,
+    slice_windows,
+)
+
+TOLERANCE = 1e-4
+# Smaller than gradcheck.CHECK_DIMS so that every mode checks in about a second.
+CHECK_DIMS = ModelDims(appearance_dim=4, motion_bins=5, slots=3, selector_hidden=6, regressor_hidden=4)
+CHECK_FRAMES = 6
+
+DIMS = ModelDims(appearance_dim=6, motion_bins=5, slots=4, selector_hidden=8, regressor_hidden=4)
+SCENE = SceneConfig(frames=40, objects=3, slots=4, appearance_dim=6, motion_bins=5)
+
+
+def _model(seed=0):
+    return PilotModel(DIMS, np.random.default_rng(seed))
+
+
+def _batch(count=4, seq_len=20, seed=3):
+    episodes = generate_dataset(SCENE, seed, count)
+    arrays = [episode_arrays(ep) for ep in episodes]
+    return pack_windows(arrays, slice_windows([len(ep) for ep in episodes], seq_len))
+
+
+class TestGradientChecks:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_model_gradients_match_finite_differences(self, mode):
+        result = check_model(mode, 0, dims=CHECK_DIMS, frames=CHECK_FRAMES, tolerance=TOLERANCE)
+        assert result.passed, result.max_rel_error
+
+    def test_corrupted_gradient_fails(self):
+        result = check_model(
+            "joint", 0, dims=CHECK_DIMS, frames=CHECK_FRAMES, tolerance=TOLERANCE,
+            corrupt="regressor.cell.w_hh",
+        )
+        assert not result.passed
+        assert result.worst[0] == "regressor.cell.w_hh"
+
+    def test_trajectory_loss_gradient_matches_finite_differences(self):
+        result = check_trajectory_loss(0, tolerance=TOLERANCE)
+        assert result.passed, result.max_rel_error
+
+
+class TestRolloutContracts:
+    def test_samples_follow_the_per_frame_draw_order(self):
+        batch, drawn = _batch(), np.random.default_rng(11)
+        tape = rollout_window(_model(), batch, rng=drawn, q_samples=2)
+        rng = np.random.default_rng(11)
+        for t in range(batch.frames):
+            for q in range(2):
+                np.testing.assert_array_equal(
+                    tape.indices[:, t, q], sample_indices(tape.probs[:, t], rng)
+                )
+        assert drawn.random() == rng.random()  # both streams end in the same state
+
+    def test_greedy_rollout_reproduces_pilot_episode(self):
+        model, episode = _model(1), synth_scene(SCENE, 7)
+        arrays = episode_arrays(episode)
+        batch = WindowBatch(
+            arrays.flat[None], arrays.positions[None], arrays.motions[None], arrays.gt[None]
+        )
+        tape = rollout_window(model, batch, greedy=True)
+        trajectory, selections = pilot_episode(episode, model)
+        assert tape.indices[0, :, 0].tolist() == selections
+        online = np.array([[a.azimuth, a.elevation] for a in trajectory])
+        daz = signed_azimuth_delta_array(tape.pred[0, :, 0] - online[:, 0])
+        assert np.max(np.abs(daz)) <= 1e-12
+        assert np.max(np.abs(tape.pred[0, :, 1] - online[:, 1])) <= 1e-12
+
+    def test_extra_sample_on_the_driving_selection_earns_its_reward(self):
+        tape = rollout_window(_model(), _batch(), rng=np.random.default_rng(5), q_samples=3)
+        for q in (1, 2):
+            same = tape.indices[..., q] == tape.indices[..., 0]
+            assert same.any() and not same.all()
+            np.testing.assert_allclose(
+                tape.rewards[..., q][same], tape.rewards[..., 0][same], rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_policy_upstream_matches_per_frame_contribution(self, baseline):
+        batch = _batch()
+        tape = rollout_window(_model(), batch, rng=np.random.default_rng(2), q_samples=2)
+        pg_weight = 2.5
+        upstream = policy_upstream(tape, pg_weight, baseline)
+        assert upstream.shape == tape.probs.shape
+        for b in range(batch.size):
+            for t in range(batch.frames):
+                expected = -(pg_weight / batch.size) * policy_gradient_contribution(
+                    tape.probs[b, t], tape.indices[b, t], tape.rewards[b, t], baseline=baseline
+                )
+                np.testing.assert_allclose(upstream[b, t], expected, rtol=1e-12, atol=1e-15)
+
