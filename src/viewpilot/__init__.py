@@ -38,14 +38,13 @@ from .observation import (
     synth_scene,
 )
 from .regressor import LossBreakdown, naive_action, trajectory_loss
-from .training import TrainConfig, reward, train
+from .training import TrainConfig, train
 from .evaluation import (
     BenchmarkRow,
     benchmark,
     mean_overlap,
     mean_velocity_difference,
     offline_dp,
-    sensitivity_sweep,
 )
 
 __version__ = "0.1.0"

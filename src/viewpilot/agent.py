@@ -22,11 +22,11 @@ from .selector import SelectorNetwork, select_greedy
 class ModelDims:
     """Architecture hyperparameters shared by checkpoints and data files."""
 
-    appearance_dim: int = 16
-    motion_bins: int = 12
-    slots: int = 8
-    selector_hidden: int = 256
-    regressor_hidden: int = 8
+    appearance_dim: int
+    motion_bins: int
+    slots: int
+    selector_hidden: int
+    regressor_hidden: int
 
     @property
     def flat_dim(self) -> int:
@@ -104,46 +104,29 @@ def initial_state(model: PilotModel, init: ViewingAngle) -> AgentState:
 
 
 def pilot_step(
-    obs: FrameObservation,
-    state: AgentState,
-    model: PilotModel,
-    bypass_regressor: bool = False,
-    forced_index: int | None = None,
+    obs: FrameObservation, state: AgentState, model: PilotModel
 ) -> tuple[ViewingAngle, int, AgentState]:
     """One online step: select a main object, refine the follow offset into a
-    steering action, and move the viewing angle.
-
-    ``bypass_regressor`` emits the naive offset unrefined and
-    ``forced_index`` overrides the greedy selection; both are diagnostic
-    hooks, not part of the deployed policy.
-    """
+    steering action, and move the viewing angle."""
     if obs.flat.shape[-1] != model.dims.flat_dim:
         raise InvalidInput(
             f"observation dim {obs.flat.shape[-1]} != model dim {model.dims.flat_dim}"
         )
     h, probs = model.selector.forward(obs.flat, state.selector_h)
-    index = select_greedy(probs) if forced_index is None else int(forced_index)
+    index = select_greedy(probs)
     if not 0 <= index < len(obs.objects):
         raise InvalidInput(f"selection index {index} out of range")
     chosen = obs.objects[index]
     naive = naive_action(chosen.position, state.angle)
-    if bypass_regressor:
-        mu, delta = state.regressor_mu, naive
-    else:
-        # regressor inputs use the flat encoding's half-turn angle units
-        naive_vec = np.array([naive.d_azimuth, naive.d_elevation]) / OFFSET_SCALE
-        mu, out = model.regressor.forward(chosen.motion, naive_vec, state.regressor_mu)
-        delta = Action(float(out[0]), float(out[1]))
-    angle = apply_action(state.angle, delta)
+    # regressor inputs use the flat encoding's half-turn angle units
+    naive_vec = np.array([naive.d_azimuth, naive.d_elevation]) / OFFSET_SCALE
+    mu, out = model.regressor.forward(chosen.motion, naive_vec, state.regressor_mu)
+    angle = apply_action(state.angle, Action(float(out[0]), float(out[1])))
     return angle, index, AgentState(h, mu, angle)
 
 
 def pilot_episode(
-    episode: Episode,
-    model: PilotModel,
-    init: ViewingAngle | None = None,
-    bypass_regressor: bool = False,
-    forced_indices=None,
+    episode: Episode, model: PilotModel, init: ViewingAngle | None = None
 ) -> tuple[list[ViewingAngle], list[int]]:
     """Fold :func:`pilot_step` over an episode.
 
@@ -155,11 +138,8 @@ def pilot_episode(
     state = initial_state(model, init)
     trajectory: list[ViewingAngle] = []
     selections: list[int] = []
-    for t, frame in enumerate(episode.frames):
-        forced = None if forced_indices is None else forced_indices[t]
-        angle, index, state = pilot_step(
-            frame, state, model, bypass_regressor=bypass_regressor, forced_index=forced
-        )
+    for frame in episode.frames:
+        angle, index, state = pilot_step(frame, state, model)
         trajectory.append(angle)
         selections.append(index)
     return trajectory, selections

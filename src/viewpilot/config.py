@@ -36,8 +36,6 @@ class EvalConfig:
     grid_step: float = 30.0
     dp_smooth_weight: float = 1.0
     h_span: float = 65.5
-    sweep_slots: tuple = (8, 16, 32)
-    jobs: int = 1
 
 
 @dataclass(frozen=True)
@@ -84,10 +82,6 @@ def _coerce(value, target_type, path: str):
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string, got {value!r}")
         return value
-    if target_type is tuple:
-        if not isinstance(value, (list, tuple)) or not all(isinstance(v, int) for v in value):
-            raise ConfigError(f"{path}: expected a list of integers, got {value!r}")
-        return tuple(value)
     raise ConfigError(f"{path}: unsupported field type {target_type}")
 
 
@@ -102,7 +96,7 @@ def _parse_section(cls, mapping: dict, section: str):
     for key, value in mapping.items():
         target = fields[key].type
         if isinstance(target, str):  # dataclass fields carry annotation strings
-            target = {"int": int, "float": float, "bool": bool, "str": str, "tuple": tuple}[target]
+            target = {"int": int, "float": float, "bool": bool, "str": str}[target]
         kwargs[key] = _coerce(value, target, f"{section}.{key}")
     try:
         return cls(**kwargs)
@@ -153,9 +147,6 @@ def apply_overrides(config: RunConfig, overrides: list[str]) -> RunConfig:
     for name in _SECTIONS:
         section = getattr(config, name)
         merged[name] = {f.name: getattr(section, f.name) for f in dataclasses.fields(section)}
-        merged[name] = {
-            k: (list(v) if isinstance(v, tuple) else v) for k, v in merged[name].items()
-        }
     for name, section_doc in doc.items():
         if name not in merged:
             raise ConfigError(f"unknown configuration sections: [{name!r}]")

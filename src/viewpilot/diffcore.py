@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInput, NumericsError, StateError, VersionError
+from .errors import ConfigError, InvalidInput, NumericsError, VersionError
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -140,11 +140,6 @@ class TanhRnnCell:
         return carry
 
 
-def rnn_cell_forward(x: np.ndarray, h_prev: np.ndarray, cell: TanhRnnCell) -> np.ndarray:
-    """Functional alias for :meth:`TanhRnnCell.step`."""
-    return cell.step(x, h_prev)
-
-
 class Linear:
     """Bias-free affine head: y = W x.
 
@@ -175,44 +170,6 @@ class Linear:
         """Accumulate the weight grad for one recorded apply; returns dx."""
         self.w.grad += dy.T @ x
         return dy @ self.w.values
-
-
-class RnnSequenceRecord:
-    """The unrolled forward record of a cell over one window: inputs and
-    hidden states per step, consumed exactly once by :func:`bptt_backward`."""
-
-    def __init__(self, cell: TanhRnnCell, h0: np.ndarray):
-        self.cell = cell
-        self.xs: list[np.ndarray] = []
-        self.hs: list[np.ndarray] = [h0]
-        self.consumed = False
-
-    def step(self, x: np.ndarray) -> np.ndarray:
-        h = self.cell.step(x, self.hs[-1])
-        self.xs.append(x)
-        self.hs.append(h)
-        return h
-
-    def __len__(self):
-        return len(self.xs)
-
-
-def bptt_backward(record: RnnSequenceRecord, upstream: Sequence[np.ndarray]) -> np.ndarray:
-    """Backpropagate per-step hidden-state gradients through a recorded
-    unroll, accumulating into the cell's parameter grads.
-
-    ``upstream[t]`` is dLoss/dh_t from outside the recurrence. Returns
-    dLoss/dh0. Raises StateError if there is nothing recorded or the
-    record was already consumed.
-    """
-    if record.consumed or len(record) == 0:
-        raise StateError("bptt_backward requires a fresh forward record")
-    record.consumed = True
-    if len(upstream) != len(record):
-        raise InvalidInput(f"expected {len(record)} upstream grads, got {len(upstream)}")
-    return record.cell.backward_unroll(
-        np.stack(upstream, axis=1), np.stack(record.xs, axis=1), np.stack(record.hs, axis=1)
-    )
 
 
 @dataclass(frozen=True)

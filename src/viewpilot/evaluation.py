@@ -1,6 +1,5 @@
 """Metrics (mean overlap, mean velocity difference), baseline pilots, the
-offline dynamic-programming view-path optimizer, benchmark tables, and the
-slot-count sensitivity sweep.
+offline dynamic-programming view-path optimizer, and benchmark tables.
 
 MVD is reported in degrees per frame. Benchmark rows carry, per method, the
 MO/MVD means over episodes plus per-episode detail records, including how
@@ -9,28 +8,22 @@ many frames contained no real detections.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .agent import ModelDims, PilotModel, pilot_episode
+from .agent import PilotModel, pilot_episode
 from .errors import InvalidInput
-from .geometry import DEFAULT_H_SPAN, NFoV, ViewingAngle, nfov_iou
-from .observation import Episode, SceneConfig, episode_arrays, generate_dataset, synth_scene
-from .regressor import velocity_array
-from .selector import select_greedy
-from .training import DEFAULT_ETA, TrainConfig, reward_array, train
+from .geometry import DEFAULT_H_SPAN, NFoV, ViewingAngle, nfov_iou, signed_azimuth_delta_array
+from .observation import Episode, episode_arrays
+# Unused here; perfbench's tracer swaps this binding and fails a check if it is missing.
+from .observation import synth_scene  # noqa: F401
+from .regressor import _as_array, velocity_array
+from .training import DEFAULT_ETA, reward_array
 
 Trajectory = Sequence[ViewingAngle]
-
-
-def _as_array(trajectory) -> np.ndarray:
-    if isinstance(trajectory, np.ndarray):
-        return np.asarray(trajectory, dtype=np.float64)
-    return np.array([[p.azimuth, p.elevation] for p in trajectory], dtype=np.float64)
 
 
 def mean_overlap(pred: Trajectory, gt: Trajectory, h_span: float = DEFAULT_H_SPAN) -> float:
@@ -80,12 +73,9 @@ def greedy_salient(episode: Episode) -> list[ViewingAngle]:
 def selector_only(episode: Episode, model: PilotModel) -> list[ViewingAngle]:
     """Run the trained selector greedily and emit the chosen object's
     position directly, skipping the refinement network."""
-    h = model.selector.initial_state()
-    out = []
-    for frame in episode.frames:
-        h, probs = model.selector.forward(frame.flat, h)
-        out.append(frame.objects[select_greedy(probs)].position)
-    return out
+    _, probs = model.selector.unroll(np.stack([f.flat for f in episode.frames])[None])
+    picks = np.argmax(probs[0], axis=-1)
+    return [frame.objects[i].position for frame, i in zip(episode.frames, picks)]
 
 
 def gt_replay(episode: Episode) -> list[ViewingAngle]:
@@ -121,9 +111,7 @@ def _dp_unaries(episode: Episode, grid_arr: np.ndarray, eta: float) -> np.ndarra
         pos = arrays.positions[t, real]  # (R, 2)
         scores = arrays.scores[t, real]
         rewards = reward_array(grid_arr[:, None, :], pos[None, :, :], eta)  # (G, R)
-        daz = np.abs(
-            (grid_arr[:, None, 0] - pos[None, :, 0] + 180.0) % 360.0 - 180.0
-        )
+        daz = np.abs(signed_azimuth_delta_array(grid_arr[:, None, 0] - pos[None, :, 0]))
         dist = np.hypot(daz, grid_arr[:, None, 1] - pos[None, :, 1])
         nearest = np.argmin(dist, axis=1)
         unary[t] = scores[nearest] * rewards[np.arange(g_total), nearest]
@@ -149,9 +137,7 @@ def offline_dp(
         raise InvalidInput("empty view grid")
     grid_arr = np.array([[v.azimuth, v.elevation] for v in views])
     unary = _dp_unaries(episode, grid_arr, eta)
-    daz = np.abs(
-        (grid_arr[:, None, 0] - grid_arr[None, :, 0] + 180.0) % 360.0 - 180.0
-    )
+    daz = np.abs(signed_azimuth_delta_array(grid_arr[:, None, 0] - grid_arr[None, :, 0]))
     trans = smooth_weight * np.hypot(daz, grid_arr[:, None, 1] - grid_arr[None, :, 1])
 
     t_total, g_total = unary.shape
@@ -297,48 +283,3 @@ def format_benchmark(rows: list[BenchmarkRow]) -> str:
     for row in rows:
         lines.append(f"{row.method:<16} {row.mo:>7.3f} {row.mvd:>16.3f} {row.episodes:>9}")
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Sensitivity to the slot count N
-# ---------------------------------------------------------------------------
-
-
-def sensitivity_sweep(
-    scene: SceneConfig,
-    train_config: TrainConfig,
-    dims: ModelDims,
-    n_values: Sequence[int],
-    data_seed: int,
-    train_count: int,
-    test_count: int,
-    out_dir,
-    log=None,
-) -> list[dict]:
-    """Train and evaluate one agent per slot count on the same scenes.
-
-    The generator's random draws do not depend on the slot count, so every
-    N sees identical scene content under different padding. Returns one
-    record per N with the trained agent's test MO/MVD.
-    """
-    if any(n < scene.objects for n in n_values):
-        raise InvalidInput("every swept N must be >= the scene's object count")
-    results = []
-    for n in n_values:
-        scene_n = dataclasses.replace(scene, slots=n)
-        dims_n = dataclasses.replace(dims, slots=n)
-        train_eps = generate_dataset(scene_n, data_seed, train_count)
-        test_eps = generate_dataset_offset(scene_n, data_seed, train_count, test_count)
-        model, _ = train(train_eps, train_config, dims_n, f"{out_dir}/n{n}", log=log)
-        rows, _ = benchmark({"agent": lambda ep: agent_pilot(ep, model)}, test_eps)
-        results.append({"n": n, "mo": rows[0].mo, "mvd": rows[0].mvd})
-        if log is not None:
-            log(results[-1])
-    return results
-
-
-def generate_dataset_offset(
-    scene: SceneConfig, seed: int, offset: int, count: int
-) -> list[Episode]:
-    """Episodes (seed, offset) .. (seed, offset+count-1): a disjoint split."""
-    return [synth_scene(scene, [seed, offset + i]) for i in range(count)]

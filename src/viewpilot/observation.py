@@ -12,7 +12,7 @@ viewing-angle track.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -131,12 +131,18 @@ def make_frame_observation(
     )[:n]
     while len(ranked) < n:
         ranked.append(zero_object(appearance_dim, motion_bins))
+    return _pack_slots(ranked)
+
+
+def _pack_slots(objects: Sequence[ObjectObservation]) -> FrameObservation:
+    """A frame of slot-ordered objects with its appearance / position /
+    motion block vector."""
     flat = np.concatenate(
-        [o.appearance for o in ranked]
-        + [encode_position(o.position) for o in ranked]
-        + [o.motion for o in ranked]
+        [o.appearance for o in objects]
+        + [encode_position(o.position) for o in objects]
+        + [o.motion for o in objects]
     )
-    return FrameObservation(tuple(ranked), flat)
+    return FrameObservation(tuple(objects), flat)
 
 
 @dataclass
@@ -493,12 +499,7 @@ def _parse_frame(rec: dict, header: dict, lineno: int):
     for o in objs:
         if len(o.appearance) != header["d"] or len(o.motion) != header["k"]:
             raise ParseError("object feature dims do not match header", line=lineno)
-    flat = np.concatenate(
-        [o.appearance for o in objs]
-        + [encode_position(o.position) for o in objs]
-        + [o.motion for o in objs]
-    )
-    return FrameObservation(tuple(objs), flat), gt, main_idx
+    return _pack_slots(objs), gt, main_idx
 
 
 def stream_episodes(path) -> Iterator[tuple[dict, Iterator]]:

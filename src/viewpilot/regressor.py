@@ -55,14 +55,6 @@ class RegressorNetwork:
         return mu, self.head.apply(mu)
 
 
-def regressor_forward(net: RegressorNetwork, motion: np.ndarray, naive, mu_prev: np.ndarray):
-    naive_arr = (
-        np.array([naive.d_azimuth, naive.d_elevation]) if isinstance(naive, Action) else np.asarray(naive)
-    )
-    mu, delta = net.forward(motion, naive_arr, mu_prev)
-    return mu, Action(float(delta[0]), float(delta[1])) if delta.ndim == 1 else delta
-
-
 @dataclass(frozen=True)
 class LossBreakdown:
     """Regression and smoothness terms in degrees; total = regression + lambda * smoothness."""

@@ -33,9 +33,17 @@ class SelectorNetwork:
         h = self.cell.step(obs_flat, h_prev)
         return h, softmax(self.head.apply(h))
 
+    def unroll(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hidden states (B, T+1, H) and selection distributions (B, T, N)
+        over a (B, T, D) observation sequence, from a zero initial state.
 
-def selector_forward(net: SelectorNetwork, obs_flat: np.ndarray, h_prev: np.ndarray):
-    return net.forward(obs_flat, h_prev)
+        The selector never sees the chosen view, so its whole recurrence
+        can run ahead of steering; the head and softmax run once over all
+        B*T states.
+        """
+        hs = self.cell.unroll(flat)
+        logits = self.head.apply(hs[:, 1:].reshape(-1, self.hidden_dim))
+        return hs, softmax(logits.reshape(flat.shape[0], flat.shape[1], self.n_slots))
 
 
 def select_greedy(probs: np.ndarray) -> int:
@@ -49,11 +57,6 @@ def sample_indices(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     u = rng.random(probs.shape[0])
     idx = (cum <= u[:, None]).sum(axis=-1)
     return np.minimum(idx, probs.shape[-1] - 1)
-
-
-def select_sample(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one index with the given probabilities; deterministic given the rng state."""
-    return int(sample_indices(np.asarray(probs)[None, :], rng)[0])
 
 
 def grad_log_softmax(probs: np.ndarray, index: int) -> np.ndarray:

@@ -31,29 +31,20 @@ import numpy as np
 
 from .agent import ModelDims, PilotModel, save_model_checkpoint, load_model_checkpoint
 from .diffcore import LrSchedule
-from .errors import InvalidInput, NumericsError
-from .geometry import ViewingAngle, angular_distance, signed_azimuth_delta_array
+from .errors import InvalidInput, NumericsError, StateError
+from .geometry import signed_azimuth_delta_array
 from .observation import OFFSET_SCALE, Episode, episode_arrays
 from .regressor import loss_grad, loss_terms
-from .selector import softmax
 
 DEFAULT_ETA = 40.9
 
 
-def reward(pred: ViewingAngle, gt: ViewingAngle, eta: float = DEFAULT_ETA) -> float:
-    """Piecewise-linear focus reward in [-1, 1].
+def reward_array(pred: np.ndarray, gt: np.ndarray, eta: float) -> np.ndarray:
+    """Piecewise-linear focus reward in [-1, 1] for (..., 2) angle arrays.
 
     1 at zero distance, falling linearly to 0 at ``eta`` degrees, and -1
     beyond ``eta`` (the predicted view no longer covers the target).
     """
-    if eta <= 0:
-        raise InvalidInput(f"eta must be positive, got {eta}")
-    dist = angular_distance(pred, gt)
-    return 1.0 - dist / eta if dist <= eta else -1.0
-
-
-def reward_array(pred: np.ndarray, gt: np.ndarray, eta: float) -> np.ndarray:
-    """Vectorized reward for (..., 2) angle arrays."""
     daz = signed_azimuth_delta_array(pred[..., 0] - gt[..., 0])
     dist = np.hypot(daz, pred[..., 1] - gt[..., 1])
     return np.where(dist <= eta, 1.0 - dist / eta, -1.0)
@@ -160,13 +151,6 @@ class RolloutTape:
     consumed: bool = False
 
 
-def _selector_pass(model: PilotModel, batch: WindowBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Selector hidden states (B, T+1, H) and distributions (B, T, N)."""
-    hs = model.selector.cell.unroll(batch.flat)
-    logits = model.selector.head.apply(hs[:, 1:].reshape(-1, hs.shape[2]))
-    return hs, softmax(logits.reshape(batch.size, batch.frames, -1))
-
-
 def _steer(model: PilotModel, batch: WindowBatch, selected: np.ndarray):
     """Roll the steering regressor over the selections ``selected`` (B, T).
 
@@ -244,7 +228,7 @@ def rollout_window(
     """
     b, t_total = batch.size, batch.frames
     n = batch.positions.shape[2]
-    hs, probs = _selector_pass(model, batch)
+    hs, probs = model.selector.unroll(batch.flat)
 
     indices = np.empty((b, t_total, q_samples), dtype=np.int64)
     draws = q_samples
@@ -327,7 +311,7 @@ def backward_window(
     all B*T steps.
     """
     if tape.consumed:
-        raise NumericsError("rollout tape already consumed")
+        raise StateError("rollout tape already consumed")
     tape.consumed = True
     b, t_total = tape.batch.size, tape.batch.frames
     k = tape.batch.motions.shape[3]
@@ -358,8 +342,7 @@ def backward_window(
 
     # Selector chain (policy gradient only; selection itself is discrete).
     u = policy_upstream(tape, pg_weight, baseline).reshape(b * t_total, -1)
-    sel.head.w.grad += u.T @ tape.hs[:, 1:].reshape(b * t_total, -1)
-    dh = (u @ sel.head.w.values).reshape(b, t_total, -1)
+    dh = sel.head.backward(u, tape.hs[:, 1:].reshape(b * t_total, -1)).reshape(b, t_total, -1)
     sel.cell.backward_unroll(dh, tape.batch.flat, tape.hs)
 
 
@@ -387,7 +370,7 @@ def surrogate_loss(
     forced = np.asarray(forced_indices, dtype=np.int64)
     total = 0.0
     if pg_weight != 0.0:
-        _, probs = _selector_pass(model, batch)
+        _, probs = model.selector.unroll(batch.flat)
         logp = np.log(np.take_along_axis(probs, forced[..., None], axis=2))
         total -= pg_weight * float((frozen_rewards * logp).sum()) / batch.size
     if sup_weight != 0.0:

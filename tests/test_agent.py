@@ -19,7 +19,7 @@ from viewpilot.agent import (
 )
 from viewpilot.diffcore import LrSchedule
 from viewpilot.errors import ConfigError, InvalidInput
-from viewpilot.geometry import ViewingAngle, angular_distance
+from viewpilot.geometry import ViewingAngle
 from viewpilot.observation import Episode, SceneConfig, synth_scene
 
 DIMS = ModelDims(appearance_dim=6, motion_bins=5, slots=4, selector_hidden=8, regressor_hidden=4)
@@ -90,20 +90,6 @@ class TestPilotEpisode:
         ep = _episode(4)
         traj, _ = pilot_episode(ep, model)
         assert all(a == ep.gt[0] for a in traj)
-
-    def test_forced_selection_with_bypass_tracks_main_object(self):
-        # with the selector pinned to the generator's main-object slot and
-        # the regressor bypassed, the pilot reproduces the observed main
-        # object track exactly
-        model = _model(5)
-        ep = _episode(5)
-        traj, picks = pilot_episode(
-            ep, model, bypass_regressor=True, forced_indices=ep.gt_object_index
-        )
-        assert picks == ep.gt_object_index
-        for t, angle in enumerate(traj):
-            expected = ep.frames[t].objects[ep.gt_object_index[t]].position
-            assert angular_distance(angle, expected) < 1e-9
 
     def test_streaming_equals_batch(self):
         model = _model(6)

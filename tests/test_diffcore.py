@@ -8,17 +8,14 @@ from viewpilot.diffcore import (
     Linear,
     LrSchedule,
     ParamTensor,
-    RnnSequenceRecord,
     TanhRnnCell,
-    bptt_backward,
     gradient_check,
     load_checkpoint,
-    rnn_cell_forward,
     save_checkpoint,
     sgd_step,
     softmax,
 )
-from viewpilot.errors import ConfigError, InvalidInput, NumericsError, StateError, VersionError
+from viewpilot.errors import ConfigError, InvalidInput, NumericsError, VersionError
 
 
 class TestSoftmax:
@@ -69,7 +66,7 @@ class TestTanhRnnCell:
         cell.w_xh.values[...] = 1.0
         cell.w_hh.values[...] = 0.0
         cell.b.values[...] = 0.0
-        h = rnn_cell_forward(np.array([0.5]), np.zeros(1), cell)
+        h = cell.step(np.array([0.5]), np.zeros(1))
         assert h[0] == pytest.approx(0.46211715726000974, abs=1e-12)
 
     def test_dimension_mismatch(self):
@@ -94,10 +91,8 @@ class TestTanhRnnCell:
 class TestBpttBackward:
     def test_zero_upstream_gives_zero_grads(self):
         cell = TanhRnnCell("c", 3, 4, np.random.default_rng(2))
-        record = RnnSequenceRecord(cell, np.zeros((1, 4)))
-        for t in range(5):
-            record.step(np.random.default_rng(t).normal(size=(1, 3)))
-        dh0 = bptt_backward(record, [np.zeros((1, 4))] * 5)
+        xs = np.random.default_rng(0).normal(size=(1, 5, 3))
+        dh0 = cell.backward_unroll(np.zeros((1, 5, 4)), xs, cell.unroll(xs))
         np.testing.assert_array_equal(dh0, np.zeros((1, 4)))
         for p in cell.params():
             np.testing.assert_array_equal(p.grad, np.zeros(p.shape))
@@ -111,34 +106,21 @@ class TestBpttBackward:
         layer.backward(np.ones((1, 1)), x)
         np.testing.assert_allclose(layer.w.grad, x, atol=1e-15)
 
-    def test_backward_requires_forward_record(self):
-        cell = TanhRnnCell("c", 3, 4, np.random.default_rng(4))
-        record = RnnSequenceRecord(cell, np.zeros((1, 4)))
-        with pytest.raises(StateError):
-            bptt_backward(record, [])
-        record.step(np.ones((1, 3)))
-        bptt_backward(record, [np.ones((1, 4))])
-        with pytest.raises(StateError):
-            bptt_backward(record, [np.ones((1, 4))])
-
     def test_matches_finite_differences(self):
         # Sum-of-hidden-states loss over a short unroll vs central differences.
         rng = np.random.default_rng(5)
         cell = TanhRnnCell("c", 3, 4, rng)
-        xs = rng.normal(size=(6, 1, 3))
+        xs = rng.normal(size=(1, 6, 3))
 
         def loss_fn():
             h = np.zeros((1, 4))
             total = 0.0
-            for x in xs:
-                h = cell.step(x, h)
+            for t in range(6):
+                h = cell.step(xs[:, t], h)
                 total += float(h.sum())
             return total
 
-        record = RnnSequenceRecord(cell, np.zeros((1, 4)))
-        for x in xs:
-            record.step(x)
-        bptt_backward(record, [np.ones((1, 4))] * 6)
+        cell.backward_unroll(np.ones((1, 6, 4)), xs, cell.unroll(xs))
         result = gradient_check(loss_fn, cell.params(), tolerance=1e-4)
         assert result.passed, result.max_rel_error
 

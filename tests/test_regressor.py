@@ -10,7 +10,6 @@ from viewpilot.geometry import Action, ViewingAngle, apply_action
 from viewpilot.regressor import (
     RegressorNetwork,
     naive_action,
-    regressor_forward,
     trajectory_loss,
     trajectory_loss_grad,
 )
@@ -41,16 +40,16 @@ class TestRegressorForward:
         net = RegressorNetwork(6, 4, np.random.default_rng(0))
         for p in net.params():
             p.values[...] = 0.0
-        _, delta = regressor_forward(net, np.ones(6), Action(30, -10), net.initial_state())
-        assert delta == Action(0, 0)
+        _, delta = net.forward(np.ones(6), np.array([30.0, -10.0]), net.initial_state())
+        np.testing.assert_array_equal(delta, np.zeros(2))
 
     def test_deterministic(self):
         net = RegressorNetwork(6, 4, np.random.default_rng(1))
-        args = (np.linspace(0, 1, 6), Action(5, 2), np.zeros(4))
-        mu1, d1 = regressor_forward(net, *args)
-        mu2, d2 = regressor_forward(net, *args)
+        args = (np.linspace(0, 1, 6), np.array([5.0, 2.0]), np.zeros(4))
+        mu1, d1 = net.forward(*args)
+        mu2, d2 = net.forward(*args)
         np.testing.assert_array_equal(mu1, mu2)
-        assert d1 == d2
+        np.testing.assert_array_equal(d1, d2)
 
     def test_single_unit_hand_fixture(self):
         # cell ignores its input (zero weights) and holds atanh(0.5) bias, so
@@ -60,14 +59,14 @@ class TestRegressorForward:
         net.cell.w_hh.values[...] = 0.0
         net.cell.b.values[...] = math.atanh(0.5)
         net.head.w.values[...] = np.array([[10.0], [0.0]])
-        _, delta = regressor_forward(net, np.ones(3), Action(-3, 7), net.initial_state())
-        assert delta.d_azimuth == pytest.approx(5.0, abs=1e-12)
-        assert delta.d_elevation == pytest.approx(0.0, abs=1e-12)
+        _, delta = net.forward(np.ones(3), np.array([-3.0, 7.0]), net.initial_state())
+        assert delta[0] == pytest.approx(5.0, abs=1e-12)
+        assert delta[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_motion_dimension_checked(self):
         net = RegressorNetwork(6, 4, np.random.default_rng(3))
         with pytest.raises(InvalidInput):
-            regressor_forward(net, np.ones(5), Action(0, 0), net.initial_state())
+            net.forward(np.ones(5), np.zeros(2), net.initial_state())
 
 
 def _angles(pairs):

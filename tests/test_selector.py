@@ -9,9 +9,8 @@ from viewpilot.selector import (
     SelectorNetwork,
     grad_log_softmax,
     policy_gradient_contribution,
+    sample_indices,
     select_greedy,
-    select_sample,
-    selector_forward,
 )
 
 
@@ -25,7 +24,7 @@ class TestSelectorForward:
         rng = np.random.default_rng(1)
         h = net.initial_state()
         for _ in range(20):
-            h, probs = selector_forward(net, rng.normal(size=12), h)
+            h, probs = net.forward(rng.normal(size=12), h)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(probs >= 0)
 
@@ -69,22 +68,19 @@ class TestSelectGreedy:
 class TestSelectSample:
     def test_degenerate_distribution(self):
         rng = np.random.default_rng(3)
-        assert all(select_sample(np.array([1.0, 0.0, 0.0]), rng) == 0 for _ in range(100))
+        draws = sample_indices(np.tile([1.0, 0.0, 0.0], (100, 1)), rng)
+        np.testing.assert_array_equal(draws, np.zeros(100))
 
     def test_empirical_frequencies(self):
         rng = np.random.default_rng(4)
-        dist = np.array([0.25, 0.75])
-        draws = np.array([select_sample(dist, rng) for _ in range(100_000)])
+        draws = sample_indices(np.tile([0.25, 0.75], (100_000, 1)), rng)
         assert draws.mean() == pytest.approx(0.75, abs=0.01)
 
     def test_deterministic_given_seed(self):
-        dist = np.array([0.2, 0.3, 0.5])
-        seq1 = [select_sample(dist, np.random.default_rng(5)) for _ in range(1)]
-        a = np.random.default_rng(5)
-        b = np.random.default_rng(5)
-        seq_a = [select_sample(dist, a) for _ in range(50)]
-        seq_b = [select_sample(dist, b) for _ in range(50)]
-        assert seq_a == seq_b
+        dist = np.tile([0.2, 0.3, 0.5], (50, 1))
+        seq_a = sample_indices(dist, np.random.default_rng(5))
+        seq_b = sample_indices(dist, np.random.default_rng(5))
+        np.testing.assert_array_equal(seq_a, seq_b)
 
 
 class TestPolicyGradient:
@@ -120,8 +116,7 @@ class TestPolicyGradient:
         rng = np.random.default_rng(6)
         q = 10_000
         samples = np.empty((q, 2))
-        for s in range(q):
-            i = select_sample(probs, rng)
+        for s, i in enumerate(sample_indices(np.tile(probs, (q, 1)), rng)):
             samples[s] = policy_gradient_contribution(probs, [i], [rewards[i]])
         se = samples.std(axis=0, ddof=1) / np.sqrt(q)
         assert np.all(np.abs(samples.mean(axis=0) - exact) <= 3 * se)

@@ -6,16 +6,20 @@ import numpy as np
 import pytest
 
 from viewpilot.agent import ModelDims, PilotModel, pilot_episode
+from viewpilot.diffcore import gradient_check
+from viewpilot.errors import StateError
 from viewpilot.geometry import signed_azimuth_delta_array
-from viewpilot.gradcheck import MODES, check_model, check_trajectory_loss
+from viewpilot.gradcheck import MODES, check_model, check_trajectory_loss, make_check_batch
 from viewpilot.observation import SceneConfig, episode_arrays, generate_dataset, synth_scene
 from viewpilot.selector import policy_gradient_contribution, sample_indices
 from viewpilot.training import (
     WindowBatch,
+    backward_window,
     pack_windows,
     policy_upstream,
     rollout_window,
     slice_windows,
+    surrogate_loss,
 )
 
 TOLERANCE = 1e-4
@@ -55,6 +59,27 @@ class TestGradientChecks:
         result = check_trajectory_loss(0, tolerance=TOLERANCE)
         assert result.passed, result.max_rel_error
 
+    def test_regressor_gradients_hold_at_the_elevation_clamp(self):
+        # Objects and ground truth just below the pole steer the view past
+        # it, so some frames land on the clamp, where the backward pass must
+        # stop the elevation gradient.
+        batch, forced = make_check_batch(CHECK_DIMS, 10, 0)
+        batch.positions[..., 1] = np.random.default_rng(1).uniform(
+            89.0, 89.5, batch.positions.shape[:-1]
+        )
+        batch.gt[..., 1] = 89.5
+        model = PilotModel(CHECK_DIMS, np.random.default_rng([0, 100]))
+        tape = rollout_window(model, batch, forced_indices=forced)
+        assert not tape.el_free.all()
+        lam = 10.0
+        backward_window(model, tape, lam, pg_weight=0.0)
+
+        def loss_fn():
+            return surrogate_loss(model, batch, forced, tape.rewards, lam, pg_weight=0.0)
+
+        result = gradient_check(loss_fn, model.regressor.params(), tolerance=TOLERANCE)
+        assert result.passed, result.max_rel_error
+
 
 class TestRolloutContracts:
     def test_samples_follow_the_per_frame_draw_order(self):
@@ -81,6 +106,13 @@ class TestRolloutContracts:
         daz = signed_azimuth_delta_array(tape.pred[0, :, 0] - online[:, 0])
         assert np.max(np.abs(daz)) <= 1e-12
         assert np.max(np.abs(tape.pred[0, :, 1] - online[:, 1])) <= 1e-12
+
+    def test_backward_on_a_consumed_tape_is_a_state_error(self):
+        model = _model()
+        tape = rollout_window(model, _batch(), rng=np.random.default_rng(0))
+        backward_window(model, tape, 1.0)
+        with pytest.raises(StateError):
+            backward_window(model, tape, 1.0)
 
     def test_extra_sample_on_the_driving_selection_earns_its_reward(self):
         tape = rollout_window(_model(), _batch(), rng=np.random.default_rng(5), q_samples=3)
