@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffcore import Checkpoint, LrSchedule, ParamTensor, load_checkpoint, params_digest, save_checkpoint
-from .errors import ConfigError, InvalidInput
+from .errors import ConfigError, InvalidInput, ParseError
 from .geometry import Action, ViewingAngle, apply_action
-from .observation import OFFSET_SCALE, Episode, FrameObservation
+from .observation import OFFSET_SCALE, Episode, FrameObservation, _parse_json_line
 from .regressor import RegressorNetwork, naive_action
 from .selector import SelectorNetwork, select_greedy
 
@@ -178,11 +178,17 @@ def read_trajectories(path) -> list[tuple[dict, list[ViewingAngle], list[int]]]:
     """Read a trajectory file back as (header, angles, selections) per episode."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
+        for lineno, line in enumerate(fh, start=1):
+            rec = _parse_json_line(line, lineno)
             if "checkpoint" in rec:
                 out.append((rec, [], []))
-            else:
-                out[-1][1].append(ViewingAngle(rec["azimuth"], rec["elevation"]))
-                out[-1][2].append(rec["selected"])
+                continue
+            if not out:
+                raise ParseError("frame record before any header", line=lineno)
+            try:
+                angle, selected = ViewingAngle(rec["azimuth"], rec["elevation"]), rec["selected"]
+            except (KeyError, TypeError, InvalidInput) as exc:
+                raise ParseError(f"bad frame record: {exc!r}", line=lineno) from exc
+            out[-1][1].append(angle)
+            out[-1][2].append(selected)
     return out

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInput, NumericsError, VersionError
+from .errors import ConfigError, InvalidInput, NumericsError, ParseError, VersionError
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -327,19 +327,39 @@ class Checkpoint:
 
 def load_checkpoint(path, expect_arch: dict | None = None) -> Checkpoint:
     """Load a checkpoint; rejects unknown format versions and, when
-    ``expect_arch`` is given, any architecture mismatch."""
+    ``expect_arch`` is given, any architecture mismatch.
+
+    A file that is not a complete checkpoint, or whose parameter values do
+    not hash to its stored digest, raises ``ParseError``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise VersionError(f"unsupported checkpoint format version {doc.get('format_version')}")
-    arch = doc["arch"]
-    if expect_arch is not None and arch != expect_arch:
-        raise ConfigError(f"checkpoint architecture {arch} does not match expected {expect_arch}")
-    sched = LrSchedule(**doc["lr_schedule"])
-    params = {}
-    for name, rec in doc["params"].items():
-        values = np.array(rec["values"], dtype=np.float64).reshape(rec["shape"])
-        if not np.all(np.isfinite(values)):
-            raise NumericsError(f"checkpoint parameter {name} has non-finite entries")
-        params[name] = values
-    return Checkpoint(arch, doc["epoch"], sched, doc["rng"], params, doc.get("digest", ""))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    try:
+        if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+            raise VersionError(f"unsupported checkpoint format version {doc.get('format_version')}")
+        arch = doc["arch"]
+        if expect_arch is not None and arch != expect_arch:
+            raise ConfigError(
+                f"checkpoint architecture {arch} does not match expected {expect_arch}"
+            )
+        sched = LrSchedule(**doc["lr_schedule"])
+        params = {}
+        for name, rec in doc["params"].items():
+            values = np.array(rec["values"], dtype=np.float64).reshape(rec["shape"])
+            if not np.all(np.isfinite(values)):
+                raise NumericsError(f"checkpoint parameter {name} has non-finite entries")
+            params[name] = values
+        ckpt = Checkpoint(arch, doc["epoch"], sched, doc["rng"], params, doc["digest"])
+    except KeyError as exc:
+        raise ParseError(f"checkpoint {path} is missing the key {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(f"checkpoint {path} is malformed: {exc}") from exc
+    found = params_digest([ParamTensor(name, values) for name, values in params.items()])
+    if found != ckpt.digest:
+        raise ParseError(
+            f"checkpoint {path} digest {ckpt.digest!r} does not match its values ({found!r})"
+        )
+    return ckpt

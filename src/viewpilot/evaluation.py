@@ -14,29 +14,31 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .agent import PilotModel, pilot_episode
+from .agent import PilotModel
 from .errors import InvalidInput
-from .geometry import DEFAULT_H_SPAN, NFoV, ViewingAngle, nfov_iou, signed_azimuth_delta_array
+from .geometry import DEFAULT_H_SPAN, ViewingAngle, nfov_iou_array, signed_azimuth_delta_array
 from .observation import Episode, episode_arrays
-# Unused here; perfbench's tracer swaps this binding and fails a check if it is missing.
+# Unused here; perfbench's tracer swaps these bindings and fails a check if one is missing.
+from .agent import pilot_episode  # noqa: F401
+from .geometry import nfov_iou  # noqa: F401
 from .observation import synth_scene  # noqa: F401
 from .regressor import _as_array, velocity_array
-from .training import DEFAULT_ETA, reward_array
+from .training import DEFAULT_ETA, WindowBatch, rollout_window
 
 Trajectory = Sequence[ViewingAngle]
 
 
 def mean_overlap(pred: Trajectory, gt: Trajectory, h_span: float = DEFAULT_H_SPAN) -> float:
-    """Mean per-frame IoU between the predicted and ground-truth view windows."""
+    """Mean per-frame IoU between the predicted and ground-truth view windows.
+
+    Takes sequences of ViewingAngle or (T, 2) arrays. The IoUs are summed
+    in frame order (a pairwise ``np.sum`` would change the last bits).
+    """
     pred_arr, gt_arr = _as_array(pred), _as_array(gt)
     if pred_arr.shape != gt_arr.shape:
         raise InvalidInput(f"trajectory lengths differ: {pred_arr.shape} vs {gt_arr.shape}")
-    total = 0.0
-    for (pa, pe), (ga, ge) in zip(pred_arr, gt_arr):
-        total += nfov_iou(
-            NFoV(ViewingAngle(pa, pe), h_span=h_span), NFoV(ViewingAngle(ga, ge), h_span=h_span)
-        )
-    return total / pred_arr.shape[0]
+    iou = nfov_iou_array(pred_arr, gt_arr, h_span)
+    return float(np.add.accumulate(iou)[-1]) / pred_arr.shape[0]
 
 
 def mean_velocity_difference(pred: Trajectory) -> float:
@@ -84,9 +86,15 @@ def gt_replay(episode: Episode) -> list[ViewingAngle]:
 
 
 def agent_pilot(episode: Episode, model: PilotModel) -> list[ViewingAngle]:
-    """The full online agent (greedy selection plus refinement)."""
-    trajectory, _ = pilot_episode(episode, model)
-    return trajectory
+    """The full online agent (greedy selection plus refinement), as one
+    greedy rollout of the whole episode. Its angles equal those of
+    ``pilot_step`` folded over the episode from the first ground-truth angle."""
+    arrays = episode_arrays(episode)
+    batch = WindowBatch(
+        arrays.flat[None], arrays.positions[None], arrays.motions[None], arrays.gt[None]
+    )
+    pred = rollout_window(model, batch, greedy=True).pred[0]
+    return [ViewingAngle(az, el) for az, el in pred.tolist()]
 
 
 def default_view_grid(step: float = 30.0) -> list[ViewingAngle]:
@@ -98,23 +106,39 @@ def default_view_grid(step: float = 30.0) -> list[ViewingAngle]:
     return [ViewingAngle(a, e) for a in azimuths for e in elevations]
 
 
+# Frames per block of _dp_unaries are chosen so that one (block, G, N)
+# float64 temporary holds about this many entries (4 MB).
+_DP_BLOCK_ENTRIES = 1 << 19
+
+
 def _dp_unaries(episode: Episode, grid_arr: np.ndarray, eta: float) -> np.ndarray:
     """unary[t, g]: score-weighted reward of grid view g against the nearest
-    real detection at frame t (zero when the frame has no detections)."""
+    real detection at frame t (zero when the frame has no detections).
+
+    Distances are taken once per (frame, view, slot) with padded slots
+    masked out, and the reward (``reward_array``'s piecewise form) only at
+    the nearest slot. Frames go in blocks that bound the temporaries.
+    """
     arrays = episode_arrays(episode)
-    t_total, g_total = len(episode), grid_arr.shape[0]
-    unary = np.zeros((t_total, g_total))
-    for t in range(t_total):
-        real = arrays.scores[t] > 0.0
-        if not real.any():
+    t_total, n = arrays.scores.shape
+    azimuths, column = np.unique(grid_arr[:, 0], return_inverse=True)
+    unary = np.zeros((t_total, grid_arr.shape[0]))
+    block = max(1, _DP_BLOCK_ENTRIES // (grid_arr.shape[0] * n))
+    for lo in range(0, t_total, block):
+        frames = slice(lo, lo + block)
+        real = arrays.scores[frames] > 0.0
+        slots = np.flatnonzero(real.any(axis=0))  # slots padded in every frame are skipped
+        if slots.size == 0:
             continue
-        pos = arrays.positions[t, real]  # (R, 2)
-        scores = arrays.scores[t, real]
-        rewards = reward_array(grid_arr[:, None, :], pos[None, :, :], eta)  # (G, R)
-        daz = np.abs(signed_azimuth_delta_array(grid_arr[:, None, 0] - pos[None, :, 0]))
-        dist = np.hypot(daz, grid_arr[:, None, 1] - pos[None, :, 1])
-        nearest = np.argmin(dist, axis=1)
-        unary[t] = scores[nearest] * rewards[np.arange(g_total), nearest]
+        pos, real = arrays.positions[frames, slots], real[:, slots]
+        daz = signed_azimuth_delta_array(azimuths[:, None] - pos[:, None, :, 0])[:, column]
+        dist = np.hypot(daz, grid_arr[:, 1, None] - pos[:, None, :, 1])  # (block, G, slots)
+        np.copyto(dist, np.inf, where=~real[:, None])
+        nearest = np.argmin(dist, axis=2)[..., None]
+        d = np.take_along_axis(dist, nearest, axis=2)[..., 0]
+        score = np.take_along_axis(arrays.scores[frames, None, slots], nearest, axis=2)[..., 0]
+        value = score * np.where(d <= eta, 1.0 - d / eta, -1.0)
+        unary[frames] = np.where(real.any(axis=1)[:, None], value, 0.0)
     return unary
 
 
@@ -139,14 +163,17 @@ def offline_dp(
     unary = _dp_unaries(episode, grid_arr, eta)
     daz = np.abs(signed_azimuth_delta_array(grid_arr[:, None, 0] - grid_arr[None, :, 0]))
     trans = smooth_weight * np.hypot(daz, grid_arr[:, None, 1] - grid_arr[None, :, 1])
+    trans_to = np.ascontiguousarray(trans.T)  # (to, from): each argmax reads one row
 
     t_total, g_total = unary.shape
     best = unary[0].copy()
     back = np.zeros((t_total, g_total), dtype=np.int64)
+    scores = np.empty((g_total, g_total))
+    to = np.arange(g_total)
     for t in range(1, t_total):
-        scores = best[:, None] - trans  # (from, to)
-        back[t] = np.argmax(scores, axis=0)
-        best = scores[back[t], np.arange(g_total)] + unary[t]
+        np.subtract(best, trans_to, out=scores)
+        scores.argmax(axis=1, out=back[t])
+        best = scores[to, back[t]] + unary[t]
     path = np.empty(t_total, dtype=np.int64)
     path[-1] = int(np.argmax(best))
     for t in range(t_total - 1, 0, -1):
@@ -227,11 +254,12 @@ def benchmark(
         raise InvalidInput("benchmark needs at least one episode")
     rows, details = [], []
     empties = [empty_frame_count(ep) for ep in episodes]
+    gts = [_as_array(ep.gt) for ep in episodes]
     for name, fn in methods.items():
         def run(pair):
             i, ep = pair
-            traj = fn(ep)
-            return i, mean_overlap(traj, ep.gt, h_span=h_span), mean_velocity_difference(traj)
+            traj = _as_array(fn(ep))
+            return i, mean_overlap(traj, gts[i], h_span=h_span), mean_velocity_difference(traj)
 
         if jobs > 1:
             from concurrent.futures import ThreadPoolExecutor  # kept off the import path

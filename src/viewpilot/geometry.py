@@ -153,3 +153,33 @@ def nfov_iou(a: NFoV, b: NFoV) -> float:
     inter = ov_az * ov_el
     union = a.area() + b.area() - inter
     return inter / union
+
+
+def nfov_iou_array(a: np.ndarray, b: np.ndarray, h_span: float = DEFAULT_H_SPAN) -> np.ndarray:
+    """Per-row :func:`nfov_iou` of the 4:3 windows of span ``h_span``
+    centered at the (..., 2) angle arrays ``a`` and ``b``.
+
+    Centers are wrapped and clamped as :class:`ViewingAngle` does, and every
+    operation is the scalar version's in the same order, so each entry is
+    bit-identical to :func:`nfov_iou` of the two rows' :class:`NFoV` windows.
+    """
+    if not h_span > 0.0:
+        raise InvalidInput(f"NFoV spans must be positive, got {h_span}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InvalidInput("non-finite viewing angle")
+    az_a, az_b = np.mod(a[..., 0], 360.0), np.mod(b[..., 0], 360.0)
+    az_a[az_a == 360.0] = 0.0
+    az_b[az_b == 360.0] = 0.0
+    d = np.abs(signed_azimuth_delta_array(az_b - az_a))
+    near = np.maximum(h_span - d, 0.0)
+    far = np.maximum(h_span - (360.0 - d), 0.0)
+    ov_az = np.minimum(near + far, h_span)
+    half = h_span * 3.0 / 4.0 / 2.0
+    el_a = np.minimum(np.maximum(a[..., 1], -90.0), 90.0)
+    el_b = np.minimum(np.maximum(b[..., 1], -90.0), 90.0)
+    a_low, a_high = np.maximum(el_a - half, -90.0), np.minimum(el_a + half, 90.0)
+    b_low, b_high = np.maximum(el_b - half, -90.0), np.minimum(el_b + half, 90.0)
+    ov_el = np.maximum(np.minimum(a_high, b_high) - np.maximum(a_low, b_low), 0.0)
+    inter = ov_az * ov_el
+    union = h_span * (a_high - a_low) + h_span * (b_high - b_low) - inter
+    return inter / union

@@ -481,6 +481,12 @@ def _parse_header(rec: dict, lineno: int) -> dict:
             f"(expected {EPISODE_FORMAT_VERSION})",
             line=lineno,
         )
+    for field, least in (("d", 1), ("k", 1), ("n", 1), ("t", 2)):
+        value = rec[field]
+        if type(value) is not int or value < least:
+            raise ParseError(
+                f"header field {field} must be an integer >= {least}, got {value!r}", line=lineno
+            )
     return rec
 
 

@@ -18,7 +18,7 @@ from viewpilot.agent import (
     write_trajectory,
 )
 from viewpilot.diffcore import LrSchedule
-from viewpilot.errors import ConfigError, InvalidInput
+from viewpilot.errors import ConfigError, InvalidInput, ParseError
 from viewpilot.geometry import ViewingAngle
 from viewpilot.observation import Episode, SceneConfig, synth_scene
 
@@ -131,3 +131,19 @@ class TestTrajectoryFiles:
         header, angles, selections = loaded[0]
         assert header["checkpoint"] == "abc123"
         assert angles == traj and selections == picks
+
+    @pytest.mark.parametrize(
+        "lines, bad_line",
+        [
+            (['{"frame":0,"azimuth":1.0,"elevation":2.0,"selected":0}'], 1),
+            (['{"checkpoint":"abc","episode":0}', '{"frame":0,"azimuth":1.0'], 2),
+            (['{"checkpoint":"abc","episode":0}', '{"frame":0,"azimuth":1.0,"selected":0}'], 2),
+        ],
+        ids=["no header", "truncated record", "missing field"],
+    )
+    def test_malformed_file_is_a_parse_error_naming_the_line(self, tmp_path, lines, bad_line):
+        path = tmp_path / "traj.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_trajectories(path)
+        assert err.value.line == bad_line

@@ -1,9 +1,12 @@
 """Tests for the differentiable plumbing: cell, softmax, SGD, schedules,
 gradient checking, and checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
+from viewpilot.cli import EXIT_IO, main
 from viewpilot.diffcore import (
     Linear,
     LrSchedule,
@@ -15,7 +18,7 @@ from viewpilot.diffcore import (
     sgd_step,
     softmax,
 )
-from viewpilot.errors import ConfigError, InvalidInput, NumericsError, VersionError
+from viewpilot.errors import ConfigError, InvalidInput, NumericsError, ParseError, VersionError
 
 
 class TestSoftmax:
@@ -230,3 +233,39 @@ class TestCheckpoints:
         path.write_text(doc)
         with pytest.raises(VersionError):
             load_checkpoint(path)
+
+    def test_truncated_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, {}, 0, LrSchedule(), {}, self._params())
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["arch", "epoch", "lr_schedule", "rng", "params", "digest"])
+    def test_missing_key_is_a_parse_error(self, tmp_path, key):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, {}, 0, LrSchedule(), {}, self._params())
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=key):
+            load_checkpoint(path)
+
+    def test_digest_mismatch_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, {}, 0, LrSchedule(), {}, self._params())
+        doc = json.loads(path.read_text())
+        doc["params"]["b.w"]["values"][0] += 1e-12
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="digest"):
+            load_checkpoint(path)
+
+    def test_cli_exits_3_on_a_truncated_checkpoint(self, tmp_path, capsys):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, {}, 0, LrSchedule(), {}, self._params())
+        path.write_text(path.read_text()[:40])
+        out = tmp_path / "out.jsonl"
+        code = main(["pilot", "--checkpoint", str(path), "--data", str(path), "--out", str(out)])
+        assert code == EXIT_IO
+        assert "Traceback" not in capsys.readouterr().err

@@ -1,19 +1,57 @@
-"""Tests for the benchmark methods."""
+"""Tests for the benchmark methods and metrics.
+
+The per-frame loops that the array code replaced live here as the
+references, and the array code must equal them exactly.
+"""
+
+import dataclasses
 
 import numpy as np
+import pytest
 
-from viewpilot.agent import ModelDims, PilotModel
-from viewpilot.evaluation import selector_only
-from viewpilot.observation import SceneConfig, synth_scene
+from viewpilot import evaluation
+from viewpilot.agent import ModelDims, PilotModel, initial_state, pilot_episode, pilot_step
+from viewpilot.errors import InvalidInput
+from viewpilot.evaluation import (
+    _dp_unaries,
+    agent_pilot,
+    default_view_grid,
+    mean_overlap,
+    offline_dp,
+    selector_only,
+)
+from viewpilot.geometry import (
+    NFoV,
+    ViewingAngle,
+    nfov_iou,
+    nfov_iou_array,
+    signed_azimuth_delta_array,
+)
+from viewpilot.observation import (
+    Episode,
+    SceneConfig,
+    episode_arrays,
+    make_frame_observation,
+    synth_scene,
+)
 from viewpilot.selector import select_greedy
+from viewpilot.training import DEFAULT_ETA, reward_array
 
 DIMS = ModelDims(appearance_dim=6, motion_bins=5, slots=4, selector_hidden=8, regressor_hidden=4)
 SCENE = SceneConfig(frames=60, objects=3, slots=4, appearance_dim=6, motion_bins=5)
 
 
+def _model(seed=0, scale=0.0):
+    model = PilotModel(DIMS, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 100)
+    for p in model.params():
+        p.values[...] += scale * rng.normal(size=p.shape)
+    return model
+
+
 class TestSelectorOnly:
     def test_matches_a_per_frame_fold_of_the_selector(self):
-        model = PilotModel(DIMS, np.random.default_rng(0))
+        model = _model()
         episode = synth_scene(SCENE, 1)
         h = model.selector.initial_state()
         expected, picks = [], []
@@ -23,3 +61,186 @@ class TestSelectorOnly:
             expected.append(frame.objects[picks[-1]].position)
         assert len(set(picks)) > 1  # the selection moves between slots
         assert selector_only(episode, model) == expected
+
+
+# ---------------------------------------------------------------------------
+# mean_overlap
+# ---------------------------------------------------------------------------
+
+
+def _overlap_fold(pred: np.ndarray, gt: np.ndarray, h_span: float) -> float:
+    """Reference: a frame-order fold of the scalar nfov_iou."""
+    total = 0.0
+    for (pa, pe), (ga, ge) in zip(pred, gt):
+        total += nfov_iou(
+            NFoV(ViewingAngle(pa, pe), h_span=h_span), NFoV(ViewingAngle(ga, ge), h_span=h_span)
+        )
+    return total / len(pred)
+
+
+def _angle_pairs(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random pairs (raw angles outside the wrapped/clamped ranges too),
+    plus the azimuth seam, near-antipodal azimuths and the poles."""
+    rng = np.random.default_rng(seed)
+    pred = np.column_stack([rng.uniform(-400.0, 760.0, 300), rng.uniform(-120.0, 120.0, 300)])
+    gt = pred + rng.normal(scale=[60.0, 25.0], size=pred.shape)
+    edges_pred = [
+        (359.9, 10.0), (0.1, -5.0), (0.0, 0.0), (10.0, 0.0), (0.0, 0.0), (-1e-300, 3.0),
+        (45.0, 90.0), (120.0, -90.0), (30.0, 89.0), (200.0, -90.0), (720.0, 90.0), (180.0, 0.0),
+        (123.456, 7.0),
+    ]
+    edges_gt = [
+        (0.1, 10.0), (359.9, -5.0), (180.0, 0.0), (190.000001, 0.0), (179.99999, 0.0),
+        (359.0, 3.0), (50.0, 90.0), (300.0, -90.0), (30.0, 90.0), (200.0, -60.0), (0.0, 80.0),
+        (-180.0, 0.0), (-1e-300, 7.0),
+    ]
+    # -1e-300 wraps to 360.0 in float arithmetic, which ViewingAngle maps to 0.
+    seam = np.column_stack([np.full(40, -1e-300), rng.uniform(-30.0, 30.0, 40)])
+    others = np.column_stack([rng.uniform(0.0, 360.0, 40), seam[:, 1]])
+    pred = np.vstack([pred, edges_pred, seam[:20], others[20:]])
+    return pred, np.vstack([gt, edges_gt, others[:20], seam[20:]])
+
+
+class TestMeanOverlap:
+    @pytest.mark.parametrize("h_span", [65.5, 120.0, 300.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_a_frame_order_fold_of_nfov_iou(self, seed, h_span):
+        pred, gt = _angle_pairs(seed)
+        per_frame = [
+            nfov_iou(NFoV(ViewingAngle(*p), h_span=h_span), NFoV(ViewingAngle(*g), h_span=h_span))
+            for p, g in zip(pred, gt)
+        ]
+        assert nfov_iou_array(pred, gt, h_span).tolist() == per_frame
+        assert mean_overlap(pred, gt, h_span=h_span) == _overlap_fold(pred, gt, h_span)
+
+    def test_takes_viewing_angles_or_arrays(self):
+        pred, gt = _angle_pairs(2)
+        as_angles = [ViewingAngle(*p) for p in pred], [ViewingAngle(*g) for g in gt]
+        assert mean_overlap(*as_angles) == mean_overlap(pred, gt)
+
+    def test_rejects_what_the_scalar_path_rejects(self):
+        pred, gt = _angle_pairs(3)
+        with pytest.raises(InvalidInput):
+            mean_overlap(pred, gt[:-1])
+        with pytest.raises(InvalidInput):
+            mean_overlap(pred, gt, h_span=0.0)
+        pred[4, 1] = np.nan
+        with pytest.raises(InvalidInput):
+            mean_overlap(pred, gt)
+
+
+# ---------------------------------------------------------------------------
+# offline_dp
+# ---------------------------------------------------------------------------
+
+
+def _unaries_per_frame(episode: Episode, grid_arr: np.ndarray, eta: float) -> np.ndarray:
+    """Reference: the per-frame loop over real detections."""
+    arrays = episode_arrays(episode)
+    t_total, g_total = len(episode), grid_arr.shape[0]
+    unary = np.zeros((t_total, g_total))
+    for t in range(t_total):
+        real = arrays.scores[t] > 0.0
+        if not real.any():
+            continue
+        pos = arrays.positions[t, real]  # (R, 2)
+        scores = arrays.scores[t, real]
+        rewards = reward_array(grid_arr[:, None, :], pos[None, :, :], eta)  # (G, R)
+        daz = np.abs(signed_azimuth_delta_array(grid_arr[:, None, 0] - pos[None, :, 0]))
+        dist = np.hypot(daz, grid_arr[:, None, 1] - pos[None, :, 1])
+        nearest = np.argmin(dist, axis=1)
+        unary[t] = scores[nearest] * rewards[np.arange(g_total), nearest]
+    return unary
+
+
+def _offline_dp_per_frame(episode: Episode, views, smooth_weight: float, eta: float):
+    """Reference: the per-frame unaries and a (from, to) DP recursion."""
+    grid_arr = np.array([[v.azimuth, v.elevation] for v in views])
+    unary = _unaries_per_frame(episode, grid_arr, eta)
+    daz = np.abs(signed_azimuth_delta_array(grid_arr[:, None, 0] - grid_arr[None, :, 0]))
+    trans = smooth_weight * np.hypot(daz, grid_arr[:, None, 1] - grid_arr[None, :, 1])
+    t_total, g_total = unary.shape
+    best = unary[0].copy()
+    back = np.zeros((t_total, g_total), dtype=np.int64)
+    for t in range(1, t_total):
+        scores = best[:, None] - trans  # (from, to)
+        back[t] = np.argmax(scores, axis=0)
+        best = scores[back[t], np.arange(g_total)] + unary[t]
+    path = [int(np.argmax(best))]
+    for t in range(t_total - 1, 0, -1):
+        path.append(back[t, path[-1]])
+    return [views[g] for g in reversed(path)]
+
+
+def _with_padding(episode: Episode, empty: list[int], single: list[int]) -> Episode:
+    """Frames in ``empty`` keep no detection and frames in ``single`` keep
+    only their top one; the freed slots are padding at (0, 0)."""
+    frames = [
+        make_frame_observation(
+            f.objects[: 0 if t in empty else 1 if t in single else len(f.objects)],
+            SCENE.slots, SCENE.appearance_dim, SCENE.motion_bins,
+        )
+        for t, f in enumerate(episode.frames)
+    ]
+    return Episode(frames, episode.gt)
+
+
+REPEATED_AZIMUTHS = [
+    ViewingAngle(10.0, 0.0), ViewingAngle(200.0, -10.0), ViewingAngle(10.0, 30.0),
+    ViewingAngle(359.5, 0.0), ViewingAngle(0.0, 0.0), ViewingAngle(10.0, -60.0),
+    ViewingAngle(200.0, 45.0), ViewingAngle(0.0, 20.0),
+]
+DP_CASES = {
+    "padding frames": (
+        _with_padding(synth_scene(SCENE, 3), [0, 1, 2, 17, 58, 59], list(range(20, 50))),
+        None,
+        30.0,
+    ),
+    "grid_step 45": (synth_scene(SCENE, 4), None, 45.0),
+    "repeated grid azimuths": (synth_scene(SCENE, 5), REPEATED_AZIMUTHS, 30.0),
+}
+
+
+class TestOfflineDp:
+    @pytest.mark.parametrize("case", list(DP_CASES))
+    @pytest.mark.parametrize("block_entries", [evaluation._DP_BLOCK_ENTRIES, 1])
+    def test_unaries_equal_the_per_frame_loop(self, monkeypatch, case, block_entries):
+        monkeypatch.setattr(evaluation, "_DP_BLOCK_ENTRIES", block_entries)  # 1: a frame per block
+        episode, grid, step = DP_CASES[case]
+        views = grid if grid is not None else default_view_grid(step)
+        grid_arr = np.array([[v.azimuth, v.elevation] for v in views])
+        expected = _unaries_per_frame(episode, grid_arr, DEFAULT_ETA)
+        assert np.any(expected != 0.0)
+        assert _dp_unaries(episode, grid_arr, DEFAULT_ETA).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("case", list(DP_CASES))
+    @pytest.mark.parametrize("smooth_weight", [1.0, 0.05])
+    def test_path_equals_the_per_frame_reference(self, case, smooth_weight):
+        episode, grid, step = DP_CASES[case]
+        views = grid if grid is not None else default_view_grid(step)
+        path = offline_dp(episode, grid=grid, grid_step=step, smooth_weight=smooth_weight)
+        assert path == _offline_dp_per_frame(episode, views, smooth_weight, DEFAULT_ETA)
+        if smooth_weight < 1.0:
+            assert len(set(path)) > 1  # the path moves between views
+
+
+# ---------------------------------------------------------------------------
+# agent
+# ---------------------------------------------------------------------------
+
+
+class TestAgentPilot:
+    @pytest.mark.parametrize("seed, scale", [(0, 0.0), (1, 0.5), (2, 2.0)])
+    def test_equals_pilot_episode(self, seed, scale):
+        model, episode = _model(seed, scale), synth_scene(SCENE, 10 + seed)
+        trajectory, selections = pilot_episode(episode, model)
+        assert len(set(selections)) > 1
+        assert agent_pilot(episode, model) == trajectory
+
+    def test_mismatched_dims_are_invalid_input(self):
+        model = _model()
+        other = synth_scene(dataclasses.replace(SCENE, appearance_dim=7), 0)
+        with pytest.raises(InvalidInput):
+            pilot_step(other.frames[0], initial_state(model, other.gt[0]), model)
+        with pytest.raises(InvalidInput):
+            agent_pilot(other, model)

@@ -1,6 +1,7 @@
 """Tests for frame packing, the synthetic scene generator, and episode files."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -187,6 +188,21 @@ class TestEpisodeFiles:
         path.write_text(text)
         with pytest.raises(VersionError):
             load_episodes(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t", -3), ("t", 1), ("t", 2.0), ("d", 0), ("k", "5"), ("n", True), ("n", None)],
+    )
+    def test_bad_header_value_is_a_parse_error(self, tmp_path, field, value):
+        path = tmp_path / "episodes.jsonl"
+        save_episodes(generate_dataset(SMALL, 1, 1), path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header[field] = value
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(ParseError, match=field) as err:
+            load_episodes(path)
+        assert err.value.line == 1
 
     def test_streaming_matches_bulk_load(self, tmp_path):
         episodes = generate_dataset(SMALL, 4, 2)
