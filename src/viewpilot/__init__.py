@@ -30,10 +30,9 @@ from .geometry import (
 from .observation import (
     Episode,
     FrameObservation,
-    ObjectObservation,
     SceneConfig,
     load_episodes,
-    make_frame_observation,
+    rank_slots,
     save_episodes,
     synth_scene,
 )

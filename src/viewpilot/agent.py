@@ -114,13 +114,12 @@ def pilot_step(
         )
     h, probs = model.selector.forward(obs.flat, state.selector_h)
     index = select_greedy(probs)
-    if not 0 <= index < len(obs.objects):
+    if not 0 <= index < len(obs.scores):
         raise InvalidInput(f"selection index {index} out of range")
-    chosen = obs.objects[index]
-    naive = naive_action(chosen.position, state.angle)
+    naive = naive_action(ViewingAngle(*obs.positions[index].tolist()), state.angle)
     # regressor inputs use the flat encoding's half-turn angle units
     naive_vec = np.array([naive.d_azimuth, naive.d_elevation]) / OFFSET_SCALE
-    mu, out = model.regressor.forward(chosen.motion, naive_vec, state.regressor_mu)
+    mu, out = model.regressor.forward(obs.motions[index], naive_vec, state.regressor_mu)
     angle = apply_action(state.angle, Action(float(out[0]), float(out[1])))
     return angle, index, AgentState(h, mu, angle)
 

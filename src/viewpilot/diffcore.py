@@ -310,9 +310,19 @@ def save_checkpoint(
         "digest": params_digest(params),
         "params": {p.name: {"shape": list(p.shape), "values": p.values.reshape(-1).tolist()} for p in params},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    import os
+
+    # Write a sibling file and rename it over the target, so a crash
+    # mid-write leaves the previous checkpoint intact.
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 @dataclass

@@ -66,18 +66,23 @@ def center_hold(episode: Episode, init: ViewingAngle | None = None) -> list[View
     return [init] * len(episode)
 
 
+def _angles(arr: np.ndarray) -> list[ViewingAngle]:
+    return [ViewingAngle(az, el) for az, el in arr.tolist()]
+
+
 def greedy_salient(episode: Episode) -> list[ViewingAngle]:
     """Jump to the highest-scoring detection every frame (slot 0 by the
     score ordering)."""
-    return [frame.objects[0].position for frame in episode.frames]
+    return _angles(np.stack([f.positions[0] for f in episode.frames]))
 
 
 def selector_only(episode: Episode, model: PilotModel) -> list[ViewingAngle]:
     """Run the trained selector greedily and emit the chosen object's
     position directly, skipping the refinement network."""
-    _, probs = model.selector.unroll(np.stack([f.flat for f in episode.frames])[None])
+    arrays = episode_arrays(episode)
+    _, probs = model.selector.unroll(arrays.flat[None])
     picks = np.argmax(probs[0], axis=-1)
-    return [frame.objects[i].position for frame, i in zip(episode.frames, picks)]
+    return _angles(arrays.positions[np.arange(len(picks)), picks])
 
 
 def gt_replay(episode: Episode) -> list[ViewingAngle]:
@@ -93,8 +98,7 @@ def agent_pilot(episode: Episode, model: PilotModel) -> list[ViewingAngle]:
     batch = WindowBatch(
         arrays.flat[None], arrays.positions[None], arrays.motions[None], arrays.gt[None]
     )
-    pred = rollout_window(model, batch, greedy=True).pred[0]
-    return [ViewingAngle(az, el) for az, el in pred.tolist()]
+    return _angles(rollout_window(model, batch, greedy=True).pred[0])
 
 
 def default_view_grid(step: float = 30.0) -> list[ViewingAngle]:
@@ -236,7 +240,7 @@ def build_methods(
 
 def empty_frame_count(episode: Episode) -> int:
     """Frames whose slots are all zero-padding (no real detections)."""
-    return sum(1 for f in episode.frames if all(o.score == 0.0 for o in f.objects))
+    return int(np.all(np.stack([f.scores for f in episode.frames]) == 0.0, axis=1).sum())
 
 
 def benchmark(

@@ -1,8 +1,12 @@
-"""Object-level observations, synthetic scene generation, and episode files.
+"""Frame observations as slot arrays, synthetic scene generation, and
+episode files.
 
-A frame observation packs the top-N detected objects, ordered by score
-descending, into one flat feature vector: all appearance vectors first,
-then all (azimuth, elevation) positions, then all motion histograms.
+A frame observation holds the top-N detected objects as score-ranked slot
+arrays: appearance (N, d), positions (N, 2) as (azimuth, elevation) with
+azimuth wrapped into [0, 360) and elevation clamped into [-90, 90],
+motion histograms (N, k) and scores (N,). Missing detections are zero
+padding slots (score 0, position (0, 0)). The flat network input packs all
+appearance vectors first, then all positions, then all motion histograms.
 The synthetic generator stands in for a detector/tracker pipeline: it
 moves K objects on the angle plane, designates one as the main object,
 and emits noisy per-frame detections plus a smoothed ground-truth
@@ -24,8 +28,7 @@ EPISODE_FORMAT_VERSION = 1
 
 # Angle-valued entries of the flat network input are stored in half-turn
 # units so every feature block is O(1); raw tanh units saturate on degree
-#-scale inputs. Positions in object tuples, episode files, and geometry
-# stay in degrees.
+#-scale inputs. Slot positions, episode files, and geometry stay in degrees.
 ANGLE_SCALE = 180.0
 OFFSET_SCALE = 30.0
 
@@ -42,107 +45,82 @@ def main_appearance_prototype(dim: int, scale: float = 2.0) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ObjectObservation:
-    """One detected object: appearance vector, position, motion histogram, score."""
-
-    appearance: np.ndarray
-    position: ViewingAngle
-    motion: np.ndarray
-    score: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "appearance", np.asarray(self.appearance, dtype=np.float64))
-        object.__setattr__(self, "motion", np.asarray(self.motion, dtype=np.float64))
-        if not (np.all(np.isfinite(self.appearance)) and np.all(np.isfinite(self.motion))):
-            raise InvalidInput("object feature vectors must be finite")
-        if not 0.0 <= self.score <= 1.0:
-            raise InvalidInput(f"score must be in [0, 1], got {self.score}")
-
-    def __eq__(self, other):
-        if not isinstance(other, ObjectObservation):
-            return NotImplemented
-        return (
-            np.array_equal(self.appearance, other.appearance)
-            and self.position == other.position
-            and np.array_equal(self.motion, other.motion)
-            and self.score == other.score
-        )
-
-
-def zero_object(appearance_dim: int, motion_bins: int) -> ObjectObservation:
-    """Padding object used to fill frames with fewer than N detections."""
-    return ObjectObservation(
-        np.zeros(appearance_dim), ViewingAngle(0.0, 0.0), np.zeros(motion_bins), 0.0
-    )
-
-
-def encode_position(position: ViewingAngle) -> np.ndarray:
-    """Half-turn-unit position entries of the flat vector."""
-    return np.array(
-        [(position.azimuth - 180.0) / ANGLE_SCALE, position.elevation / ANGLE_SCALE]
-    )
-
-
-@dataclass(frozen=True)
 class FrameObservation:
-    """Exactly N score-ordered objects plus their flat concatenated vector."""
+    """N score-ranked detection slots plus their flat network input."""
 
-    objects: tuple[ObjectObservation, ...]
-    flat: np.ndarray
+    appearance: np.ndarray  # (N, d)
+    positions: np.ndarray  # (N, 2) as (azimuth, elevation)
+    motions: np.ndarray  # (N, k)
+    scores: np.ndarray  # (N,)
+    flat: np.ndarray  # ((d+2+k)*N,)
 
     def __eq__(self, other):
         if not isinstance(other, FrameObservation):
             return NotImplemented
-        return self.objects == other.objects and np.array_equal(self.flat, other.flat)
+        return all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in ("appearance", "positions", "motions", "scores", "flat")
+        )
 
-    @property
-    def n_slots(self) -> int:
-        return len(self.objects)
+
+def _slot_positions(azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
+    """(..., 2) slot positions: azimuth wrapped into [0, 360), elevation
+    clamped into [-90, 90], as ViewingAngle does."""
+    azimuth = np.mod(azimuth, 360.0)
+    azimuth[azimuth == 360.0] = 0.0  # a tiny negative azimuth wraps to 360.0
+    return np.stack([azimuth, np.clip(elevation, -90.0, 90.0)], axis=-1)
 
 
-def make_frame_observation(
-    objects: Sequence[ObjectObservation],
+def _pack_flat(appearance: np.ndarray, positions: np.ndarray, motions: np.ndarray) -> np.ndarray:
+    """The flat network input of (..., N, .) slot arrays: the appearance
+    block, the half-turn-unit position block, then the motion block."""
+    lead = appearance.shape[:-2]
+    blocks = (appearance, (positions - (180.0, 0.0)) / ANGLE_SCALE, motions)
+    return np.concatenate([b.reshape(*lead, -1) for b in blocks], axis=-1)
+
+
+def rank_slots(
+    appearance: np.ndarray,
+    positions: np.ndarray,
+    motions: np.ndarray,
+    scores: np.ndarray,
     n: int,
-    appearance_dim: int | None = None,
-    motion_bins: int | None = None,
-) -> FrameObservation:
-    """Pack ``objects`` into an N-slot frame observation.
+) -> tuple[list[FrameObservation], np.ndarray]:
+    """Rank each frame's detections into ``n`` slots.
 
-    Objects are sorted by score descending (ties by azimuth then elevation
-    ascending), truncated or zero-padded to exactly ``n`` slots, and
-    concatenated appearance-block / position-block / motion-block. The
-    result does not depend on the input ordering.
+    Takes (T, K, .) detection arrays: appearance (T, K, d), positions
+    (T, K, 2) in degrees (wrapped and clamped here), motions (T, K, k) and
+    scores (T, K). Per frame, detections are sorted by score descending,
+    ties by azimuth then elevation ascending, and truncated or zero-padded
+    to exactly ``n`` slots, so the result does not depend on the input
+    order. Returns the T frames and ``rank`` (T, K): the slot detection j
+    of frame t lands in, ``>= n`` when truncated.
     """
     if n < 1:
         raise InvalidInput(f"slot count must be >= 1, got {n}")
-    if appearance_dim is None or motion_bins is None:
-        if not objects:
-            raise InvalidInput("feature dimensions are required when the object list is empty")
-        appearance_dim = len(objects[0].appearance)
-        motion_bins = len(objects[0].motion)
-    for obj in objects:
-        if len(obj.appearance) != appearance_dim or len(obj.motion) != motion_bins:
-            raise InvalidInput(
-                f"object feature dims ({len(obj.appearance)}, {len(obj.motion)}) "
-                f"do not match configured ({appearance_dim}, {motion_bins})"
-            )
-    ranked = sorted(
-        objects, key=lambda o: (-o.score, o.position.azimuth, o.position.elevation)
-    )[:n]
-    while len(ranked) < n:
-        ranked.append(zero_object(appearance_dim, motion_bins))
-    return _pack_slots(ranked)
+    lead = scores.shape
+    if len(lead) != 2 or (appearance.shape[:-1], positions.shape, motions.shape[:-1]) != (
+        lead, lead + (2,), lead
+    ):
+        raise InvalidInput(
+            f"detection arrays disagree: scores {lead}, appearance {appearance.shape}, "
+            f"positions {positions.shape}, motions {motions.shape}"
+        )
+    positions = _slot_positions(positions[..., 0], positions[..., 1])
+    order = np.lexsort((positions[..., 1], positions[..., 0], -scores), axis=-1)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(lead[1]), axis=-1)
+    frames = np.arange(lead[0])[:, None]
+    kept = order[:, :n]
 
+    def slots(a: np.ndarray) -> np.ndarray:
+        out = np.zeros((lead[0], n) + a.shape[2:])
+        out[:, : kept.shape[1]] = a[frames, kept]
+        return out
 
-def _pack_slots(objects: Sequence[ObjectObservation]) -> FrameObservation:
-    """A frame of slot-ordered objects with its appearance / position /
-    motion block vector."""
-    flat = np.concatenate(
-        [o.appearance for o in objects]
-        + [encode_position(o.position) for o in objects]
-        + [o.motion for o in objects]
-    )
-    return FrameObservation(tuple(objects), flat)
+    arrays = [slots(a) for a in (appearance, positions, motions, scores)]
+    arrays.append(_pack_flat(*arrays[:3]))
+    return [FrameObservation(*fields) for fields in zip(*arrays)], rank
 
 
 @dataclass
@@ -167,15 +145,6 @@ class Episode:
     def __len__(self) -> int:
         return len(self.frames)
 
-    def __eq__(self, other):
-        if not isinstance(other, Episode):
-            return NotImplemented
-        return (
-            self.frames == other.frames
-            and self.gt == other.gt
-            and self.gt_object_index == other.gt_object_index
-        )
-
 
 @dataclass
 class EpisodeArrays:
@@ -189,15 +158,12 @@ class EpisodeArrays:
 
 
 def episode_arrays(episode: Episode) -> EpisodeArrays:
-    frames = episode.frames
-    flat = np.stack([f.flat for f in frames])
-    positions = np.array(
-        [[[o.position.azimuth, o.position.elevation] for o in f.objects] for f in frames]
-    )
-    motions = np.array([[o.motion for o in f.objects] for f in frames])
-    scores = np.array([[o.score for o in f.objects] for f in frames])
-    gt = np.array([[g.azimuth, g.elevation] for g in episode.gt])
-    return EpisodeArrays(flat, positions, motions, scores, gt)
+    """Stack the frames' slot arrays and the ground-truth track."""
+    slots = [
+        np.stack([getattr(f, name) for f in episode.frames])
+        for name in ("flat", "positions", "motions", "scores")
+    ]
+    return EpisodeArrays(*slots, np.array([[g.azimuth, g.elevation] for g in episode.gt]))
 
 
 @dataclass(frozen=True)
@@ -379,12 +345,12 @@ def synth_scene(config: SceneConfig, seed) -> Episode:
     protos[main] = main_proto
 
     center = _center_path(config, rng)
-    true_pos = np.empty((k_objects, t_total, 2))
-    motion = np.empty((k_objects, t_total, config.motion_bins))
+    true_pos = np.empty((t_total, k_objects, 2))
+    motion = np.empty((t_total, k_objects, config.motion_bins))
     for j in range(k_objects):
         pos, vel = _object_paths(config, center, rng)
-        true_pos[j] = pos
-        motion[j] = _motion_histogram(vel, config.motion_bins)
+        true_pos[:, j] = pos
+        motion[:, j] = _motion_histogram(vel, config.motion_bins)
 
     a0 = config.score_shape
     scores = rng.beta(a0, a0, size=(t_total, k_objects))
@@ -396,27 +362,11 @@ def synth_scene(config: SceneConfig, seed) -> Episode:
     )
     jitter = config.position_noise * rng.normal(size=(t_total, k_objects, 2))
 
-    gt_track = _smooth_track(true_pos[main], config.gt_smooth_window)
+    gt_track = _smooth_track(true_pos[:, main], config.gt_smooth_window)
 
-    frames: list[FrameObservation] = []
-    gt: list[ViewingAngle] = []
-    main_slot: list[int] = []
-    for t in range(t_total):
-        objs = []
-        for j in range(k_objects):
-            pos = ViewingAngle(
-                true_pos[j, t, 0] + jitter[t, j, 0], true_pos[j, t, 1] + jitter[t, j, 1]
-            )
-            objs.append(
-                ObjectObservation(appearance[t, j], pos, motion[j, t], float(scores[t, j]))
-            )
-        frame = make_frame_observation(
-            objs, config.slots, config.appearance_dim, config.motion_bins
-        )
-        frames.append(frame)
-        main_slot.append(frame.objects.index(objs[main]))
-        gt.append(ViewingAngle(gt_track[t, 0], gt_track[t, 1]))
-    return Episode(frames, gt, main_slot)
+    frames, rank = rank_slots(appearance, true_pos + jitter, motion, scores, config.slots)
+    gt = [ViewingAngle(az, el) for az, el in gt_track.tolist()]
+    return Episode(frames, gt, rank[:, main].tolist())
 
 
 def generate_dataset(config: SceneConfig, seed: int, count: int) -> list[Episode]:
@@ -432,11 +382,12 @@ def generate_dataset(config: SceneConfig, seed: int, count: int) -> list[Episode
 
 
 def _frame_record(frame: FrameObservation, gt: ViewingAngle, main_idx) -> dict:
+    slots = zip(
+        frame.scores.tolist(), frame.positions.tolist(), frame.appearance.tolist(),
+        frame.motions.tolist(),
+    )
     rec = {
-        "objects": [
-            [o.score, o.position.azimuth, o.position.elevation, o.appearance.tolist(), o.motion.tolist()]
-            for o in frame.objects
-        ],
+        "objects": [[score, az, el, app, mot] for score, (az, el), app, mot in slots],
         "gt": [gt.azimuth, gt.elevation],
     }
     if main_idx is not None:
@@ -447,12 +398,12 @@ def _frame_record(frame: FrameObservation, gt: ViewingAngle, main_idx) -> dict:
 def save_episodes(episodes: Sequence[Episode], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for ep in episodes:
-            first = ep.frames[0].objects[0]
+            first = ep.frames[0]
             header = {
                 "format_version": EPISODE_FORMAT_VERSION,
-                "d": len(first.appearance),
-                "k": len(first.motion),
-                "n": ep.frames[0].n_slots,
+                "d": first.appearance.shape[1],
+                "k": first.motions.shape[1],
+                "n": len(first.scores),
                 "t": len(ep),
             }
             fh.write(json.dumps(header, separators=(",", ":")) + "\n")
@@ -490,22 +441,38 @@ def _parse_header(rec: dict, lineno: int) -> dict:
     return rec
 
 
+def _finite(values, shape: tuple) -> np.ndarray:
+    """A float64 array of ``shape`` from JSON numbers, all finite."""
+    arr = np.array(values)
+    if arr.shape != shape or arr.dtype.kind not in "biuf":
+        raise ValueError(f"expected {shape} numbers, got shape {arr.shape} of {arr.dtype}")
+    arr = arr.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite value")
+    return arr
+
+
 def _parse_frame(rec: dict, header: dict, lineno: int):
+    n, d, k = header["n"], header["d"], header["k"]
     try:
-        objs = [
-            ObjectObservation(np.array(app), ViewingAngle(az, el), np.array(mot), score)
-            for score, az, el, app, mot in rec["objects"]
-        ]
+        objects, main_idx = rec["objects"], rec.get("gt_object_index")
         gt = ViewingAngle(rec["gt"][0], rec["gt"][1])
-        main_idx = rec.get("gt_object_index")
-    except (KeyError, TypeError, ValueError, InvalidInput) as exc:
+        if len(objects) != n:
+            raise ParseError(f"expected {n} objects, found {len(objects)}", line=lineno)
+        if any(len(o) != 5 for o in objects):
+            raise ValueError("objects are [score, azimuth, elevation, appearance, motion]")
+        scores, azimuths, elevations, appearance, motions = zip(*objects)
+        scores = _finite(scores, (n,))
+        if not np.all((scores >= 0.0) & (scores <= 1.0)):
+            raise ValueError(f"scores must be in [0, 1], got {scores.tolist()}")
+        positions = _slot_positions(*_finite((azimuths, elevations), (2, n)))
+        appearance, motions = _finite(appearance, (n, d)), _finite(motions, (n, k))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad frame record: {exc}", line=lineno) from exc
-    if len(objs) != header["n"]:
-        raise ParseError(f"expected {header['n']} objects, found {len(objs)}", line=lineno)
-    for o in objs:
-        if len(o.appearance) != header["d"] or len(o.motion) != header["k"]:
-            raise ParseError("object feature dims do not match header", line=lineno)
-    return _pack_slots(objs), gt, main_idx
+    frame = FrameObservation(
+        appearance, positions, motions, scores, _pack_flat(appearance, positions, motions)
+    )
+    return frame, gt, main_idx
 
 
 def stream_episodes(path) -> Iterator[tuple[dict, Iterator]]:
@@ -513,7 +480,9 @@ def stream_episodes(path) -> Iterator[tuple[dict, Iterator]]:
 
     Each frame iterator yields (FrameObservation, gt ViewingAngle,
     gt_object_index or None) and must be consumed before advancing to the
-    next episode. Peak memory stays independent of episode length.
+    next episode. A frame's slot arrays are parsed straight from its
+    record's objects, in file order, with azimuths wrapped and elevations
+    clamped. Peak memory stays independent of episode length.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lineno = 0

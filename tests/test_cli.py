@@ -1,0 +1,103 @@
+"""Tests for the run configuration and the CLI's documented exit codes.
+
+Every failure must map to its exit code with a one-line message on
+stderr, never a traceback.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from viewpilot.agent import ModelDims, PilotModel, save_model_checkpoint
+from viewpilot.cli import EXIT_CONFIG, EXIT_IO, EXIT_USAGE, main
+from viewpilot.config import RunConfig, load_run_config
+from viewpilot.diffcore import LrSchedule
+from viewpilot.observation import SceneConfig, generate_dataset, save_episodes
+
+REFERENCE = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
+SCENE = SceneConfig(frames=20, objects=2, slots=3, appearance_dim=4, motion_bins=4)
+DIMS = ModelDims(4, 4, 3, selector_hidden=4, regressor_hidden=4)
+
+
+def _run(capsys, *argv) -> int:
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code
+
+
+def _episodes(tmp_path, truncated=False) -> Path:
+    path = tmp_path / "episodes.jsonl"
+    save_episodes(generate_dataset(SCENE, 1, 2), path)
+    if truncated:
+        text = path.read_text()
+        path.write_text(text[: len(text) * 3 // 4])  # ends inside a frame record
+    return path
+
+
+def test_reference_config_is_the_default():
+    assert load_run_config(REFERENCE) == RunConfig()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"trian": {}}',
+        '{"train": {"learning_rate": 0.1}}',
+        '{"train": {"lr_initial": "fast"}}',
+        '{"scene": {"slots": 2.5}}',
+        '{"train": {"baseline": 1}}',
+        '{"train": {"batch_size": 0}}',
+        '{"train": []}',
+        "[]",
+        '{"train": {',
+    ],
+)
+def test_bad_config_file_exits_4(tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    out = tmp_path / "episodes.jsonl"
+    assert _run(capsys, "gen-data", "--config", config, "--out", out) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "train.lr_initial",
+        "train.lr_initial=fast",
+        "train.seed=1.5",
+        "lr_initial=0.1",
+        "train.lr.initial=0.1",
+        "trian.seed=1",
+        "train.sed=1",
+    ],
+)
+def test_bad_override_exits_4(tmp_path, capsys, override):
+    out = tmp_path / "episodes.jsonl"
+    code = _run(capsys, "gen-data", "--config", REFERENCE, "--set", override, "--out", out)
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_train_on_a_truncated_episode_file_exits_3(tmp_path, capsys):
+    data = _episodes(tmp_path, truncated=True)
+    code = _run(capsys, "train", "--data", data, "--out", tmp_path / "run", "--quiet")
+    assert code == EXIT_IO
+
+
+def test_pilot_on_a_truncated_episode_file_exits_3(tmp_path, capsys):
+    checkpoint = tmp_path / "model.json"
+    model = PilotModel(DIMS, np.random.default_rng(0))
+    save_model_checkpoint(checkpoint, model, 0, LrSchedule(), {"seed": 0})
+    data = _episodes(tmp_path, truncated=True)
+    out = tmp_path / "trajectory.jsonl"
+    code = _run(capsys, "pilot", "--checkpoint", checkpoint, "--data", data, "--out", out)
+    assert code == EXIT_IO
+
+
+def test_unknown_method_exits_2(tmp_path, capsys):
+    data = _episodes(tmp_path)
+    assert _run(capsys, "eval", "--data", data, "--methods", "center_hold,bogus") == EXIT_USAGE

@@ -269,3 +269,18 @@ class TestCheckpoints:
         code = main(["pilot", "--checkpoint", str(path), "--data", str(path), "--out", str(out)])
         assert code == EXIT_IO
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_a_failed_write_leaves_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, {}, 0, LrSchedule(), {}, self._params())
+        before = path.read_bytes()
+
+        def crash(doc, fh):
+            fh.write('{"format_version": 1, "arch": {}, "ep')
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(json, "dump", crash)
+        with pytest.raises(OSError):
+            save_checkpoint(path, {}, 1, LrSchedule(), {}, self._params(1))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]

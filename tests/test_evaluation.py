@@ -16,6 +16,7 @@ from viewpilot.evaluation import (
     _dp_unaries,
     agent_pilot,
     default_view_grid,
+    empty_frame_count,
     mean_overlap,
     offline_dp,
     selector_only,
@@ -31,7 +32,7 @@ from viewpilot.observation import (
     Episode,
     SceneConfig,
     episode_arrays,
-    make_frame_observation,
+    rank_slots,
     synth_scene,
 )
 from viewpilot.selector import select_greedy
@@ -58,7 +59,7 @@ class TestSelectorOnly:
         for frame in episode.frames:
             h, probs = model.selector.forward(frame.flat, h)
             picks.append(select_greedy(probs))
-            expected.append(frame.objects[picks[-1]].position)
+            expected.append(ViewingAngle(*frame.positions[picks[-1]]))
         assert len(set(picks)) > 1  # the selection moves between slots
         assert selector_only(episode, model) == expected
 
@@ -175,13 +176,11 @@ def _offline_dp_per_frame(episode: Episode, views, smooth_weight: float, eta: fl
 def _with_padding(episode: Episode, empty: list[int], single: list[int]) -> Episode:
     """Frames in ``empty`` keep no detection and frames in ``single`` keep
     only their top one; the freed slots are padding at (0, 0)."""
-    frames = [
-        make_frame_observation(
-            f.objects[: 0 if t in empty else 1 if t in single else len(f.objects)],
-            SCENE.slots, SCENE.appearance_dim, SCENE.motion_bins,
-        )
-        for t, f in enumerate(episode.frames)
-    ]
+    frames = []
+    for t, f in enumerate(episode.frames):
+        kept = slice(0, 0 if t in empty else 1 if t in single else len(f.scores))
+        detections = (f.appearance, f.positions, f.motions, f.scores)
+        frames += rank_slots(*(a[None, kept] for a in detections), SCENE.slots)[0]
     return Episode(frames, episode.gt)
 
 
@@ -199,6 +198,12 @@ DP_CASES = {
     "grid_step 45": (synth_scene(SCENE, 4), None, 45.0),
     "repeated grid azimuths": (synth_scene(SCENE, 5), REPEATED_AZIMUTHS, 30.0),
 }
+
+
+def test_empty_frame_count_counts_frames_without_detections():
+    episode, _, _ = DP_CASES["padding frames"]
+    assert empty_frame_count(episode) == 6
+    assert empty_frame_count(synth_scene(SCENE, 3)) == 0
 
 
 class TestOfflineDp:

@@ -1,6 +1,7 @@
-"""Tests for frame packing, the synthetic scene generator, and episode files."""
+"""Tests for slot ranking, the synthetic scene generator, and episode files."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -10,69 +11,106 @@ from viewpilot.errors import InvalidInput, ParseError, VersionError
 from viewpilot.geometry import ViewingAngle, angular_distance
 from viewpilot.observation import (
     Episode,
-    ObjectObservation,
     SceneConfig,
     episode_arrays,
     generate_dataset,
     load_episodes,
-    make_frame_observation,
+    rank_slots,
     save_episodes,
     stream_episodes,
     synth_scene,
 )
 
 
-def _obj(score, az=0.0, el=0.0, d=4, k=3, seed=0):
+def _detections(scores, az=None, el=None, d=4, k=3, seed=0):
+    """One frame of K detections as (1, K, .) arrays."""
     rng = np.random.default_rng(seed)
-    return ObjectObservation(rng.normal(size=d), ViewingAngle(az, el), rng.normal(size=k), score)
+    count = len(scores)
+    az = np.zeros(count) if az is None else np.asarray(az, dtype=float)
+    el = np.zeros(count) if el is None else np.asarray(el, dtype=float)
+    return (
+        rng.normal(size=(1, count, d)),
+        np.stack([az, el], axis=-1)[None],
+        rng.normal(size=(1, count, k)),
+        np.asarray(scores, dtype=float)[None],
+    )
+
+
+def _frame(detections, n):
+    frames, _ = rank_slots(*detections, n)
+    return frames[0]
 
 
 class TestMakeFrameObservation:
+    """rank_slots makes the frame observations of a scene's detections."""
+
     def test_sorted_by_score_descending(self):
-        objs = [_obj(0.9, az=1, seed=1), _obj(0.5, az=2, seed=2), _obj(0.7, az=3, seed=3)]
-        frame = make_frame_observation(objs, 3)
-        assert [o.score for o in frame.objects] == [0.9, 0.7, 0.5]
+        frame = _frame(_detections([0.9, 0.5, 0.7], az=[1, 2, 3]), 3)
+        assert frame.scores.tolist() == [0.9, 0.7, 0.5]
+        assert frame.positions[:, 0].tolist() == [1, 3, 2]
 
     def test_padding_with_zero_objects(self):
-        frame = make_frame_observation([_obj(0.4)], 4)
-        assert frame.objects[0].score == 0.4
-        for slot in frame.objects[1:]:
-            assert slot.score == 0.0
-            assert slot.position == ViewingAngle(0, 0)
-            assert not slot.appearance.any() and not slot.motion.any()
+        frame = _frame(_detections([0.4]), 4)
+        assert frame.scores.tolist() == [0.4, 0.0, 0.0, 0.0]
+        assert not frame.positions[1:].any()
+        assert not frame.appearance[1:].any() and not frame.motions[1:].any()
 
     def test_order_invariance(self):
-        objs = [_obj(0.9, az=1, seed=1), _obj(0.5, az=2, seed=2), _obj(0.7, az=3, seed=3)]
-        base = make_frame_observation(objs, 4)
+        app, pos, mot, scores = _detections([0.9, 0.5, 0.7], az=[1, 2, 3])
+        base = _frame((app, pos, mot, scores), 4)
         for perm in ([2, 0, 1], [1, 2, 0], [2, 1, 0]):
-            other = make_frame_observation([objs[i] for i in perm], 4)
-            assert np.array_equal(base.flat, other.flat)
+            other = _frame((app[:, perm], pos[:, perm], mot[:, perm], scores[:, perm]), 4)
+            assert other == base
 
     def test_score_ties_broken_by_position(self):
-        objs = [_obj(0.5, az=30, seed=1), _obj(0.5, az=10, seed=2), _obj(0.5, az=20, seed=3)]
-        frame = make_frame_observation(objs, 3)
-        assert [o.position.azimuth for o in frame.objects] == [10, 20, 30]
+        frame = _frame(_detections([0.5] * 4, az=[30, 370, 20, 20], el=[0, 0, 5, -5]), 4)
+        assert frame.positions.tolist() == [[10, 0], [20, -5], [20, 5], [30, 0]]
+
+    def test_positions_wrap_and_clamp(self):
+        frame = _frame(_detections([0.9, 0.8, 0.7], az=[-10, 720, -1e-300], el=[95, -100, 3]), 3)
+        assert frame.positions.tolist() == [[350, 90], [0, -90], [0, 3]]
 
     def test_flat_layout_and_length(self):
         d, k, n = 4, 3, 5
-        objs = [_obj(0.8, az=15, el=-4, d=d, k=k, seed=9)]
-        frame = make_frame_observation(objs, n)
+        app, pos, mot, scores = _detections([0.8], az=[15], el=[-4], d=d, k=k, seed=9)
+        frame = _frame((app, pos, mot, scores), n)
         assert frame.flat.shape == ((d + 2 + k) * n,)
         # appearance block, then position block (half-turn units), then motion block
-        assert np.array_equal(frame.flat[:d], objs[0].appearance)
-        assert frame.flat[d * n] == (objs[0].position.azimuth - 180.0) / 180.0
-        assert frame.flat[d * n + 1] == objs[0].position.elevation / 180.0
-        assert np.array_equal(frame.flat[(d + 2) * n : (d + 2) * n + k], objs[0].motion)
+        assert np.array_equal(frame.flat[:d], app[0, 0])
+        assert frame.flat[d * n] == (15 - 180.0) / 180.0
+        assert frame.flat[d * n + 1] == -4 / 180.0
+        assert frame.flat[d * n + 2] == -1.0  # a padding slot sits at (0, 0)
+        assert np.array_equal(frame.flat[(d + 2) * n : (d + 2) * n + k], mot[0, 0])
 
     def test_dimension_mismatch_rejected(self):
-        objs = [_obj(0.5, d=4), _obj(0.6, d=5)]
+        app, pos, mot, scores = _detections([0.5, 0.6])
         with pytest.raises(InvalidInput):
-            make_frame_observation(objs, 4)
+            rank_slots(app, pos, mot[:, :1], scores, 4)
+        with pytest.raises(InvalidInput):
+            rank_slots(app, pos[..., :1], mot, scores, 4)
+        with pytest.raises(InvalidInput):
+            rank_slots(app[0], pos, mot, scores, 4)
+        with pytest.raises(InvalidInput):
+            rank_slots(app, pos, mot, scores, 0)
 
     def test_truncates_to_top_n(self):
-        objs = [_obj(s, az=i, seed=i) for i, s in enumerate([0.1, 0.9, 0.5, 0.7])]
-        frame = make_frame_observation(objs, 2)
-        assert [o.score for o in frame.objects] == [0.9, 0.7]
+        frames, rank = rank_slots(*_detections([0.1, 0.9, 0.5, 0.7], az=[0, 1, 2, 3]), 2)
+        assert frames[0].scores.tolist() == [0.9, 0.7]
+        assert rank.tolist() == [[3, 0, 2, 1]]  # ranks >= 2 were cut
+
+    def test_frames_rank_independently(self):
+        rng = np.random.default_rng(4)
+        app, mot = rng.normal(size=(6, 5, 4)), rng.normal(size=(6, 5, 3))
+        pos = rng.choice([-350.0, 10.0, 370.0], size=(6, 5, 2))
+        scores = rng.choice([0.2, 0.5, 0.8], size=(6, 5))  # with ties
+        frames, rank = rank_slots(app, pos, mot, scores, 4)
+        for t in range(6):
+            one = slice(t, t + 1)
+            alone, alone_rank = rank_slots(app[one], pos[one], mot[one], scores[one], 4)
+            assert frames[t] == alone[0]
+            assert rank[t].tolist() == alone_rank[0].tolist()
+            for j in np.flatnonzero(rank[t] < 4):
+                assert frames[t].scores[rank[t, j]] == scores[t, j]
 
 
 SMALL = SceneConfig(frames=40, objects=3, slots=4, appearance_dim=6, motion_bins=5)
@@ -217,7 +255,87 @@ class TestEpisodeFiles:
             assert [f for f, _, _ in recs] == ep.frames
             assert [g for _, g, _ in recs] == ep.gt
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda obj: obj.__setitem__(0, 1.5),
+            lambda obj: obj.__setitem__(0, -0.1),
+            lambda obj: obj.__setitem__(0, "0.5"),
+            lambda obj: obj[3].__setitem__(1, float("nan")),
+            lambda obj: obj[4].__setitem__(0, float("inf")),
+            lambda obj: obj.__setitem__(1, float("nan")),
+            lambda obj: obj.__setitem__(2, None),
+            lambda obj: obj[3].pop(),
+            lambda obj: obj[4].append(0.0),
+            lambda obj: obj.pop(),
+        ],
+        ids=[
+            "score 1.5", "score -0.1", "string score", "nan appearance", "inf motion",
+            "nan azimuth", "null elevation", "short appearance", "long motion", "four fields",
+        ],
+    )
+    def test_bad_object_is_a_parse_error_naming_the_line(self, tmp_path, edit):
+        path = tmp_path / "episodes.jsonl"
+        save_episodes(generate_dataset(SMALL, 1, 1), path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[5])
+        edit(rec["objects"][1])
+        lines[5] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_episodes(path)
+        assert err.value.line == 6
+
+    def test_wrong_object_count_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "episodes.jsonl"
+        save_episodes(generate_dataset(SMALL, 1, 1), path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[3])
+        rec["objects"].pop()
+        lines[3] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="expected 4 objects, found 3") as err:
+            load_episodes(path)
+        assert err.value.line == 4
+
+    def test_loaded_positions_wrap_and_clamp(self, tmp_path):
+        path = tmp_path / "episodes.jsonl"
+        save_episodes(generate_dataset(SMALL, 1, 1), path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["objects"][0][1:3] = [370.0, 95.0]
+        lines[1] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        frame = load_episodes(path)[0].frames[0]
+        assert frame.positions[0].tolist() == [10.0, 90.0]
+        block = SMALL.appearance_dim * SMALL.slots  # the flat vector encodes the wrapped angles
+        assert frame.flat[block : block + 2].tolist() == [(10.0 - 180.0) / 180.0, 0.5]
+
     def test_episode_requires_matching_lengths(self):
         ep = generate_dataset(SMALL, 4, 1)[0]
         with pytest.raises(InvalidInput):
             Episode(ep.frames[:-1], ep.gt)
+
+
+class TestGoldenDigests:
+    """Digests of the reference-config generator output, fixed before slot
+    arrays replaced the per-object records; the file and every array must
+    stay bit-identical."""
+
+    def test_episode_file_bytes(self, tmp_path):
+        path = tmp_path / "episodes.jsonl"
+        save_episodes(generate_dataset(SceneConfig(), 2026, 3), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "971efb889dc5e74974e521a530cb54054e128ccd3264cd68e50dc8cf476e325c"
+        )
+
+    def test_episode_arrays(self):
+        digest = hashlib.sha256()
+        for ep in generate_dataset(SceneConfig(), 2026, 3):
+            arrays = episode_arrays(ep)
+            for arr in (arrays.flat, arrays.positions, arrays.motions, arrays.scores, arrays.gt):
+                digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+            digest.update(np.asarray(ep.gt_object_index, dtype=np.int64).tobytes())
+        assert digest.hexdigest() == (
+            "f845d4177feba4dde104b14af1f2608ef27c2ab8c9510de747276934b8ce012e"
+        )

@@ -2,6 +2,9 @@
 hand-derived backward pass, and the contracts the batched rollout keeps
 with the per-frame computations it replaces."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -13,13 +16,16 @@ from viewpilot.gradcheck import MODES, check_model, check_trajectory_loss, make_
 from viewpilot.observation import SceneConfig, episode_arrays, generate_dataset, synth_scene
 from viewpilot.selector import policy_gradient_contribution, sample_indices
 from viewpilot.training import (
+    TrainConfig,
     WindowBatch,
     backward_window,
+    checkpoint_name,
     pack_windows,
     policy_upstream,
     rollout_window,
     slice_windows,
     surrogate_loss,
+    train,
 )
 
 TOLERANCE = 1e-4
@@ -137,3 +143,27 @@ class TestRolloutContracts:
                 )
                 np.testing.assert_allclose(upstream[b, t], expected, rtol=1e-12, atol=1e-15)
 
+
+class TestResume:
+    CONFIG = TrainConfig(batch_size=2, seq_len=20, max_epochs=4, checkpoint_interval=2)
+
+    @staticmethod
+    def _rows(out_dir):
+        return (out_dir / "metrics.jsonl").read_text().splitlines()
+
+    def test_resume_rewrites_the_rows_after_the_checkpoint(self, tmp_path):
+        episodes = generate_dataset(SCENE, 3, 2)
+        config = dataclasses.replace(self.CONFIG, max_epochs=7, checkpoint_interval=5)
+        train(episodes, config, DIMS, tmp_path)
+        (tmp_path / checkpoint_name(7)).unlink()
+        train(episodes, dataclasses.replace(config, max_epochs=9), DIMS, tmp_path, resume=True)
+        assert [json.loads(row)["epoch"] for row in self._rows(tmp_path)] == list(range(1, 10))
+
+    def test_two_epochs_plus_a_resumed_two_equal_four(self, tmp_path):
+        episodes = generate_dataset(SCENE, 3, 2)
+        straight, _ = train(episodes, self.CONFIG, DIMS, tmp_path / "straight")
+        split = tmp_path / "split"
+        train(episodes, dataclasses.replace(self.CONFIG, max_epochs=2), DIMS, split)
+        resumed, _ = train(episodes, self.CONFIG, DIMS, split, resume=True)
+        assert resumed.digest() == straight.digest()
+        assert self._rows(split) == self._rows(tmp_path / "straight")
