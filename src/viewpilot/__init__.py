@@ -36,7 +36,7 @@ from .observation import (
     save_episodes,
     synth_scene,
 )
-from .regressor import LossBreakdown, naive_action, trajectory_loss
+from .regressor import LossBreakdown, trajectory_loss
 from .training import TrainConfig, train
 from .evaluation import (
     BenchmarkRow,

@@ -12,9 +12,9 @@ import numpy as np
 
 from .diffcore import Checkpoint, LrSchedule, ParamTensor, load_checkpoint, params_digest, save_checkpoint
 from .errors import ConfigError, InvalidInput, ParseError
-from .geometry import Action, ViewingAngle, apply_action
+from .geometry import Action, ViewingAngle, apply_action, signed_azimuth_delta
 from .observation import OFFSET_SCALE, Episode, FrameObservation, _parse_json_line
-from .regressor import RegressorNetwork, naive_action
+from .regressor import RegressorNetwork
 from .selector import SelectorNetwork, select_greedy
 
 
@@ -116,10 +116,10 @@ def pilot_step(
     index = select_greedy(probs)
     if not 0 <= index < len(obs.scores):
         raise InvalidInput(f"selection index {index} out of range")
-    naive = naive_action(ViewingAngle(*obs.positions[index].tolist()), state.angle)
-    # regressor inputs use the flat encoding's half-turn angle units
-    naive_vec = np.array([naive.d_azimuth, naive.d_elevation]) / OFFSET_SCALE
-    mu, out = model.regressor.forward(obs.motions[index], naive_vec, state.regressor_mu)
+    # angular_offset(angle, slot): the slot row is wrapped and clamped already
+    az, el = obs.positions[index].tolist()
+    naive = np.array([signed_azimuth_delta(az - state.angle.azimuth), el - state.angle.elevation])
+    mu, out = model.regressor.forward(obs.motions[index], naive / OFFSET_SCALE, state.regressor_mu)
     angle = apply_action(state.angle, Action(float(out[0]), float(out[1])))
     return angle, index, AgentState(h, mu, angle)
 

@@ -212,70 +212,70 @@ class SceneConfig:
         return self.center_speed_max + 2.0 * self.speed_max
 
 
+def _step(speed: float, heading: float) -> tuple[float, float]:
+    """(x, y) step of ``speed`` along ``heading`` degrees by numpy's cos, sin."""
+    rad = np.deg2rad(heading)
+    return float(speed * np.cos(rad)), float(speed * np.sin(rad))
+
+
 def _center_path(config: SceneConfig, rng: np.random.Generator) -> np.ndarray:
     """Action-center positions (T, 2): piecewise-constant velocity, azimuth
     free-running, elevation reflected off the band edge."""
-    t_total = config.frames
-    pos = np.empty((t_total, 2))
+    limit, fold = config.elevation_limit, 2.0 * config.elevation_limit  # reflect: +-fold - el
     az = rng.uniform(0.0, 360.0)
-    el = rng.uniform(-config.elevation_limit / 2.0, config.elevation_limit / 2.0)
+    el = rng.uniform(-limit / 2.0, limit / 2.0)
     speed = rng.uniform(config.center_speed_min, config.center_speed_max)
     heading = rng.uniform(0.0, 360.0)
-    remaining = 0
-    for t in range(t_total):
+    rows, remaining = [], 0
+    for t in range(config.frames):
         if remaining == 0:
             remaining = int(rng.integers(config.segment_min, config.segment_max + 1))
             if t > 0:
                 heading += rng.uniform(-config.turn_limit, config.turn_limit)
                 speed = rng.uniform(config.center_speed_min, config.center_speed_max)
-        rad = np.deg2rad(heading)
-        pos[t] = (az, el)
-        az = wrap_azimuth(az + speed * np.cos(rad))
-        el_next = el + speed * np.sin(rad)
-        if abs(el_next) > config.elevation_limit:
-            heading = -heading
-            el_next = np.sign(el_next) * (2.0 * config.elevation_limit) - el_next
-        el = clamp_elevation(el_next)
+            d_az, d_el = _step(speed, heading)
+        rows.append((az, el))
+        az, el = wrap_azimuth(az + d_az), el + d_el
+        if abs(el) > limit:
+            heading, el = -heading, (fold if el > 0.0 else -fold) - el
+            d_az, d_el = _step(speed, heading)
+        el = clamp_elevation(el)
         remaining -= 1
-    return pos
+    return np.array(rows)
 
 
 def _offset_path(config: SceneConfig, rng: np.random.Generator) -> np.ndarray:
     """One object's offsets (T, 2) from the action center: piecewise-constant
     velocity reflected inside the +-cluster_radius box."""
-    t_total, radius = config.frames, config.cluster_radius
-    out = np.empty((t_total, 2))
-    offset = rng.uniform(-radius / 2.0, radius / 2.0, size=2)
+    radius, fold = config.cluster_radius, 2.0 * config.cluster_radius  # reflect: +-fold - x
+    x, y = rng.uniform(-radius / 2.0, radius / 2.0, size=2).tolist()
     speed = rng.uniform(config.speed_min, config.speed_max)
     heading = rng.uniform(0.0, 360.0)
-    remaining = 0
-    for t in range(t_total):
+    rows, remaining = [], 0
+    for t in range(config.frames):
         if remaining == 0:
             remaining = int(rng.integers(config.segment_min, config.segment_max + 1))
             if t > 0:
                 heading += rng.uniform(-config.turn_limit, config.turn_limit)
                 speed = rng.uniform(config.speed_min, config.speed_max)
-        rad = np.deg2rad(heading)
-        out[t] = offset
-        step = np.array([speed * np.cos(rad), speed * np.sin(rad)])
-        nxt = offset + step
-        for axis in (0, 1):
-            if abs(nxt[axis]) > radius:
-                nxt[axis] = np.sign(nxt[axis]) * (2.0 * radius) - nxt[axis]
-                heading = (-heading if axis == 1 else 180.0 - heading) % 360.0
-        offset = nxt
+            d_x, d_y = _step(speed, heading)
+        rows.append((x, y))
+        x, y = x + d_x, y + d_y
+        if abs(x) > radius or abs(y) > radius:
+            if abs(x) > radius:
+                x, heading = (fold if x > 0.0 else -fold) - x, (180.0 - heading) % 360.0
+            if abs(y) > radius:
+                y, heading = (fold if y > 0.0 else -fold) - y, (-heading) % 360.0
+            d_x, d_y = _step(speed, heading)
         remaining -= 1
-    return out
+    return np.array(rows)
 
 
 def _object_paths(config: SceneConfig, center: np.ndarray, rng: np.random.Generator):
     """True per-frame positions (T, 2) and velocities (T, 2) for one object
     riding a bounded offset around the action center."""
-    offsets = _offset_path(config, rng)
-    pos = np.empty_like(offsets)
-    pos[:, 0] = np.mod(center[:, 0] + offsets[:, 0], 360.0)
-    pos[:, 0][pos[:, 0] == 360.0] = 0.0
-    pos[:, 1] = np.clip(center[:, 1] + offsets[:, 1], -90.0, 90.0)
+    pos = center + _offset_path(config, rng)
+    pos = _slot_positions(pos[:, 0], pos[:, 1])
     vel = np.empty_like(pos)
     vel[1:, 0] = signed_azimuth_delta_array(np.diff(pos[:, 0]))
     vel[1:, 1] = np.diff(pos[:, 1])
@@ -305,16 +305,17 @@ def _motion_histogram(vel: np.ndarray, bins: int) -> np.ndarray:
 def _smooth_track(pos: np.ndarray, window: int) -> np.ndarray:
     """Centered moving average of an angle track; azimuth is unwrapped
     before averaging so the smoothing never crosses the 0/360 seam."""
-    t_total = pos.shape[0]
+    t_total, half = pos.shape[0], window // 2
     az = np.concatenate([[pos[0, 0]], pos[0, 0] + np.cumsum(signed_azimuth_delta_array(np.diff(pos[:, 0])))])
-    el = pos[:, 1]
-    half = window // 2
-    out = np.empty_like(pos)
-    for t in range(t_total):
-        lo, hi = max(0, t - half), min(t_total, t + half + 1)
-        out[t, 0] = wrap_azimuth(float(np.mean(az[lo:hi])))
-        out[t, 1] = clamp_elevation(float(np.mean(el[lo:hi])))
-    return out
+    track = np.stack([az, pos[:, 1]])  # (2, T): each mean reduces one contiguous row
+    mean = np.empty_like(track)
+    full = t_total - 2 * half  # frames whose whole 2*half+1 window fits
+    if full > 0:
+        windows = np.lib.stride_tricks.sliding_window_view(track, 2 * half + 1, axis=-1)
+        mean[:, half : half + full] = windows.mean(axis=-1)
+    for t in [*range(min(half, t_total)), *range(max(half, t_total - half), t_total)]:
+        mean[:, t] = track[:, max(0, t - half) : t + half + 1].mean(axis=-1)
+    return _slot_positions(mean[0], mean[1])
 
 
 def synth_scene(config: SceneConfig, seed) -> Episode:
@@ -325,7 +326,8 @@ def synth_scene(config: SceneConfig, seed) -> Episode:
     Beta-distributed with a higher mean than the distractors' but not
     deterministically highest. All random draws are independent of the
     slot count, so regenerating with a different ``slots`` value yields
-    the same scene content under different padding.
+    the same scene content under different padding. The order of the rng
+    draws is part of this contract: the golden digests in the tests pin it.
     """
     if config.objects > config.slots:
         raise InvalidInput(f"object count {config.objects} exceeds slot count {config.slots}")
@@ -337,19 +339,17 @@ def synth_scene(config: SceneConfig, seed) -> Episode:
     k_objects, t_total = config.objects, config.frames
 
     main = int(rng.integers(k_objects))
-    main_proto = main_appearance_prototype(config.appearance_dim, config.appearance_scale)
     protos = np.empty((k_objects, config.appearance_dim))
     for j in range(k_objects):
         v = rng.normal(size=config.appearance_dim)
         protos[j] = config.appearance_scale * v / np.linalg.norm(v)
-    protos[main] = main_proto
+    protos[main] = main_appearance_prototype(config.appearance_dim, config.appearance_scale)
 
     center = _center_path(config, rng)
     true_pos = np.empty((t_total, k_objects, 2))
     motion = np.empty((t_total, k_objects, config.motion_bins))
     for j in range(k_objects):
-        pos, vel = _object_paths(config, center, rng)
-        true_pos[:, j] = pos
+        true_pos[:, j], vel = _object_paths(config, center, rng)
         motion[:, j] = _motion_histogram(vel, config.motion_bins)
 
     a0 = config.score_shape

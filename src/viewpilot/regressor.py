@@ -15,12 +15,7 @@ import numpy as np
 
 from .diffcore import Linear, TanhRnnCell
 from .errors import InvalidInput
-from .geometry import Action, ViewingAngle, angular_offset, signed_azimuth_delta_array
-
-
-def naive_action(main_pos: ViewingAngle, prev: ViewingAngle) -> Action:
-    """Offset that lands exactly on the main object (absent elevation clamping)."""
-    return angular_offset(prev, main_pos)
+from .geometry import signed_azimuth_delta_array
 
 
 ACTION_GAIN = 8.0  # init scale of the steering head; outputs are degrees/frame

@@ -4,6 +4,7 @@ Every failure must map to its exit code with a one-line message on
 stderr, never a traceback.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from viewpilot.agent import ModelDims, PilotModel, save_model_checkpoint
-from viewpilot.cli import EXIT_CONFIG, EXIT_IO, EXIT_USAGE, main
+from viewpilot.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from viewpilot.config import RunConfig, load_run_config
 from viewpilot.diffcore import LrSchedule
 from viewpilot.observation import SceneConfig, generate_dataset, save_episodes
@@ -101,3 +102,20 @@ def test_pilot_on_a_truncated_episode_file_exits_3(tmp_path, capsys):
 def test_unknown_method_exits_2(tmp_path, capsys):
     data = _episodes(tmp_path)
     assert _run(capsys, "eval", "--data", data, "--methods", "center_hold,bogus") == EXIT_USAGE
+
+
+def test_gen_data_writes_the_golden_episode_file(tmp_path, capsys):
+    # the digest of tests/test_observation.py::TestGoldenDigests, through the command
+    out = tmp_path / "episodes.jsonl"
+    argv = ("gen-data", "--config", REFERENCE, "--seed", 2026, "--count", 3, "--out", out)
+    assert _run(capsys, *argv) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "971efb889dc5e74974e521a530cb54054e128ccd3264cd68e50dc8cf476e325c"
+    )
+
+
+def test_gradcheck_with_a_corrupted_gradient_exits_1(capsys):
+    code = main(["gradcheck", "--seeds", "1", "--corrupt", "regressor.cell.w_hh"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "FAILED" in err and "Traceback" not in err

@@ -3,15 +3,27 @@
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from viewpilot import observation
 from viewpilot.errors import InvalidInput, ParseError, VersionError
-from viewpilot.geometry import ViewingAngle, angular_distance
+from viewpilot.geometry import (
+    ViewingAngle,
+    angular_distance,
+    clamp_elevation,
+    signed_azimuth_delta_array,
+    wrap_azimuth,
+)
 from viewpilot.observation import (
     Episode,
     SceneConfig,
+    _center_path,
+    _offset_path,
+    _slot_positions,
+    _smooth_track,
     episode_arrays,
     generate_dataset,
     load_episodes,
@@ -339,3 +351,167 @@ class TestGoldenDigests:
         assert digest.hexdigest() == (
             "f845d4177feba4dde104b14af1f2608ef27c2ab8c9510de747276934b8ce012e"
         )
+
+
+# ---------------------------------------------------------------------------
+# The generator's per-frame loops before they became Python-float loops and
+# array code, kept as references: the rewrite must make the same rng draws
+# and produce bit-identical arrays. ``hits`` counts the branches taken.
+# ---------------------------------------------------------------------------
+
+
+def _ref_center_path(config, rng, hits):
+    t_total = config.frames
+    pos = np.empty((t_total, 2))
+    az = rng.uniform(0.0, 360.0)
+    el = rng.uniform(-config.elevation_limit / 2.0, config.elevation_limit / 2.0)
+    speed = rng.uniform(config.center_speed_min, config.center_speed_max)
+    heading = rng.uniform(0.0, 360.0)
+    remaining = 0
+    for t in range(t_total):
+        if remaining == 0:
+            remaining = int(rng.integers(config.segment_min, config.segment_max + 1))
+            if t > 0:
+                heading += rng.uniform(-config.turn_limit, config.turn_limit)
+                speed = rng.uniform(config.center_speed_min, config.center_speed_max)
+        rad = np.deg2rad(heading)
+        pos[t] = (az, el)
+        az = wrap_azimuth(az + speed * np.cos(rad))
+        el_next = el + speed * np.sin(rad)
+        if abs(el_next) > config.elevation_limit:
+            hits["center elevation"] += 1
+            heading = -heading
+            el_next = np.sign(el_next) * (2.0 * config.elevation_limit) - el_next
+        el = clamp_elevation(el_next)
+        remaining -= 1
+    return pos
+
+
+def _ref_offset_path(config, rng, hits):
+    t_total, radius = config.frames, config.cluster_radius
+    out = np.empty((t_total, 2))
+    offset = rng.uniform(-radius / 2.0, radius / 2.0, size=2)
+    speed = rng.uniform(config.speed_min, config.speed_max)
+    heading = rng.uniform(0.0, 360.0)
+    remaining = 0
+    for t in range(t_total):
+        if remaining == 0:
+            remaining = int(rng.integers(config.segment_min, config.segment_max + 1))
+            if t > 0:
+                heading += rng.uniform(-config.turn_limit, config.turn_limit)
+                speed = rng.uniform(config.speed_min, config.speed_max)
+        rad = np.deg2rad(heading)
+        out[t] = offset
+        step = np.array([speed * np.cos(rad), speed * np.sin(rad)])
+        nxt = offset + step
+        reflected = 0
+        for axis in (0, 1):
+            if abs(nxt[axis]) > radius:
+                reflected += 1
+                hits[f"offset axis {axis}"] += 1
+                nxt[axis] = np.sign(nxt[axis]) * (2.0 * radius) - nxt[axis]
+                heading = (-heading if axis == 1 else 180.0 - heading) % 360.0
+        hits["offset both axes"] += reflected == 2
+        offset = nxt
+        remaining -= 1
+    return out
+
+
+def _ref_object_paths(config, center, rng, hits):
+    offsets = _ref_offset_path(config, rng, hits)
+    pos = np.empty_like(offsets)
+    pos[:, 0] = np.mod(center[:, 0] + offsets[:, 0], 360.0)
+    pos[:, 0][pos[:, 0] == 360.0] = 0.0
+    pos[:, 1] = np.clip(center[:, 1] + offsets[:, 1], -90.0, 90.0)
+    vel = np.empty_like(pos)
+    vel[1:, 0] = signed_azimuth_delta_array(np.diff(pos[:, 0]))
+    vel[1:, 1] = np.diff(pos[:, 1])
+    vel[0] = vel[1]
+    return pos, vel
+
+
+def _ref_smooth_track(pos, window):
+    t_total = pos.shape[0]
+    az = np.concatenate(
+        [[pos[0, 0]], pos[0, 0] + np.cumsum(signed_azimuth_delta_array(np.diff(pos[:, 0])))]
+    )
+    el = pos[:, 1]
+    half = window // 2
+    out = np.empty_like(pos)
+    for t in range(t_total):
+        lo, hi = max(0, t - half), min(t_total, t + half + 1)
+        out[t, 0] = wrap_azimuth(float(np.mean(az[lo:hi])))
+        out[t, 1] = clamp_elevation(float(np.mean(el[lo:hi])))
+    return out
+
+
+REF_SEEDS = range(50)
+# Scenes that reach every branch of the path and smoothing code.
+REF_SCENES = {
+    "small": SMALL,
+    "center reflections": dataclasses.replace(SMALL, elevation_limit=5, center_speed_max=6),
+    "offset reflections": dataclasses.replace(SMALL, cluster_radius=3),
+    "window 16": dataclasses.replace(SMALL, gt_smooth_window=16),
+    "window past the end": dataclasses.replace(SMALL, gt_smooth_window=101),
+    "2 frames": dataclasses.replace(SMALL, frames=2),
+    "3 frames": dataclasses.replace(SMALL, frames=3),
+    # gradcheck.make_check_batch's scene at CHECK_DIMS
+    "gradient check": SceneConfig(
+        frames=10, objects=3, slots=4, appearance_dim=8, motion_bins=12, elevation_limit=40.0
+    ),
+}
+
+
+class TestGeneratorMatchesPerFrameReference:
+    @pytest.mark.parametrize("name", REF_SCENES)
+    def test_paths(self, name):
+        cfg, hits = REF_SCENES[name], Counter()
+        for seed in REF_SEEDS:
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            center = _center_path(cfg, ours)
+            assert np.array_equal(center, _ref_center_path(cfg, ref, hits))
+            for _ in range(cfg.objects):
+                assert np.array_equal(_offset_path(cfg, ours), _ref_offset_path(cfg, ref, hits))
+            assert ours.bit_generator.state == ref.bit_generator.state  # the same draws
+
+    def test_every_branch_is_reached(self):
+        hits = Counter()
+        for name in ("center reflections", "offset reflections"):
+            cfg = REF_SCENES[name]
+            for seed in REF_SEEDS:
+                rng = np.random.default_rng(seed)
+                _ref_center_path(cfg, rng, hits)
+                _ref_offset_path(cfg, rng, hits)
+        assert min(hits[key] for key in (
+            "center elevation", "offset axis 0", "offset axis 1", "offset both axes"
+        )) > 0
+        # the reference scene's action center crosses the 0/360 seam
+        center = _center_path(SceneConfig(), np.random.default_rng(0))
+        assert np.abs(np.diff(center[:, 0])).max() > 180.0
+
+    @pytest.mark.parametrize("window", [1, 2, 4, 5, 8, 9, 16, 41])
+    @pytest.mark.parametrize("frames", [2, 3, 40])
+    def test_smooth_track(self, window, frames):
+        for seed in REF_SEEDS:
+            rng = np.random.default_rng(seed)
+            az = np.mod(355.0 + np.cumsum(rng.uniform(-6.0, 6.0, frames)), 360.0)
+            pos = np.stack([az, rng.uniform(-95.0, 95.0, frames)], axis=-1)
+            pos = _slot_positions(pos[:, 0], pos[:, 1])  # az starts at 355: crosses 0/360
+            assert np.array_equal(_smooth_track(pos, window), _ref_smooth_track(pos, window))
+
+    @pytest.mark.parametrize("name", REF_SCENES)
+    def test_whole_scene(self, name, monkeypatch):
+        cfg = REF_SCENES[name]
+        ours = [synth_scene(cfg, [seed, 1]) for seed in REF_SEEDS]
+        hits = Counter()
+        monkeypatch.setattr(observation, "_center_path", lambda c, r: _ref_center_path(c, r, hits))
+        monkeypatch.setattr(
+            observation, "_object_paths", lambda c, ctr, r: _ref_object_paths(c, ctr, r, hits)
+        )
+        monkeypatch.setattr(observation, "_smooth_track", _ref_smooth_track)
+        for seed, ep in zip(REF_SEEDS, ours):
+            ref = synth_scene(cfg, [seed, 1])
+            a, b = episode_arrays(ep), episode_arrays(ref)
+            for field in ("flat", "positions", "motions", "scores", "gt"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+            assert ep.gt_object_index == ref.gt_object_index

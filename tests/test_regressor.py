@@ -6,22 +6,19 @@ import numpy as np
 import pytest
 
 from viewpilot.errors import InvalidInput
-from viewpilot.geometry import Action, ViewingAngle, apply_action
-from viewpilot.regressor import (
-    RegressorNetwork,
-    naive_action,
-    trajectory_loss,
-    trajectory_loss_grad,
-)
+from viewpilot.geometry import Action, ViewingAngle, angular_offset, apply_action
+from viewpilot.regressor import RegressorNetwork, trajectory_loss, trajectory_loss_grad
 
 
 class TestNaiveAction:
+    """The naive follow offset fed to the regressor is angular_offset(view, main)."""
+
     def test_already_there(self):
         x = ViewingAngle(77, 8)
-        assert naive_action(x, x) == Action(0, 0)
+        assert angular_offset(x, x) == Action(0, 0)
 
     def test_wrap_aware_offset(self):
-        delta = naive_action(ViewingAngle(10, 5), ViewingAngle(350, 0))
+        delta = angular_offset(ViewingAngle(350, 0), ViewingAngle(10, 5))
         assert delta.d_azimuth == pytest.approx(20.0)
         assert delta.d_elevation == pytest.approx(5.0)
 
@@ -30,7 +27,7 @@ class TestNaiveAction:
         for _ in range(200):
             prev = ViewingAngle(rng.uniform(0, 360), rng.uniform(-80, 80))
             main = ViewingAngle(rng.uniform(0, 360), rng.uniform(-80, 80))
-            landed = apply_action(prev, naive_action(main, prev))
+            landed = apply_action(prev, angular_offset(prev, main))
             assert landed.azimuth == pytest.approx(main.azimuth, abs=1e-9)
             assert landed.elevation == pytest.approx(main.elevation, abs=1e-9)
 
