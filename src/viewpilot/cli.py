@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training episode file")
     p.add_argument("--out", help="output directory (default <out_dir>/train)")
     p.add_argument("--epochs", type=int, help="override train.max_epochs")
-    p.add_argument("--resume", action="store_true", help="continue from the latest checkpoint")
+    p.add_argument("--resume", action="store_true", help="resume from the newest good checkpoint")
     p.add_argument("--quiet", action="store_true", help="suppress per-epoch metric lines")
     p.set_defaults(func=cmd_train)
 

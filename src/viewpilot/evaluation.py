@@ -17,11 +17,11 @@ import numpy as np
 from .agent import PilotModel
 from .errors import InvalidInput
 from .geometry import DEFAULT_H_SPAN, ViewingAngle, nfov_iou_array, signed_azimuth_delta_array
-from .observation import Episode, episode_arrays
+from .observation import Episode
 # Unused here; perfbench's tracer swaps these bindings and fails a check if one is missing.
 from .agent import pilot_episode  # noqa: F401
 from .geometry import nfov_iou  # noqa: F401
-from .observation import synth_scene  # noqa: F401
+from .observation import episode_arrays, synth_scene  # noqa: F401
 from .regressor import _as_array, velocity_array
 from .training import DEFAULT_ETA, WindowBatch, rollout_window
 
@@ -62,7 +62,7 @@ def mean_velocity_difference(pred: Trajectory) -> float:
 def center_hold(episode: Episode, init: ViewingAngle | None = None) -> list[ViewingAngle]:
     """Never steer: hold the initial angle (the first frame's ground truth)."""
     if init is None:
-        init = episode.gt[0]
+        init = ViewingAngle(*episode.gt_track[0].tolist())
     return [init] * len(episode)
 
 
@@ -73,30 +73,28 @@ def _angles(arr: np.ndarray) -> list[ViewingAngle]:
 def greedy_salient(episode: Episode) -> list[ViewingAngle]:
     """Jump to the highest-scoring detection every frame (slot 0 by the
     score ordering)."""
-    return _angles(np.stack([f.positions[0] for f in episode.frames]))
+    return _angles(episode.positions[:, 0])
 
 
 def selector_only(episode: Episode, model: PilotModel) -> list[ViewingAngle]:
     """Run the trained selector greedily and emit the chosen object's
     position directly, skipping the refinement network."""
-    arrays = episode_arrays(episode)
-    _, probs = model.selector.unroll(arrays.flat[None])
+    _, probs = model.selector.unroll(episode.flat[None])
     picks = np.argmax(probs[0], axis=-1)
-    return _angles(arrays.positions[np.arange(len(picks)), picks])
+    return _angles(episode.positions[np.arange(len(picks)), picks])
 
 
 def gt_replay(episode: Episode) -> list[ViewingAngle]:
     """Replay the ground-truth track (upper bound / metric sanity method)."""
-    return list(episode.gt)
+    return episode.gt
 
 
 def agent_pilot(episode: Episode, model: PilotModel) -> list[ViewingAngle]:
     """The full online agent (greedy selection plus refinement), as one
     greedy rollout of the whole episode. Its angles equal those of
     ``pilot_step`` folded over the episode from the first ground-truth angle."""
-    arrays = episode_arrays(episode)
     batch = WindowBatch(
-        arrays.flat[None], arrays.positions[None], arrays.motions[None], arrays.gt[None]
+        episode.flat[None], episode.positions[None], episode.motions[None], episode.gt_track[None]
     )
     return _angles(rollout_window(model, batch, greedy=True).pred[0])
 
@@ -123,24 +121,23 @@ def _dp_unaries(episode: Episode, grid_arr: np.ndarray, eta: float) -> np.ndarra
     masked out, and the reward (``reward_array``'s piecewise form) only at
     the nearest slot. Frames go in blocks that bound the temporaries.
     """
-    arrays = episode_arrays(episode)
-    t_total, n = arrays.scores.shape
+    t_total, n = episode.scores.shape
     azimuths, column = np.unique(grid_arr[:, 0], return_inverse=True)
     unary = np.zeros((t_total, grid_arr.shape[0]))
     block = max(1, _DP_BLOCK_ENTRIES // (grid_arr.shape[0] * n))
     for lo in range(0, t_total, block):
         frames = slice(lo, lo + block)
-        real = arrays.scores[frames] > 0.0
+        real = episode.scores[frames] > 0.0
         slots = np.flatnonzero(real.any(axis=0))  # slots padded in every frame are skipped
         if slots.size == 0:
             continue
-        pos, real = arrays.positions[frames, slots], real[:, slots]
+        pos, real = episode.positions[frames, slots], real[:, slots]
         daz = signed_azimuth_delta_array(azimuths[:, None] - pos[:, None, :, 0])[:, column]
         dist = np.hypot(daz, grid_arr[:, 1, None] - pos[:, None, :, 1])  # (block, G, slots)
         np.copyto(dist, np.inf, where=~real[:, None])
         nearest = np.argmin(dist, axis=2)[..., None]
         d = np.take_along_axis(dist, nearest, axis=2)[..., 0]
-        score = np.take_along_axis(arrays.scores[frames, None, slots], nearest, axis=2)[..., 0]
+        score = np.take_along_axis(episode.scores[frames, None, slots], nearest, axis=2)[..., 0]
         value = score * np.where(d <= eta, 1.0 - d / eta, -1.0)
         unary[frames] = np.where(real.any(axis=1)[:, None], value, 0.0)
     return unary
@@ -240,7 +237,7 @@ def build_methods(
 
 def empty_frame_count(episode: Episode) -> int:
     """Frames whose slots are all zero-padding (no real detections)."""
-    return int(np.all(np.stack([f.scores for f in episode.frames]) == 0.0, axis=1).sum())
+    return int((episode.scores == 0.0).all(axis=1).sum())
 
 
 def benchmark(
@@ -258,7 +255,7 @@ def benchmark(
         raise InvalidInput("benchmark needs at least one episode")
     rows, details = [], []
     empties = [empty_frame_count(ep) for ep in episodes]
-    gts = [_as_array(ep.gt) for ep in episodes]
+    gts = [ep.gt_track for ep in episodes]
     for name, fn in methods.items():
         def run(pair):
             i, ep = pair

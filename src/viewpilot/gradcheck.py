@@ -45,7 +45,7 @@ def make_check_batch(
     )
     arrays = episode_arrays(synth_scene(cfg, [seed, 101]))
     batch = WindowBatch(
-        arrays.flat[None], arrays.positions[None], arrays.motions[None], arrays.gt[None]
+        arrays.flat[None], arrays.positions[None], arrays.motions[None], arrays.gt_track[None]
     )
     forced = np.random.default_rng([seed, 102]).integers(dims.slots, size=(1, frames))
     return batch, forced

@@ -7,6 +7,15 @@ azimuth wrapped into [0, 360) and elevation clamped into [-90, 90],
 motion histograms (N, k) and scores (N,). Missing detections are zero
 padding slots (score 0, position (0, 0)). The flat network input packs all
 appearance vectors first, then all positions, then all motion histograms.
+
+An episode stores its T frames once, as whole-episode arrays. ``flat``
+(T, (d+2+k)*N) is the only copy of appearance and motion: ``appearance``
+(T, N, d) and ``motions`` (T, N, k) are reshaped views of its first and last
+blocks. ``positions`` (T, N, 2) in degrees (the half-turn block of ``flat``
+does not invert to degrees bit-exactly), ``scores`` (T, N) and the
+ground-truth track ``gt_track`` (T, 2) are stored beside it. ``frames`` and
+``gt`` build FrameObservation row views and ViewingAngles on access.
+
 The synthetic generator stands in for a detector/tracker pipeline: it
 moves K objects on the angle plane, designates one as the main object,
 and emits noisy per-frame detections plus a smoothed ground-truth
@@ -16,7 +25,7 @@ viewing-angle track.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -57,10 +66,7 @@ class FrameObservation:
     def __eq__(self, other):
         if not isinstance(other, FrameObservation):
             return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f), getattr(other, f))
-            for f in ("appearance", "positions", "motions", "scores", "flat")
-        )
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
 
 
 def _slot_positions(azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
@@ -85,7 +91,7 @@ def rank_slots(
     motions: np.ndarray,
     scores: np.ndarray,
     n: int,
-) -> tuple[list[FrameObservation], np.ndarray]:
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Rank each frame's detections into ``n`` slots.
 
     Takes (T, K, .) detection arrays: appearance (T, K, d), positions
@@ -93,8 +99,9 @@ def rank_slots(
     scores (T, K). Per frame, detections are sorted by score descending,
     ties by azimuth then elevation ascending, and truncated or zero-padded
     to exactly ``n`` slots, so the result does not depend on the input
-    order. Returns the T frames and ``rank`` (T, K): the slot detection j
-    of frame t lands in, ``>= n`` when truncated.
+    order. Returns the (T, n, .) slot arrays (appearance, positions,
+    motions, scores) and ``rank`` (T, K): the slot detection j of frame t
+    lands in, ``>= n`` when truncated.
     """
     if n < 1:
         raise InvalidInput(f"slot count must be >= 1, got {n}")
@@ -118,52 +125,74 @@ def rank_slots(
         out[:, : kept.shape[1]] = a[frames, kept]
         return out
 
-    arrays = [slots(a) for a in (appearance, positions, motions, scores)]
-    arrays.append(_pack_flat(*arrays[:3]))
-    return [FrameObservation(*fields) for fields in zip(*arrays)], rank
+    return tuple(slots(a) for a in (appearance, positions, motions, scores)), rank
 
 
-@dataclass
+@dataclass(eq=False)
 class Episode:
-    """A sequence of frame observations with a ground-truth viewing-angle track.
+    """T frames of score-ranked slot arrays with a ground-truth track.
 
-    ``gt_object_index`` records which slot holds the designated main object
-    per frame; it is generator metadata for diagnostics only and is never
-    read by training.
+    Construction packs ``flat`` from the slot arrays and keeps
+    ``appearance`` and ``motions`` only as views of it. Equality compares
+    the arrays. ``gt_object_index`` records which slot holds the designated
+    main object per frame; it is generator metadata for diagnostics only
+    and is never read by training.
     """
 
-    frames: list[FrameObservation]
-    gt: list[ViewingAngle]
+    appearance: np.ndarray  # (T, N, d), a view of flat's first block
+    positions: np.ndarray  # (T, N, 2) as (azimuth, elevation)
+    motions: np.ndarray  # (T, N, k), a view of flat's last block
+    scores: np.ndarray  # (T, N)
+    gt_track: np.ndarray  # (T, 2) as (azimuth, elevation)
     gt_object_index: list[int] | None = None
+    flat: np.ndarray = field(init=False)  # (T, (d+2+k)*N)
 
     def __post_init__(self):
-        if len(self.frames) != len(self.gt) or len(self.frames) < 2:
+        lead = self.scores.shape
+        shapes = (self.appearance.shape[:-1], self.positions.shape, self.motions.shape[:-1])
+        if len(lead) != 2 or lead[0] < 2 or shapes != (lead, lead + (2,), lead) or (
+            self.gt_track.shape != (lead[0], 2)
+            or self.gt_object_index is not None and len(self.gt_object_index) != lead[0]
+        ):
             raise InvalidInput(
-                f"episode needs equal frame/gt counts >= 2, got {len(self.frames)}/{len(self.gt)}"
+                f"episode needs >= 2 frames of matching slot arrays and gt, got scores {lead}, "
+                f"positions {self.positions.shape}, gt {self.gt_track.shape} and {shapes}"
             )
+        t_total, n, d = self.appearance.shape
+        self.flat = _pack_flat(self.appearance, self.positions, self.motions)
+        self.appearance = self.flat[:, : d * n].reshape(t_total, n, d)
+        self.motions = self.flat[:, (d + 2) * n :].reshape(t_total, n, -1)
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return self.scores.shape[0]
+
+    def __eq__(self, other):
+        if not isinstance(other, Episode):
+            return NotImplemented
+        fields = ("flat", "positions", "scores", "gt_track")
+        return (
+            self.appearance.shape == other.appearance.shape
+            and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in fields)
+            and self.gt_object_index == other.gt_object_index
+        )
+
+    @property
+    def frames(self) -> list[FrameObservation]:
+        """Per-frame row views of the slot arrays, built on each access."""
+        rows = (self.appearance, self.positions, self.motions, self.scores, self.flat)
+        return list(map(FrameObservation, *rows))
+
+    @property
+    def gt(self) -> list[ViewingAngle]:
+        """The ground-truth track as ViewingAngles, built on each access."""
+        return [ViewingAngle(az, el) for az, el in self.gt_track.tolist()]
 
 
-@dataclass
-class EpisodeArrays:
-    """Packed per-episode arrays for the numeric hot paths."""
-
-    flat: np.ndarray  # (T, (d+2+k)*N)
-    positions: np.ndarray  # (T, N, 2) as (azimuth, elevation)
-    motions: np.ndarray  # (T, N, k)
-    scores: np.ndarray  # (T, N)
-    gt: np.ndarray  # (T, 2)
-
-
-def episode_arrays(episode: Episode) -> EpisodeArrays:
-    """Stack the frames' slot arrays and the ground-truth track."""
-    slots = [
-        np.stack([getattr(f, name) for f in episode.frames])
-        for name in ("flat", "positions", "motions", "scores")
-    ]
-    return EpisodeArrays(*slots, np.array([[g.azimuth, g.elevation] for g in episode.gt]))
+def episode_arrays(episode: Episode) -> Episode:
+    """The packed arrays of an episode: the episode itself, since it stores
+    nothing else (``flat``, ``positions``, ``motions``, ``scores``,
+    ``gt_track``)."""
+    return episode
 
 
 @dataclass(frozen=True)
@@ -205,11 +234,6 @@ class SceneConfig:
     @property
     def flat_dim(self) -> int:
         return (self.appearance_dim + 2 + self.motion_bins) * self.slots
-
-    @property
-    def speed_bound(self) -> float:
-        """Upper bound on any object's per-frame step."""
-        return self.center_speed_max + 2.0 * self.speed_max
 
 
 def _step(speed: float, heading: float) -> tuple[float, float]:
@@ -364,9 +388,8 @@ def synth_scene(config: SceneConfig, seed) -> Episode:
 
     gt_track = _smooth_track(true_pos[:, main], config.gt_smooth_window)
 
-    frames, rank = rank_slots(appearance, true_pos + jitter, motion, scores, config.slots)
-    gt = [ViewingAngle(az, el) for az, el in gt_track.tolist()]
-    return Episode(frames, gt, rank[:, main].tolist())
+    slots, rank = rank_slots(appearance, true_pos + jitter, motion, scores, config.slots)
+    return Episode(*slots, gt_track, rank[:, main].tolist())
 
 
 def generate_dataset(config: SceneConfig, seed: int, count: int) -> list[Episode]:
@@ -381,35 +404,22 @@ def generate_dataset(config: SceneConfig, seed: int, count: int) -> list[Episode
 # ---------------------------------------------------------------------------
 
 
-def _frame_record(frame: FrameObservation, gt: ViewingAngle, main_idx) -> dict:
-    slots = zip(
-        frame.scores.tolist(), frame.positions.tolist(), frame.appearance.tolist(),
-        frame.motions.tolist(),
-    )
-    rec = {
-        "objects": [[score, az, el, app, mot] for score, (az, el), app, mot in slots],
-        "gt": [gt.azimuth, gt.elevation],
-    }
-    if main_idx is not None:
-        rec["gt_object_index"] = main_idx
-    return rec
-
-
 def save_episodes(episodes: Sequence[Episode], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for ep in episodes:
-            first = ep.frames[0]
-            header = {
-                "format_version": EPISODE_FORMAT_VERSION,
-                "d": first.appearance.shape[1],
-                "k": first.motions.shape[1],
-                "n": len(first.scores),
-                "t": len(ep),
-            }
+            (t, n, d), k = ep.appearance.shape, ep.motions.shape[2]
+            header = {"format_version": EPISODE_FORMAT_VERSION, "d": d, "k": k, "n": n, "t": t}
             fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-            for t, frame in enumerate(ep.frames):
-                idx = ep.gt_object_index[t] if ep.gt_object_index is not None else None
-                fh.write(json.dumps(_frame_record(frame, ep.gt[t], idx), separators=(",", ":")) + "\n")
+            arrays = (ep.scores, ep.positions, ep.appearance, ep.motions, ep.gt_track)
+            idxs = ep.gt_object_index if ep.gt_object_index is not None else [None] * t
+            # Row by row: one whole-episode tolist holds ~3 MB of floats at once.
+            for rows, main_idx in zip(zip(*arrays), idxs):
+                scores, positions, appearance, motions, gt = (r.tolist() for r in rows)
+                slots = zip(scores, positions, appearance, motions)
+                rec = {"objects": [[s, az, el, a, m] for s, (az, el), a, m in slots], "gt": gt}
+                if main_idx is not None:
+                    rec["gt_object_index"] = main_idx
+                fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
 def _parse_json_line(line: str, lineno: int) -> dict:
@@ -452,7 +462,10 @@ def _finite(values, shape: tuple) -> np.ndarray:
     return arr
 
 
-def _parse_frame(rec: dict, header: dict, lineno: int):
+def _parse_frame(rec: dict, header: dict, lineno: int) -> tuple:
+    """A frame record's finite arrays, scores (n,), (azimuths, elevations)
+    (2, n) not yet wrapped or clamped, appearance (n, d) and motions (n, k),
+    then its gt ViewingAngle and gt_object_index or None."""
     n, d, k = header["n"], header["d"], header["k"]
     try:
         objects, main_idx = rec["objects"], rec.get("gt_object_index")
@@ -465,25 +478,16 @@ def _parse_frame(rec: dict, header: dict, lineno: int):
         scores = _finite(scores, (n,))
         if not np.all((scores >= 0.0) & (scores <= 1.0)):
             raise ValueError(f"scores must be in [0, 1], got {scores.tolist()}")
-        positions = _slot_positions(*_finite((azimuths, elevations), (2, n)))
+        angles = _finite((azimuths, elevations), (2, n))
         appearance, motions = _finite(appearance, (n, d)), _finite(motions, (n, k))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad frame record: {exc}", line=lineno) from exc
-    frame = FrameObservation(
-        appearance, positions, motions, scores, _pack_flat(appearance, positions, motions)
-    )
-    return frame, gt, main_idx
+    return scores, angles, appearance, motions, gt, main_idx
 
 
-def stream_episodes(path) -> Iterator[tuple[dict, Iterator]]:
-    """Yield (header, frame_iterator) per episode block, reading lazily.
-
-    Each frame iterator yields (FrameObservation, gt ViewingAngle,
-    gt_object_index or None) and must be consumed before advancing to the
-    next episode. A frame's slot arrays are parsed straight from its
-    record's objects, in file order, with azimuths wrapped and elevations
-    clamped. Peak memory stays independent of episode length.
-    """
+def _episode_blocks(path) -> Iterator[tuple[dict, Iterator]]:
+    """Yield (header, parsed frame iterator) per episode block, reading
+    lazily; see :func:`stream_episodes`."""
     with open(path, "r", encoding="utf-8") as fh:
         lineno = 0
         while True:
@@ -511,15 +515,47 @@ def stream_episodes(path) -> Iterator[tuple[dict, Iterator]]:
                 pass
 
 
+def stream_episodes(path) -> Iterator[tuple[dict, Iterator]]:
+    """Yield (header, frame_iterator) per episode block, reading lazily.
+
+    Each frame iterator yields (FrameObservation, gt ViewingAngle,
+    gt_object_index or None) and must be consumed before advancing to the
+    next episode. A frame's slot arrays are parsed straight from its
+    record's objects, in file order, with azimuths wrapped and elevations
+    clamped. Peak memory stays independent of episode length.
+    """
+    for header, records in _episode_blocks(path):
+        yield header, (_frame_observation(*parsed) for parsed in records)
+
+
+def _frame_observation(scores, angles, appearance, motions, gt, main_idx):
+    positions = _slot_positions(angles[0], angles[1])
+    frame = FrameObservation(
+        appearance, positions, motions, scores, _pack_flat(appearance, positions, motions)
+    )
+    return frame, gt, main_idx
+
+
 def load_episodes(path) -> list[Episode]:
-    """Load every episode in the file; inverse of :func:`save_episodes`."""
+    """Load every episode in the file; inverse of :func:`save_episodes`.
+    Frames are parsed into arrays sized by their block's header."""
     episodes = []
-    for _, frame_iter in stream_episodes(path):
-        frames, gts, idxs = [], [], []
-        for frame, gt, main_idx in frame_iter:
-            frames.append(frame)
-            gts.append(gt)
+    for header, records in _episode_blocks(path):
+        t_total, n = header["t"], header["n"]
+        try:
+            scores, gt = np.empty((t_total, n)), np.empty((t_total, 2))
+            angles = np.empty((t_total, 2, n))  # (azimuths, elevations) rows, as parsed
+            appearance, motions = (np.empty((t_total, n, header[f])) for f in ("d", "k"))
+        except (MemoryError, ValueError):  # so large that some frame must be bad: find it
+            for _ in records:
+                pass
+            raise ParseError(f"episode header asks for {t_total} frames of {n} slots") from None
+        idxs = []
+        for t, (s, a, app, mot, g, main_idx) in enumerate(records):
+            scores[t], angles[t], appearance[t], motions[t] = s, a, app, mot
+            gt[t] = g.azimuth, g.elevation
             idxs.append(main_idx)
-        has_idx = [i for i in idxs if i is not None]
-        episodes.append(Episode(frames, gts, idxs if len(has_idx) == len(idxs) else None))
+        positions = _slot_positions(angles[:, 0], angles[:, 1])
+        idxs = idxs if None not in idxs else None
+        episodes.append(Episode(appearance, positions, motions, scores, gt, idxs))
     return episodes

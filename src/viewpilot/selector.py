@@ -1,5 +1,6 @@
 """Main-object selection: a recurrent network over frame observations with a
-softmax head, plus greedy/sampled selection and the REINFORCE gradient term.
+softmax head, plus greedy selection. Sampled selection and the REINFORCE
+gradient run batched in ``training``.
 """
 
 from __future__ import annotations
@@ -7,7 +8,6 @@ from __future__ import annotations
 import numpy as np
 
 from .diffcore import Linear, TanhRnnCell, softmax
-from .errors import InvalidInput
 
 
 class SelectorNetwork:
@@ -49,48 +49,3 @@ class SelectorNetwork:
 def select_greedy(probs: np.ndarray) -> int:
     """Index of the highest probability; ties go to the lowest index."""
     return int(np.argmax(probs))
-
-
-def sample_indices(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF sampling along the last axis of a (B, N) probability array."""
-    cum = np.cumsum(probs, axis=-1)
-    u = rng.random(probs.shape[0])
-    idx = (cum <= u[:, None]).sum(axis=-1)
-    return np.minimum(idx, probs.shape[-1] - 1)
-
-
-def grad_log_softmax(probs: np.ndarray, index: int) -> np.ndarray:
-    """d log S(index) / d logits = onehot(index) - S."""
-    g = -np.asarray(probs, dtype=np.float64).copy()
-    g[index] += 1.0
-    return g
-
-
-def policy_gradient_contribution(
-    probs: np.ndarray,
-    indices,
-    rewards,
-    baseline: bool = False,
-) -> np.ndarray:
-    """REINFORCE ascent gradient on the logits for one frame:
-    (1/Q) * sum_q r_q * (onehot(i_q) - S).
-
-    With ``baseline`` enabled each r_q is centered by the mean reward of
-    the Q samples. The caller feeds the (negated) result into the backward
-    pass as the upstream signal at the softmax.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    indices = list(indices)
-    rewards = np.asarray(list(rewards), dtype=np.float64)
-    if len(indices) != len(rewards) or len(indices) == 0:
-        raise InvalidInput("need matching, non-empty sample indices and rewards")
-    if not np.all(np.isfinite(rewards)):
-        raise InvalidInput("rewards must be finite")
-    if baseline:
-        rewards = rewards - rewards.mean()
-    grad = np.zeros_like(probs)
-    for i, r in zip(indices, rewards):
-        if not 0 <= i < probs.shape[-1]:
-            raise InvalidInput(f"sample index {i} out of range for {probs.shape[-1]} slots")
-        grad += r * grad_log_softmax(probs, i)
-    return grad / len(indices)

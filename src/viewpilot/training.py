@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .agent import ModelDims, PilotModel, save_model_checkpoint, load_model_checkpoint
 from .diffcore import LrSchedule
-from .errors import InvalidInput, NumericsError, StateError
+from .errors import InvalidInput, NumericsError, ParseError, StateError, VersionError
 from .geometry import signed_azimuth_delta_array
 from .observation import OFFSET_SCALE, Episode, episode_arrays
 from .regressor import loss_grad, loss_terms
@@ -225,8 +226,8 @@ def rollout_window(
     current state for their reward and are then discarded.
 
     Every selection is made before steering starts. The uniforms come from
-    one ``rng.random((T, draws, B))`` call, the same stream as drawing
-    ``sample_indices`` per frame, sample after sample.
+    one ``rng.random((T, draws, B))`` call, the same stream as one
+    inverse-CDF draw per frame and sample, in that order, over the B windows.
     """
     b, t_total = batch.size, batch.frames
     n = batch.positions.shape[2]
@@ -426,14 +427,14 @@ def slice_windows(lengths, seq_len: int) -> list[Window]:
 
 
 def pack_windows(arrays, windows: list[Window]) -> WindowBatch:
-    """Stack same-length windows from per-episode arrays into one batch."""
+    """Stack same-length windows of the episodes ``arrays`` into one batch."""
     spans = {w.stop - w.start for w in windows}
     if len(spans) != 1:
         raise InvalidInput(f"windows in one batch must share a length, got {sorted(spans)}")
     flat = np.stack([arrays[w.episode].flat[w.start : w.stop] for w in windows])
     pos = np.stack([arrays[w.episode].positions[w.start : w.stop] for w in windows])
     mot = np.stack([arrays[w.episode].motions[w.start : w.stop] for w in windows])
-    gt = np.stack([arrays[w.episode].gt[w.start : w.stop] for w in windows])
+    gt = np.stack([arrays[w.episode].gt_track[w.start : w.stop] for w in windows])
     return WindowBatch(flat, pos, mot, gt)
 
 
@@ -522,14 +523,25 @@ def checkpoint_name(epoch: int) -> str:
     return f"checkpoint_epoch{epoch:05d}.json"
 
 
-def latest_checkpoint(out_dir) -> Path | None:
-    paths = sorted(Path(out_dir).glob("checkpoint_epoch*.json"))
-    best, best_epoch = None, -1
-    for p in paths:
-        m = re.match(r"checkpoint_epoch(\d+)\.json$", p.name)
-        if m and int(m.group(1)) > best_epoch:
-            best, best_epoch = p, int(m.group(1))
-    return best
+def _resume_checkpoint(out_dir: Path, dims: ModelDims):
+    """(model, checkpoint) from the newest checkpoint in ``out_dir`` that
+    loads: a damaged one is skipped with a warning on stderr. Version and
+    architecture mismatches raise, and so does the newest error if none loads."""
+    names = (re.fullmatch(r"checkpoint_epoch(\d+)\.json", p.name) for p in out_dir.iterdir())
+    found = sorted((int(m.group(1)), m.string) for m in names if m)
+    if not found:
+        raise InvalidInput(f"no checkpoint to resume from in {out_dir}")
+    errors = []
+    for _, name in reversed(found):
+        path = out_dir / name
+        try:
+            return load_model_checkpoint(path, expect_dims=dims)
+        except VersionError:
+            raise
+        except ParseError as exc:
+            print(f"warning: skipping unreadable checkpoint {path.name}: {exc}", file=sys.stderr)
+            errors.append(exc)
+    raise errors[0]
 
 
 def train(
@@ -544,8 +556,8 @@ def train(
 
     Epoch e shuffles windows with rng (seed, 1, e) and batch j samples with
     rng (seed, 2, e, j); parameters initialize from (seed, 0). Resuming from
-    the latest checkpoint therefore reproduces an uninterrupted run
-    bit-exactly, and ``metrics.jsonl`` keeps one row per epoch: a resumed
+    the newest readable checkpoint therefore reproduces an uninterrupted
+    run bit-exactly, and ``metrics.jsonl`` keeps one row per epoch: a resumed
     run drops the rows after the checkpoint's epoch before writing its own.
     """
     if not episodes:
@@ -558,10 +570,7 @@ def train(
 
     start_epoch = 0
     if resume:
-        path = latest_checkpoint(out_dir)
-        if path is None:
-            raise InvalidInput(f"no checkpoint to resume from in {out_dir}")
-        model, ckpt = load_model_checkpoint(path, expect_dims=dims)
+        model, ckpt = _resume_checkpoint(out_dir, dims)
         start_epoch = ckpt.epoch
     else:
         model = PilotModel(dims, np.random.default_rng([config.seed, 0]))

@@ -65,10 +65,12 @@ class TestPilotStep:
         ep = _episode(2)
         cut = 13
         full, _ = pilot_episode(ep, model)
+        order = list(range(cut)) + list(reversed(range(cut, len(ep))))
         mutated = Episode(
-            ep.frames[:cut] + list(reversed(ep.frames[cut:])),
-            ep.gt[:cut] + list(reversed(ep.gt[cut:])),
+            ep.appearance[order], ep.positions[order], ep.motions[order], ep.scores[order],
+            ep.gt_track[order],
         )
+        assert mutated.frames[cut:] != ep.frames[cut:]
         partial, _ = pilot_episode(mutated, model, init=ep.gt[0])
         assert full[:cut] == partial[:cut]
 

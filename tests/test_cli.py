@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from viewpilot.agent import ModelDims, PilotModel, save_model_checkpoint
-from viewpilot.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from viewpilot.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, main
 from viewpilot.config import RunConfig, load_run_config
 from viewpilot.diffcore import LrSchedule
 from viewpilot.observation import SceneConfig, generate_dataset, save_episodes
@@ -97,6 +97,20 @@ def test_pilot_on_a_truncated_episode_file_exits_3(tmp_path, capsys):
     out = tmp_path / "trajectory.jsonl"
     code = _run(capsys, "pilot", "--checkpoint", checkpoint, "--data", data, "--out", out)
     assert code == EXIT_IO
+
+
+def test_pilot_with_a_nan_parameter_exits_5(tmp_path, capsys):
+    checkpoint = tmp_path / "model.json"
+    model = PilotModel(DIMS, np.random.default_rng(0))
+    save_model_checkpoint(checkpoint, model, 0, LrSchedule(), {"seed": 0})
+    doc = json.loads(checkpoint.read_text())
+    doc["params"]["regressor.head.w"]["values"][1] = float("nan")  # json writes and reads NaN
+    checkpoint.write_text(json.dumps(doc))
+    argv = ["pilot", "--checkpoint", checkpoint, "--data", _episodes(tmp_path)]
+    code = main([str(a) for a in argv + ["--out", tmp_path / "trajectory.jsonl"]])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERICS
+    assert err.startswith("numerics error") and "Traceback" not in err
 
 
 def test_unknown_method_exits_2(tmp_path, capsys):

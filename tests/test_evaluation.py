@@ -176,12 +176,14 @@ def _offline_dp_per_frame(episode: Episode, views, smooth_weight: float, eta: fl
 def _with_padding(episode: Episode, empty: list[int], single: list[int]) -> Episode:
     """Frames in ``empty`` keep no detection and frames in ``single`` keep
     only their top one; the freed slots are padding at (0, 0)."""
-    frames = []
-    for t, f in enumerate(episode.frames):
-        kept = slice(0, 0 if t in empty else 1 if t in single else len(f.scores))
-        detections = (f.appearance, f.positions, f.motions, f.scores)
-        frames += rank_slots(*(a[None, kept] for a in detections), SCENE.slots)[0]
-    return Episode(frames, episode.gt)
+    arrays = (episode.appearance, episode.positions, episode.motions, episode.scores)
+    slots = [np.zeros_like(a) for a in arrays]
+    for t in range(len(episode)):
+        kept = 0 if t in empty else 1 if t in single else SCENE.slots
+        ranked, _ = rank_slots(*(a[t : t + 1, :kept] for a in arrays), SCENE.slots)
+        for out, row in zip(slots, ranked):
+            out[t] = row[0]
+    return Episode(*slots, episode.gt_track)
 
 
 REPEATED_AZIMUTHS = [

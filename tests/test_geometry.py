@@ -118,19 +118,20 @@ class TestAngularDistance:
             assert angular_distance(a, c) <= angular_distance(a, b) + angular_distance(b, c) + 1e-9
 
 
-def _point_in_nfov(az, el, box: NFoV) -> bool:
-    """Membership test used by the Monte-Carlo IoU oracle."""
-    daz = abs((az - box.center.azimuth + 180.0) % 360.0 - 180.0)
+def _points_in_nfov(az: np.ndarray, el: np.ndarray, box: NFoV) -> np.ndarray:
+    """Membership of each point, used by the Monte-Carlo IoU oracle: a
+    wrap-aware azimuth distance within half the span and an elevation within
+    the clipped extent (no use of the IoU formulas under test)."""
+    daz = np.abs(np.mod(az - box.center.azimuth + 180.0, 360.0) - 180.0)
     low, high = box.elevation_extent()
-    return daz <= box.h_span / 2.0 and low <= el <= high
+    return (daz <= box.h_span / 2.0) & (low <= el) & (el <= high)
 
 
 def _iou_monte_carlo(a: NFoV, b: NFoV, n: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     az = rng.uniform(0, 360, n)
     el = rng.uniform(-90, 90, n)
-    in_a = np.fromiter((_point_in_nfov(x, y, a) for x, y in zip(az, el)), bool, n)
-    in_b = np.fromiter((_point_in_nfov(x, y, b) for x, y in zip(az, el)), bool, n)
+    in_a, in_b = _points_in_nfov(az, el, a), _points_in_nfov(az, el, b)
     union = np.count_nonzero(in_a | in_b)
     if union == 0:
         return 0.0

@@ -19,9 +19,11 @@ from viewpilot.geometry import (
 )
 from viewpilot.observation import (
     Episode,
+    FrameObservation,
     SceneConfig,
     _center_path,
     _offset_path,
+    _pack_flat,
     _slot_positions,
     _smooth_track,
     episode_arrays,
@@ -49,8 +51,9 @@ def _detections(scores, az=None, el=None, d=4, k=3, seed=0):
 
 
 def _frame(detections, n):
-    frames, _ = rank_slots(*detections, n)
-    return frames[0]
+    """Frame 0 of rank_slots' slot arrays as a FrameObservation."""
+    (app, pos, mot, scores), _ = rank_slots(*detections, n)
+    return FrameObservation(app[0], pos[0], mot[0], scores[0], _pack_flat(app, pos, mot)[0])
 
 
 class TestMakeFrameObservation:
@@ -106,8 +109,8 @@ class TestMakeFrameObservation:
             rank_slots(app, pos, mot, scores, 0)
 
     def test_truncates_to_top_n(self):
-        frames, rank = rank_slots(*_detections([0.1, 0.9, 0.5, 0.7], az=[0, 1, 2, 3]), 2)
-        assert frames[0].scores.tolist() == [0.9, 0.7]
+        slots, rank = rank_slots(*_detections([0.1, 0.9, 0.5, 0.7], az=[0, 1, 2, 3]), 2)
+        assert slots[3][0].tolist() == [0.9, 0.7]
         assert rank.tolist() == [[3, 0, 2, 1]]  # ranks >= 2 were cut
 
     def test_frames_rank_independently(self):
@@ -115,14 +118,14 @@ class TestMakeFrameObservation:
         app, mot = rng.normal(size=(6, 5, 4)), rng.normal(size=(6, 5, 3))
         pos = rng.choice([-350.0, 10.0, 370.0], size=(6, 5, 2))
         scores = rng.choice([0.2, 0.5, 0.8], size=(6, 5))  # with ties
-        frames, rank = rank_slots(app, pos, mot, scores, 4)
+        slots, rank = rank_slots(app, pos, mot, scores, 4)
         for t in range(6):
             one = slice(t, t + 1)
             alone, alone_rank = rank_slots(app[one], pos[one], mot[one], scores[one], 4)
-            assert frames[t] == alone[0]
+            assert all(np.array_equal(a[t], b[0]) for a, b in zip(slots, alone))
             assert rank[t].tolist() == alone_rank[0].tolist()
             for j in np.flatnonzero(rank[t] < 4):
-                assert frames[t].scores[rank[t, j]] == scores[t, j]
+                assert slots[3][t, rank[t, j]] == scores[t, j]
 
 
 SMALL = SceneConfig(frames=40, objects=3, slots=4, appearance_dim=6, motion_bins=5)
@@ -170,8 +173,9 @@ class TestSynthScene:
     def test_gt_velocity_bounded_by_speed_limit(self):
         ep = synth_scene(SMALL, 13)
         slack = 0.5  # smoothing / wrap arithmetic headroom
+        speed_bound = SMALL.center_speed_max + 2.0 * SMALL.speed_max  # center plus offset step
         for a, b in zip(ep.gt, ep.gt[1:]):
-            assert angular_distance(a, b) <= SMALL.speed_bound + slack
+            assert angular_distance(a, b) <= speed_bound + slack
 
     def test_gt_tracks_main_object(self):
         ep = synth_scene(SMALL, 17)
@@ -198,7 +202,7 @@ class TestSynthScene:
         a, b = episode_arrays(wide), episode_arrays(wider)
         assert np.array_equal(a.scores, b.scores[:, :4])
         assert np.array_equal(a.positions, b.positions[:, :4])
-        assert np.array_equal(a.gt, b.gt)
+        assert np.array_equal(a.gt_track, b.gt_track)
         assert np.all(b.scores[:, 4:] == 0.0)
 
 
@@ -298,6 +302,23 @@ class TestEpisodeFiles:
             load_episodes(path)
         assert err.value.line == 6
 
+    @pytest.mark.parametrize(
+        "gt", [[1.0], [10**400, 0.0], ["1", 0.0], None, [float("nan"), 0.0]],
+        ids=["one angle", "huge integer", "string", "null", "nan"],
+    )
+    def test_bad_gt_is_a_parse_error_naming_the_line(self, tmp_path, gt):
+        path = tmp_path / "episodes.jsonl"
+        save_episodes(generate_dataset(SMALL, 1, 1), path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[5])
+        rec["gt"] = gt
+        lines[5] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        for read in (load_episodes, lambda p: [list(f) for _, f in stream_episodes(p)]):
+            with pytest.raises(ParseError) as err:
+                read(path)
+            assert err.value.line == 6
+
     def test_wrong_object_count_is_a_parse_error(self, tmp_path):
         path = tmp_path / "episodes.jsonl"
         save_episodes(generate_dataset(SMALL, 1, 1), path)
@@ -325,8 +346,64 @@ class TestEpisodeFiles:
 
     def test_episode_requires_matching_lengths(self):
         ep = generate_dataset(SMALL, 4, 1)[0]
+        slots = (ep.appearance, ep.positions, ep.motions, ep.scores)
         with pytest.raises(InvalidInput):
-            Episode(ep.frames[:-1], ep.gt)
+            Episode(*(a[:-1] for a in slots), ep.gt_track)
+        with pytest.raises(InvalidInput):
+            Episode(*slots, ep.gt_track, ep.gt_object_index[:-1])
+        with pytest.raises(InvalidInput):
+            Episode(ep.appearance, ep.positions[:, :-1], *slots[2:], ep.gt_track)
+        with pytest.raises(InvalidInput):
+            Episode(*(a[:1] for a in slots), ep.gt_track[:1])
+
+    @pytest.mark.parametrize("field", ["t", "d"])
+    def test_header_too_large_to_allocate_reports_the_first_bad_frame(self, tmp_path, field):
+        path = tmp_path / "episodes.jsonl"
+        save_episodes(generate_dataset(SMALL, 1, 1), path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header[field] = 10**15 if field == "t" else 10**400  # no allocation this size succeeds
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_episodes(path)
+        assert err.value.line == (len(lines) + 1 if field == "t" else 2)
+
+
+class TestEpisodeLayout:
+    """Each episode's data is stored once; the per-frame forms are views."""
+
+    def test_appearance_and_motions_are_views_of_flat(self):
+        ep = synth_scene(SMALL, 3)
+        d, n = SMALL.appearance_dim, SMALL.slots
+        assert ep.flat.shape == (SMALL.frames, SMALL.flat_dim)
+        assert ep.appearance.base is ep.flat and ep.motions.base is ep.flat
+        assert np.array_equal(ep.appearance.reshape(SMALL.frames, -1), ep.flat[:, : d * n])
+        assert np.array_equal(ep.motions.reshape(SMALL.frames, -1), ep.flat[:, (d + 2) * n :])
+        positions = ep.flat[:, d * n : (d + 2) * n].reshape(SMALL.frames, n, 2)
+        assert np.array_equal(positions, (ep.positions - (180.0, 0.0)) / observation.ANGLE_SCALE)
+
+    def test_episode_arrays_copies_nothing(self):
+        ep = synth_scene(SMALL, 4)
+        assert episode_arrays(ep) is ep
+
+    def test_frames_and_gt_are_built_from_the_rows(self):
+        ep = synth_scene(SMALL, 5)
+        frames, gt = ep.frames, ep.gt
+        assert len(frames) == len(gt) == len(ep) == SMALL.frames
+        for t in (0, 17, SMALL.frames - 1):
+            assert np.shares_memory(frames[t].flat, ep.flat)
+            assert np.array_equal(frames[t].appearance, ep.appearance[t])
+            assert frames[t].positions.tolist() == ep.positions[t].tolist()
+            assert (gt[t].azimuth, gt[t].elevation) == tuple(ep.gt_track[t].tolist())
+
+    def test_equality_is_array_equality(self):
+        ep, same = synth_scene(SMALL, 6), synth_scene(SMALL, 6)
+        assert (ep == same) is True
+        same.scores[3, 0] += 1e-12
+        assert (ep == same) is False
+        relabelled = Episode(ep.appearance, ep.positions, ep.motions, ep.scores, ep.gt_track)
+        assert (ep == relabelled) is False
+        assert ep != "episode"
 
 
 class TestGoldenDigests:
@@ -345,8 +422,8 @@ class TestGoldenDigests:
         digest = hashlib.sha256()
         for ep in generate_dataset(SceneConfig(), 2026, 3):
             arrays = episode_arrays(ep)
-            for arr in (arrays.flat, arrays.positions, arrays.motions, arrays.scores, arrays.gt):
-                digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+            for field in ("flat", "positions", "motions", "scores", "gt_track"):
+                digest.update(np.ascontiguousarray(getattr(arrays, field)).tobytes())
             digest.update(np.asarray(ep.gt_object_index, dtype=np.int64).tobytes())
         assert digest.hexdigest() == (
             "f845d4177feba4dde104b14af1f2608ef27c2ab8c9510de747276934b8ce012e"
@@ -512,6 +589,6 @@ class TestGeneratorMatchesPerFrameReference:
         for seed, ep in zip(REF_SEEDS, ours):
             ref = synth_scene(cfg, [seed, 1])
             a, b = episode_arrays(ep), episode_arrays(ref)
-            for field in ("flat", "positions", "motions", "scores", "gt"):
+            for field in ("flat", "positions", "motions", "scores", "gt_track"):
                 assert np.array_equal(getattr(a, field), getattr(b, field)), field
             assert ep.gt_object_index == ref.gt_object_index

@@ -1,17 +1,53 @@
-"""Tests for main-object selection and the REINFORCE gradient term."""
+"""Tests for main-object selection and the per-frame REINFORCE references."""
 
 import numpy as np
 import pytest
 
 from viewpilot.diffcore import softmax
 from viewpilot.errors import InvalidInput
-from viewpilot.selector import (
-    SelectorNetwork,
-    grad_log_softmax,
-    policy_gradient_contribution,
-    sample_indices,
-    select_greedy,
-)
+from viewpilot.selector import SelectorNetwork, select_greedy
+
+# ---------------------------------------------------------------------------
+# Per-frame references for the batched sampling and policy-gradient upstream
+# of ``training.rollout_window`` and ``training.policy_upstream``, which
+# tests/test_training.py compares against them.
+# ---------------------------------------------------------------------------
+
+
+def sample_indices(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF sampling along the last axis of a (B, N) probability array."""
+    cum = np.cumsum(probs, axis=-1)
+    u = rng.random(probs.shape[0])
+    idx = (cum <= u[:, None]).sum(axis=-1)
+    return np.minimum(idx, probs.shape[-1] - 1)
+
+
+def grad_log_softmax(probs: np.ndarray, index: int) -> np.ndarray:
+    """d log S(index) / d logits = onehot(index) - S."""
+    g = -np.asarray(probs, dtype=np.float64).copy()
+    g[index] += 1.0
+    return g
+
+
+def policy_gradient_contribution(probs, indices, rewards, baseline: bool = False) -> np.ndarray:
+    """REINFORCE ascent gradient on the logits for one frame:
+    (1/Q) * sum_q r_q * (onehot(i_q) - S), each r_q centered by the mean
+    of the Q rewards when ``baseline`` is on."""
+    probs = np.asarray(probs, dtype=np.float64)
+    indices = list(indices)
+    rewards = np.asarray(list(rewards), dtype=np.float64)
+    if len(indices) != len(rewards) or len(indices) == 0:
+        raise InvalidInput("need matching, non-empty sample indices and rewards")
+    if not np.all(np.isfinite(rewards)):
+        raise InvalidInput("rewards must be finite")
+    if baseline:
+        rewards = rewards - rewards.mean()
+    grad = np.zeros_like(probs)
+    for i, r in zip(indices, rewards):
+        if not 0 <= i < probs.shape[-1]:
+            raise InvalidInput(f"sample index {i} out of range for {probs.shape[-1]} slots")
+        grad += r * grad_log_softmax(probs, i)
+    return grad / len(indices)
 
 
 def _net(input_dim=12, hidden=6, slots=4, seed=0):

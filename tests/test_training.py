@@ -3,18 +3,19 @@ hand-derived backward pass, and the contracts the batched rollout keeps
 with the per-frame computations it replaces."""
 
 import dataclasses
+import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from viewpilot.agent import ModelDims, PilotModel, pilot_episode
-from viewpilot.diffcore import gradient_check
-from viewpilot.errors import StateError
+from viewpilot.agent import ModelDims, PilotModel, pilot_episode, save_model_checkpoint
+from viewpilot.diffcore import CHECKPOINT_FORMAT_VERSION, LrSchedule, gradient_check, softmax
+from viewpilot.errors import ConfigError, ParseError, StateError, VersionError
 from viewpilot.geometry import signed_azimuth_delta_array
 from viewpilot.gradcheck import MODES, check_model, check_trajectory_loss, make_check_batch
 from viewpilot.observation import SceneConfig, episode_arrays, generate_dataset, synth_scene
-from viewpilot.selector import policy_gradient_contribution, sample_indices
 from viewpilot.training import (
     TrainConfig,
     WindowBatch,
@@ -27,6 +28,8 @@ from viewpilot.training import (
     surrogate_loss,
     train,
 )
+
+from test_selector import policy_gradient_contribution, sample_indices  # per-frame references
 
 TOLERANCE = 1e-4
 # Smaller than gradcheck.CHECK_DIMS so that every mode checks in about a second.
@@ -103,7 +106,7 @@ class TestRolloutContracts:
         model, episode = _model(1), synth_scene(SCENE, 7)
         arrays = episode_arrays(episode)
         batch = WindowBatch(
-            arrays.flat[None], arrays.positions[None], arrays.motions[None], arrays.gt[None]
+            arrays.flat[None], arrays.positions[None], arrays.motions[None], arrays.gt_track[None]
         )
         tape = rollout_window(model, batch, greedy=True)
         trajectory, selections = pilot_episode(episode, model)
@@ -144,6 +147,35 @@ class TestRolloutContracts:
                 np.testing.assert_allclose(upstream[b, t], expected, rtol=1e-12, atol=1e-15)
 
 
+class TestPolicyUpstreamExpectation:
+    """Enumerating every index tuple, weighted by its probability, gives the
+    estimator's exact expectation. With the mean baseline, which includes
+    each sample's own reward, it is (Q-1)/Q times the exact all-slot
+    gradient -(pg/B) * sum_i p_i (r_i - rbar)(e_i - p); without it, the
+    whole gradient."""
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_expected_upstream_is_the_scaled_all_slot_gradient(self, q):
+        rng = np.random.default_rng(q)
+        b, n, pg_weight = 3, 4, 2.5
+        probs = softmax(rng.normal(size=(b, 1, n)))  # B windows of one frame
+        rewards = rng.uniform(-1.0, 1.0, size=(b, n))
+        expected = {True: 0.0, False: 0.0}
+        for pick in itertools.product(range(n), repeat=q):
+            pick = np.array(pick)
+            tape = SimpleNamespace(
+                probs=probs, indices=np.tile(pick, (b, 1, 1)), rewards=rewards[:, None, pick]
+            )
+            weight = np.prod(probs[:, :, pick], axis=2)[..., None]  # (B, 1, 1)
+            for baseline in expected:
+                expected[baseline] += weight * policy_upstream(tape, pg_weight, baseline)
+        p = probs[:, 0]
+        centered = rewards - (p * rewards).sum(axis=1, keepdims=True)
+        exact = -(pg_weight / b) * np.einsum("bi,bi,bij->bj", p, centered, np.eye(n) - p[:, None])
+        np.testing.assert_allclose(expected[True][:, 0], (q - 1) / q * exact, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(expected[False][:, 0], exact, rtol=0, atol=1e-12)
+
+
 class TestResume:
     CONFIG = TrainConfig(batch_size=2, seq_len=20, max_epochs=4, checkpoint_interval=2)
 
@@ -167,3 +199,71 @@ class TestResume:
         resumed, _ = train(episodes, self.CONFIG, DIMS, split, resume=True)
         assert resumed.digest() == straight.digest()
         assert self._rows(split) == self._rows(tmp_path / "straight")
+
+
+def _truncate(doc: str) -> str:
+    return doc[: len(doc) // 2]
+
+
+def _drop_epoch(doc: str) -> str:
+    rec = json.loads(doc)
+    del rec["epoch"]
+    return json.dumps(rec)
+
+
+def _change_a_value(doc: str) -> str:
+    rec = json.loads(doc)
+    rec["params"]["selector.head.w"]["values"][0] += 1.0
+    return json.dumps(rec)
+
+
+def _new_version(doc: str) -> str:
+    rec = json.loads(doc)
+    rec["format_version"] = CHECKPOINT_FORMAT_VERSION + 1
+    return json.dumps(rec)
+
+
+class TestResumeFromADamagedCheckpoint:
+    CONFIG = TrainConfig(batch_size=2, seq_len=20, max_epochs=7, checkpoint_interval=5)
+    EPISODES = generate_dataset(SCENE, 3, 2)
+
+    def _damaged_run(self, out_dir, damage):
+        train(self.EPISODES, self.CONFIG, DIMS, out_dir)
+        latest = out_dir / checkpoint_name(7)
+        latest.write_text(damage(latest.read_text()))
+
+    @pytest.fixture(scope="class")
+    def straight(self, tmp_path_factory):
+        nine = dataclasses.replace(self.CONFIG, max_epochs=9)
+        model, _ = train(self.EPISODES, nine, DIMS, tmp_path_factory.mktemp("straight"))
+        return model.digest()
+
+    @pytest.mark.parametrize("damage", [_truncate, _drop_epoch, _change_a_value])
+    def test_falls_back_to_the_newest_readable_one(self, tmp_path, capsys, straight, damage):
+        self._damaged_run(tmp_path, damage)
+        capsys.readouterr()
+        nine = dataclasses.replace(self.CONFIG, max_epochs=9)
+        resumed, history = train(self.EPISODES, nine, DIMS, tmp_path, resume=True)
+        assert [row["epoch"] for row in history] == [6, 7, 8, 9]
+        rows = (tmp_path / "metrics.jsonl").read_text().splitlines()
+        assert [json.loads(row)["epoch"] for row in rows] == list(range(1, 10))
+        assert resumed.digest() == straight
+        warning = capsys.readouterr().err.splitlines()
+        assert len(warning) == 1 and checkpoint_name(7) in warning[0]
+
+    def test_version_and_architecture_mismatches_still_stop(self, tmp_path):
+        self._damaged_run(tmp_path, _new_version)
+        with pytest.raises(VersionError):
+            train(self.EPISODES, self.CONFIG, DIMS, tmp_path, resume=True)
+        other = PilotModel(dataclasses.replace(DIMS, selector_hidden=5), np.random.default_rng(0))
+        save_model_checkpoint(tmp_path / checkpoint_name(7), other, 7, LrSchedule(), {"seed": 0})
+        with pytest.raises(ConfigError):
+            train(self.EPISODES, self.CONFIG, DIMS, tmp_path, resume=True)
+
+    def test_no_readable_checkpoint_raises_the_newest_error(self, tmp_path, capsys):
+        self._damaged_run(tmp_path, _truncate)
+        for epoch in (0, 5):
+            (tmp_path / checkpoint_name(epoch)).write_text("{")
+        with pytest.raises(ParseError, match=checkpoint_name(7)):
+            train(self.EPISODES, self.CONFIG, DIMS, tmp_path, resume=True)
+        assert len(capsys.readouterr().err.splitlines()) == 3
