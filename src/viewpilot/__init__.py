@@ -18,15 +18,7 @@ from .errors import (
     StateError,
     VersionError,
 )
-from .geometry import (
-    Action,
-    NFoV,
-    ViewingAngle,
-    angular_distance,
-    angular_offset,
-    apply_action,
-    nfov_iou,
-)
+from .geometry import NFoV, ViewingAngle, nfov_iou
 from .observation import (
     Episode,
     FrameObservation,
@@ -36,7 +28,6 @@ from .observation import (
     save_episodes,
     synth_scene,
 )
-from .regressor import LossBreakdown, trajectory_loss
 from .training import TrainConfig, train
 from .evaluation import (
     BenchmarkRow,

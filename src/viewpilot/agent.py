@@ -12,10 +12,10 @@ import numpy as np
 
 from .diffcore import Checkpoint, LrSchedule, ParamTensor, load_checkpoint, params_digest, save_checkpoint
 from .errors import ConfigError, InvalidInput, ParseError
-from .geometry import Action, ViewingAngle, apply_action, signed_azimuth_delta
+from .geometry import ViewingAngle, signed_azimuth_delta
 from .observation import OFFSET_SCALE, Episode, FrameObservation, _parse_json_line
 from .regressor import RegressorNetwork
-from .selector import SelectorNetwork, select_greedy
+from .selector import SelectorNetwork
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,10 @@ class ModelDims:
     slots: int
     selector_hidden: int
     regressor_hidden: int
+
+    def __post_init__(self):
+        if any(type(v) is not int or v < 1 for v in vars(self).values()):
+            raise InvalidInput(f"model dimensions must be positive integers, got {vars(self)}")
 
     @property
     def flat_dim(self) -> int:
@@ -72,7 +76,10 @@ class PilotModel:
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "PilotModel":
-        dims = ModelDims(**ckpt.arch)
+        try:
+            dims = ModelDims(**ckpt.arch)
+        except (TypeError, InvalidInput) as exc:
+            raise ParseError(f"checkpoint arch {ckpt.arch!r} is malformed: {exc}") from exc
         model = cls(dims, np.random.default_rng(0))
         model.load_param_values(ckpt.params)
         return model
@@ -113,14 +120,14 @@ def pilot_step(
             f"observation dim {obs.flat.shape[-1]} != model dim {model.dims.flat_dim}"
         )
     h, probs = model.selector.forward(obs.flat, state.selector_h)
-    index = select_greedy(probs)
+    index = int(np.argmax(probs))  # ties go to the lowest slot
     if not 0 <= index < len(obs.scores):
         raise InvalidInput(f"selection index {index} out of range")
-    # angular_offset(angle, slot): the slot row is wrapped and clamped already
+    # wrap-aware offset from the view to the slot, whose row is wrapped and clamped already
     az, el = obs.positions[index].tolist()
     naive = np.array([signed_azimuth_delta(az - state.angle.azimuth), el - state.angle.elevation])
     mu, out = model.regressor.forward(obs.motions[index], naive / OFFSET_SCALE, state.regressor_mu)
-    angle = apply_action(state.angle, Action(float(out[0]), float(out[1])))
+    angle = ViewingAngle(state.angle.azimuth + float(out[0]), state.angle.elevation + float(out[1]))
     return angle, index, AgentState(h, mu, angle)
 
 
@@ -133,7 +140,7 @@ def pilot_episode(
     convention used uniformly by training and every benchmark method.
     """
     if init is None:
-        init = episode.gt[0]
+        init = ViewingAngle(*episode.gt_track[0].tolist())
     state = initial_state(model, init)
     trajectory: list[ViewingAngle] = []
     selections: list[int] = []

@@ -5,7 +5,8 @@ deterministic given its config file, flag overrides (flags win), and
 seeds. The VIEWPILOT_OUT environment variable overrides the configured
 output directory; explicit --out flags win over both.
 
-Exit codes: 0 success, 2 usage, 3 I/O, 4 configuration, 5 numerics.
+Exit codes: 0 success, 1 gradient check failed, 2 usage, 3 I/O (including a
+malformed data or checkpoint file), 4 configuration, 5 numerics.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .observation import generate_dataset, load_episodes, save_episodes, stream_
 from .training import train
 
 EXIT_OK = 0
+EXIT_GRADCHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_CONFIG = 4
@@ -171,7 +173,7 @@ def cmd_gradcheck(args) -> int:
             failures.append(f"trajectory_loss@seed{seed}")
     if failures:
         print(f"gradient check FAILED: {failures}", file=sys.stderr)
-        return 1
+        return EXIT_GRADCHECK_FAILED
     print(f"all gradient checks passed at tolerance {tolerance}")
     return EXIT_OK
 

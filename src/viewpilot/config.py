@@ -3,7 +3,7 @@ model dimensions, training, data splits, and evaluation.
 
 Parsing is strict: unknown keys anywhere are rejected, every field has a
 default, and dotted-path overrides (``train.lr_initial=0.01``) are
-type-checked against the target field.
+type-checked against the target field. Numbers must be finite.
 """
 
 from __future__ import annotations
@@ -67,9 +67,12 @@ _SECTIONS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 def _coerce(value, target_type, path: str):
     if target_type is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
+        try:  # NaN, the infinities and integers past the float range are rejected
+            if type(value) in (int, float) and abs(float(value)) < float("inf"):
+                return float(value)
+        except OverflowError:
+            pass
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     if target_type is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")

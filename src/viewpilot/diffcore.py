@@ -202,7 +202,7 @@ def clip_gradients(params: Sequence[ParamTensor], max_norm: float) -> float:
     return norm
 
 
-def sgd_step(params: Sequence[ParamTensor], lr: float, clip_norm: float | None = None) -> None:
+def sgd_step(params: Sequence[ParamTensor], lr: float) -> None:
     """p <- p - lr * grad for every parameter, then reset grads to zero.
 
     Raises NumericsError (before touching any values) if any gradient is
@@ -213,8 +213,6 @@ def sgd_step(params: Sequence[ParamTensor], lr: float, clip_norm: float | None =
     for p in params:
         if not np.all(np.isfinite(p.grad)):
             raise NumericsError(f"non-finite gradient in {p.name}")
-    if clip_norm is not None:
-        clip_gradients(params, clip_norm)
     for p in params:
         p.values -= lr * p.grad
         p.zero_grad()
@@ -240,21 +238,17 @@ class GradCheckResult:
 
 
 def gradient_check(
-    loss_fn,
-    params: Sequence[ParamTensor],
-    tolerance: float = 1e-4,
-    step: float = 1e-5,
-    denom_floor: float = 1e-3,
+    loss_fn, params: Sequence[ParamTensor], tolerance: float = 1e-4
 ) -> GradCheckResult:
     """Compare the analytic grads already stored in ``params`` against
-    central finite differences of ``loss_fn``.
+    central finite differences of ``loss_fn`` with step 1e-5.
 
     ``loss_fn()`` must be a deterministic scalar function of the current
     parameter values with no gradient side effects. The relative error
-    denominator is floored at ``denom_floor`` so that entries whose true
-    gradient is far below the finite-difference noise floor compare in
-    absolute terms.
+    denominator is floored at 1e-3 so that entries whose true gradient is
+    far below the finite-difference noise floor compare in absolute terms.
     """
+    step = 1e-5
     analytic = {p.name: p.grad.copy() for p in params}
     errors: dict[str, float] = {}
     for p in params:
@@ -271,7 +265,7 @@ def gradient_check(
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 raise NumericsError(f"non-finite loss while probing {p.name}[{i}]")
             numeric = (f_plus - f_minus) / (2.0 * step)
-            denom = max(abs(ref[i]), abs(numeric), denom_floor)
+            denom = max(abs(ref[i]), abs(numeric), 1e-3)
             worst = max(worst, abs(ref[i] - numeric) / denom)
         errors[p.name] = worst
     return GradCheckResult(errors, tolerance)

@@ -22,10 +22,16 @@ from .observation import Episode
 from .agent import pilot_episode  # noqa: F401
 from .geometry import nfov_iou  # noqa: F401
 from .observation import episode_arrays, synth_scene  # noqa: F401
-from .regressor import _as_array, velocity_array
+from .regressor import velocity_array
 from .training import DEFAULT_ETA, WindowBatch, rollout_window
 
 Trajectory = Sequence[ViewingAngle]
+
+
+def _as_array(trajectory) -> np.ndarray:
+    if isinstance(trajectory, np.ndarray):
+        return np.asarray(trajectory, dtype=np.float64)
+    return np.array([[p.azimuth, p.elevation] for p in trajectory], dtype=np.float64)
 
 
 def mean_overlap(pred: Trajectory, gt: Trajectory, h_span: float = DEFAULT_H_SPAN) -> float:
@@ -59,11 +65,9 @@ def mean_velocity_difference(pred: Trajectory) -> float:
 # ---------------------------------------------------------------------------
 
 
-def center_hold(episode: Episode, init: ViewingAngle | None = None) -> list[ViewingAngle]:
-    """Never steer: hold the initial angle (the first frame's ground truth)."""
-    if init is None:
-        init = ViewingAngle(*episode.gt_track[0].tolist())
-    return [init] * len(episode)
+def center_hold(episode: Episode) -> list[ViewingAngle]:
+    """Never steer: hold the first frame's ground-truth angle."""
+    return [ViewingAngle(*episode.gt_track[0].tolist())] * len(episode)
 
 
 def _angles(arr: np.ndarray) -> list[ViewingAngle]:

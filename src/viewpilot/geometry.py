@@ -43,6 +43,18 @@ def signed_azimuth_delta_array(delta: np.ndarray) -> np.ndarray:
     return np.where(reduced == -180.0, 180.0, reduced)
 
 
+def land_angles(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Viewing angles from (..., 2) unclamped ones, into ``out`` (a new
+    float64 array by default; ``raw`` itself works): azimuth wrapped into
+    [0, 360) and elevation clamped into [-90, 90], as ViewingAngle does."""
+    if out is None:
+        out = np.empty(np.shape(raw))
+    az = np.remainder(raw[..., 0], 360.0, out=out[..., 0])
+    az[az == 360.0] = 0.0  # a tiny negative azimuth wraps to 360.0
+    np.minimum(np.maximum(raw[..., 1], -90.0), 90.0, out=out[..., 1])
+    return out
+
+
 @dataclass(frozen=True)
 class ViewingAngle:
     """A point on the viewing sphere, in degrees.
@@ -59,18 +71,6 @@ class ViewingAngle:
             raise InvalidInput(f"non-finite viewing angle ({self.azimuth}, {self.elevation})")
         object.__setattr__(self, "azimuth", wrap_azimuth(float(self.azimuth)))
         object.__setattr__(self, "elevation", clamp_elevation(float(self.elevation)))
-
-
-@dataclass(frozen=True)
-class Action:
-    """A raw steering delta in degrees per frame; not normalized."""
-
-    d_azimuth: float
-    d_elevation: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.d_azimuth) and math.isfinite(self.d_elevation)):
-            raise InvalidInput(f"non-finite action ({self.d_azimuth}, {self.d_elevation})")
 
 
 @dataclass(frozen=True)
@@ -100,30 +100,6 @@ class NFoV:
     def area(self) -> float:
         low, high = self.elevation_extent()
         return self.h_span * (high - low)
-
-
-def apply_action(prev: ViewingAngle, delta: Action) -> ViewingAngle:
-    """Steer ``prev`` by ``delta``: azimuth wraps, elevation clamps."""
-    return ViewingAngle(prev.azimuth + delta.d_azimuth, prev.elevation + delta.d_elevation)
-
-
-def angular_offset(start: ViewingAngle, target: ViewingAngle) -> Action:
-    """Signed shortest offset taking ``start`` to ``target``.
-
-    The azimuth component is reduced into (-180, 180]; the elevation
-    component is the plain difference. Applying the result to ``start``
-    reaches ``target`` exactly whenever no elevation clamping occurs.
-    """
-    return Action(
-        signed_azimuth_delta(target.azimuth - start.azimuth),
-        target.elevation - start.elevation,
-    )
-
-
-def angular_distance(a: ViewingAngle, b: ViewingAngle) -> float:
-    """Euclidean norm of the wrap-aware offset between two viewing angles."""
-    off = angular_offset(a, b)
-    return math.hypot(off.d_azimuth, off.d_elevation)
 
 
 def _azimuth_overlap(width: float, center_delta: float) -> float:
@@ -167,16 +143,13 @@ def nfov_iou_array(a: np.ndarray, b: np.ndarray, h_span: float = DEFAULT_H_SPAN)
         raise InvalidInput(f"NFoV spans must be positive, got {h_span}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise InvalidInput("non-finite viewing angle")
-    az_a, az_b = np.mod(a[..., 0], 360.0), np.mod(b[..., 0], 360.0)
-    az_a[az_a == 360.0] = 0.0
-    az_b[az_b == 360.0] = 0.0
+    az_a, el_a = np.moveaxis(land_angles(a), -1, 0)
+    az_b, el_b = np.moveaxis(land_angles(b), -1, 0)
     d = np.abs(signed_azimuth_delta_array(az_b - az_a))
     near = np.maximum(h_span - d, 0.0)
     far = np.maximum(h_span - (360.0 - d), 0.0)
     ov_az = np.minimum(near + far, h_span)
     half = h_span * 3.0 / 4.0 / 2.0
-    el_a = np.minimum(np.maximum(a[..., 1], -90.0), 90.0)
-    el_b = np.minimum(np.maximum(b[..., 1], -90.0), 90.0)
     a_low, a_high = np.maximum(el_a - half, -90.0), np.minimum(el_a + half, 90.0)
     b_low, b_high = np.maximum(el_b - half, -90.0), np.minimum(el_b + half, 90.0)
     ov_el = np.maximum(np.minimum(a_high, b_high) - np.maximum(a_low, b_low), 0.0)

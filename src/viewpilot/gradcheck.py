@@ -14,13 +14,14 @@ from .agent import ModelDims, PilotModel
 from .diffcore import GradCheckResult, ParamTensor, gradient_check
 from .errors import InvalidInput
 from .observation import SceneConfig, episode_arrays, synth_scene
-from .regressor import trajectory_loss, trajectory_loss_grad
+from .regressor import loss_grad, loss_terms
 from .training import WindowBatch, backward_window, rollout_window, surrogate_loss
 
 CHECK_DIMS = ModelDims(
     appearance_dim=8, motion_bins=12, slots=4, selector_hidden=16, regressor_hidden=8
 )
 CHECK_FRAMES = 10
+CHECK_LAMBDA = 10.0  # smoothness weight of the trajectory loss in every check
 MODES = ("selector", "regressor", "joint")
 
 _MODE_WEIGHTS = {
@@ -56,9 +57,7 @@ def check_model(
     seed: int,
     dims: ModelDims = CHECK_DIMS,
     frames: int = CHECK_FRAMES,
-    lam: float = 10.0,
     tolerance: float = 1e-4,
-    step: float = 1e-5,
     corrupt: str | None = None,
 ) -> GradCheckResult:
     """Gradient-check one training path ("selector", "regressor", or "joint").
@@ -76,7 +75,7 @@ def check_model(
     frozen = tape.rewards.copy()
     for p in model.params():
         p.zero_grad()
-    backward_window(model, tape, lam, pg_weight=pg_w, sup_weight=sup_w)
+    backward_window(model, tape, CHECK_LAMBDA, pg_weight=pg_w, sup_weight=sup_w)
 
     if mode == "selector":
         params = model.selector.params()
@@ -91,23 +90,23 @@ def check_model(
         chosen[0].grad += 0.5 * (1.0 + np.abs(chosen[0].grad))
 
     def loss_fn():
-        return surrogate_loss(model, batch, forced, frozen, lam, pg_weight=pg_w, sup_weight=sup_w)
+        return surrogate_loss(
+            model, batch, forced, frozen, CHECK_LAMBDA, pg_weight=pg_w, sup_weight=sup_w
+        )
 
-    return gradient_check(loss_fn, params, tolerance=tolerance, step=step)
+    return gradient_check(loss_fn, params, tolerance=tolerance)
 
 
-def check_trajectory_loss(
-    seed: int, frames: int = 12, lam: float = 10.0, tolerance: float = 1e-4, step: float = 1e-5
-) -> GradCheckResult:
+def check_trajectory_loss(seed: int, frames: int = 12, tolerance: float = 1e-4) -> GradCheckResult:
     """Finite-difference check of the trajectory-loss gradient itself."""
     rng = np.random.default_rng([seed, 103])
     pred = np.column_stack([rng.uniform(0, 360, frames), rng.uniform(-50, 50, frames)])
     gt = pred + rng.normal(scale=5.0, size=(frames, 2))
     tensor = ParamTensor("trajectory.pred", pred)
-    tensor.grad[...] = trajectory_loss_grad(tensor.values, gt, lam)
+    tensor.grad[...] = loss_grad(tensor.values[None], gt[None], CHECK_LAMBDA)[0]
 
     def loss_fn():
-        return trajectory_loss(tensor.values, gt, lam).total
+        reg, smo = loss_terms(tensor.values[None], gt[None])
+        return float(reg[0]) + CHECK_LAMBDA * float(smo[0])
 
-    return gradient_check(loss_fn, [tensor], tolerance=tolerance, step=step)
-
+    return gradient_check(loss_fn, [tensor], tolerance=tolerance)

@@ -31,7 +31,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidInput, ParseError, VersionError
-from .geometry import ViewingAngle, clamp_elevation, signed_azimuth_delta_array, wrap_azimuth
+from .geometry import (
+    ViewingAngle, clamp_elevation, land_angles, signed_azimuth_delta_array, wrap_azimuth,
+)
 
 EPISODE_FORMAT_VERSION = 1
 
@@ -67,14 +69,6 @@ class FrameObservation:
         if not isinstance(other, FrameObservation):
             return NotImplemented
         return all(map(np.array_equal, vars(self).values(), vars(other).values()))
-
-
-def _slot_positions(azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
-    """(..., 2) slot positions: azimuth wrapped into [0, 360), elevation
-    clamped into [-90, 90], as ViewingAngle does."""
-    azimuth = np.mod(azimuth, 360.0)
-    azimuth[azimuth == 360.0] = 0.0  # a tiny negative azimuth wraps to 360.0
-    return np.stack([azimuth, np.clip(elevation, -90.0, 90.0)], axis=-1)
 
 
 def _pack_flat(appearance: np.ndarray, positions: np.ndarray, motions: np.ndarray) -> np.ndarray:
@@ -113,7 +107,7 @@ def rank_slots(
             f"detection arrays disagree: scores {lead}, appearance {appearance.shape}, "
             f"positions {positions.shape}, motions {motions.shape}"
         )
-    positions = _slot_positions(positions[..., 0], positions[..., 1])
+    positions = land_angles(positions)
     order = np.lexsort((positions[..., 1], positions[..., 0], -scores), axis=-1)
     rank = np.empty_like(order)
     np.put_along_axis(rank, order, np.arange(lead[1]), axis=-1)
@@ -208,6 +202,7 @@ class SceneConfig:
     Observed positions carry Gaussian jitter of ``position_noise``
     degrees, emulating detector box noise, while the ground-truth track
     smooths the true main-object path with a centered moving average.
+    Construction rejects out-of-range fields with InvalidInput.
     """
 
     frames: int = 200
@@ -230,6 +225,24 @@ class SceneConfig:
     score_shape: float = 2.0
     main_score_bias: float = 1.0
     gt_smooth_window: int = 5
+
+    def __post_init__(self):
+        rules = (
+            (self.frames >= 2, "frames >= 2"),
+            (1 <= self.objects <= self.slots, "1 <= objects <= slots"),
+            (min(self.appearance_dim, self.motion_bins, self.gt_smooth_window) >= 1,
+             "appearance_dim, motion_bins and gt_smooth_window >= 1"),
+            (1 <= self.segment_min <= self.segment_max, "1 <= segment_min <= segment_max"),
+            (self.center_speed_min <= self.center_speed_max, "center_speed_min <= center_speed_max"),
+            (self.speed_min <= self.speed_max, "speed_min <= speed_max"),
+            (min(self.turn_limit, self.elevation_limit, self.cluster_radius) >= 0,
+             "turn_limit, elevation_limit and cluster_radius >= 0"),
+            (min(self.score_shape, self.score_shape + self.main_score_bias) > 0,
+             "score_shape > 0 and score_shape + main_score_bias > 0"),
+        )
+        broken = [rule for ok, rule in rules if not ok]
+        if broken:
+            raise InvalidInput(f"scene config needs {'; '.join(broken)}")
 
     @property
     def flat_dim(self) -> int:
@@ -298,8 +311,7 @@ def _offset_path(config: SceneConfig, rng: np.random.Generator) -> np.ndarray:
 def _object_paths(config: SceneConfig, center: np.ndarray, rng: np.random.Generator):
     """True per-frame positions (T, 2) and velocities (T, 2) for one object
     riding a bounded offset around the action center."""
-    pos = center + _offset_path(config, rng)
-    pos = _slot_positions(pos[:, 0], pos[:, 1])
+    pos = land_angles(center + _offset_path(config, rng))
     vel = np.empty_like(pos)
     vel[1:, 0] = signed_azimuth_delta_array(np.diff(pos[:, 0]))
     vel[1:, 1] = np.diff(pos[:, 1])
@@ -339,7 +351,7 @@ def _smooth_track(pos: np.ndarray, window: int) -> np.ndarray:
         mean[:, half : half + full] = windows.mean(axis=-1)
     for t in [*range(min(half, t_total)), *range(max(half, t_total - half), t_total)]:
         mean[:, t] = track[:, max(0, t - half) : t + half + 1].mean(axis=-1)
-    return _slot_positions(mean[0], mean[1])
+    return land_angles(mean.T)
 
 
 def synth_scene(config: SceneConfig, seed) -> Episode:
@@ -353,12 +365,6 @@ def synth_scene(config: SceneConfig, seed) -> Episode:
     the same scene content under different padding. The order of the rng
     draws is part of this contract: the golden digests in the tests pin it.
     """
-    if config.objects > config.slots:
-        raise InvalidInput(f"object count {config.objects} exceeds slot count {config.slots}")
-    if config.frames < 2:
-        raise InvalidInput(f"need at least 2 frames, got {config.frames}")
-    if config.gt_smooth_window < 1:
-        raise InvalidInput("gt_smooth_window must be >= 1")
     rng = np.random.default_rng(seed)
     k_objects, t_total = config.objects, config.frames
 
@@ -529,7 +535,7 @@ def stream_episodes(path) -> Iterator[tuple[dict, Iterator]]:
 
 
 def _frame_observation(scores, angles, appearance, motions, gt, main_idx):
-    positions = _slot_positions(angles[0], angles[1])
+    positions = land_angles(angles.T)
     frame = FrameObservation(
         appearance, positions, motions, scores, _pack_flat(appearance, positions, motions)
     )
@@ -555,7 +561,7 @@ def load_episodes(path) -> list[Episode]:
             scores[t], angles[t], appearance[t], motions[t] = s, a, app, mot
             gt[t] = g.azimuth, g.elevation
             idxs.append(main_idx)
-        positions = _slot_positions(angles[:, 0], angles[:, 1])
+        positions = land_angles(angles.transpose(0, 2, 1))
         idxs = idxs if None not in idxs else None
         episodes.append(Episode(appearance, positions, motions, scores, gt, idxs))
     return episodes

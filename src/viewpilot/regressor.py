@@ -9,8 +9,6 @@ times the summed change in viewing-angle velocity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .diffcore import Linear, TanhRnnCell
@@ -24,22 +22,17 @@ ACTION_GAIN = 8.0  # init scale of the steering head; outputs are degrees/frame
 class RegressorNetwork:
     """tanh RNN over (motion, naive offset) with a bias-free 2-D linear head."""
 
-    def __init__(
-        self, motion_bins: int, hidden_dim: int, rng: np.random.Generator,
-        action_gain: float = ACTION_GAIN,
-    ):
+    def __init__(self, motion_bins: int, hidden_dim: int, rng: np.random.Generator):
         self.motion_bins = motion_bins
         self.hidden_dim = hidden_dim
         self.cell = TanhRnnCell("regressor.cell", motion_bins + 2, hidden_dim, rng)
-        self.head = Linear("regressor.head", hidden_dim, 2, rng, gain=action_gain)
+        self.head = Linear("regressor.head", hidden_dim, 2, rng, gain=ACTION_GAIN)
 
     def params(self):
         return self.cell.params() + self.head.params()
 
-    def initial_state(self, batch: int | None = None) -> np.ndarray:
-        if batch is None:
-            return np.zeros(self.hidden_dim)
-        return np.zeros((batch, self.hidden_dim))
+    def initial_state(self) -> np.ndarray:
+        return np.zeros(self.hidden_dim)
 
     def forward(self, motion: np.ndarray, naive: np.ndarray, mu_prev: np.ndarray):
         """One refinement step; returns (new hidden state, steering delta)."""
@@ -48,19 +41,6 @@ class RegressorNetwork:
         x = np.concatenate([motion, naive], axis=-1)
         mu = self.cell.step(x, mu_prev)
         return mu, self.head.apply(mu)
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Regression and smoothness terms in degrees; total = regression + lambda * smoothness."""
-
-    regression: float
-    smoothness: float
-    lam: float
-
-    @property
-    def total(self) -> float:
-        return self.regression + self.lam * self.smoothness
 
 
 def _offsets(pred: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -110,34 +90,3 @@ def loss_grad(pred: np.ndarray, gt: np.ndarray, lam: float) -> np.ndarray:
     dsmooth[..., 1:, :] += dv[..., 1:, :]
     dsmooth[..., :-1, :] -= dv[..., 1:, :]
     return grad + lam * dsmooth
-
-
-def _as_array(trajectory) -> np.ndarray:
-    if isinstance(trajectory, np.ndarray):
-        return np.asarray(trajectory, dtype=np.float64)
-    return np.array([[p.azimuth, p.elevation] for p in trajectory], dtype=np.float64)
-
-
-def trajectory_loss(pred, gt, lam: float) -> LossBreakdown:
-    """Loss of a predicted trajectory against ground truth.
-
-    Both arguments are sequences of ViewingAngle (or (T, 2) arrays) of equal
-    length T >= 2; lam >= 0 weights the smoothness term.
-    """
-    pred_arr, gt_arr = _as_array(pred), _as_array(gt)
-    if pred_arr.shape != gt_arr.shape:
-        raise InvalidInput(f"trajectory lengths differ: {pred_arr.shape} vs {gt_arr.shape}")
-    if pred_arr.shape[0] < 2:
-        raise InvalidInput("trajectory loss needs at least 2 frames")
-    if lam < 0:
-        raise InvalidInput(f"lambda must be >= 0, got {lam}")
-    reg, smo = loss_terms(pred_arr[None], gt_arr[None])
-    return LossBreakdown(float(reg[0]), float(smo[0]), lam)
-
-
-def trajectory_loss_grad(pred, gt, lam: float) -> np.ndarray:
-    """Gradient of :func:`trajectory_loss` total w.r.t. the predicted angles."""
-    pred_arr, gt_arr = _as_array(pred), _as_array(gt)
-    if pred_arr.shape != gt_arr.shape:
-        raise InvalidInput(f"trajectory lengths differ: {pred_arr.shape} vs {gt_arr.shape}")
-    return loss_grad(pred_arr[None], gt_arr[None], lam)[0]

@@ -1,6 +1,6 @@
 """Main-object selection: a recurrent network over frame observations with a
-softmax head, plus greedy selection. Sampled selection and the REINFORCE
-gradient run batched in ``training``.
+softmax head. Greedy selection is the argmax (``agent.pilot_step``);
+sampled selection and the REINFORCE gradient run batched in ``training``.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ class SelectorNetwork:
     def params(self):
         return self.cell.params() + self.head.params()
 
-    def initial_state(self, batch: int | None = None) -> np.ndarray:
-        if batch is None:
-            return np.zeros(self.hidden_dim)
-        return np.zeros((batch, self.hidden_dim))
+    def initial_state(self) -> np.ndarray:
+        return np.zeros(self.hidden_dim)
 
     def forward(self, obs_flat: np.ndarray, h_prev: np.ndarray):
         """One recurrent step; returns (new hidden state, selection probabilities)."""
@@ -44,8 +42,3 @@ class SelectorNetwork:
         hs = self.cell.unroll(flat)
         logits = self.head.apply(hs[:, 1:].reshape(-1, self.hidden_dim))
         return hs, softmax(logits.reshape(flat.shape[0], flat.shape[1], self.n_slots))
-
-
-def select_greedy(probs: np.ndarray) -> int:
-    """Index of the highest probability; ties go to the lowest index."""
-    return int(np.argmax(probs))

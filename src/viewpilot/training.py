@@ -33,7 +33,7 @@ import numpy as np
 from .agent import ModelDims, PilotModel, save_model_checkpoint, load_model_checkpoint
 from .diffcore import LrSchedule
 from .errors import InvalidInput, NumericsError, ParseError, StateError, VersionError
-from .geometry import signed_azimuth_delta_array
+from .geometry import land_angles, signed_azimuth_delta_array
 from .observation import OFFSET_SCALE, Episode, episode_arrays
 from .regressor import loss_grad, loss_terms
 
@@ -76,8 +76,8 @@ class TrainConfig:
     checkpoint_interval: int = 50
 
     def __post_init__(self):
-        if min(self.batch_size, self.seq_len, self.q_samples, self.checkpoint_interval) < 1:
-            raise InvalidInput("batch_size, seq_len, q_samples, checkpoint_interval must be >= 1")
+        if min(self.batch_size, self.q_samples, self.checkpoint_interval) < 1 or self.seq_len < 2:
+            raise InvalidInput("batch_size, q_samples, checkpoint_interval must be >= 1, seq_len >= 2")
         if self.max_epochs < 0 or self.smooth_lambda < 0 or self.eta <= 0 or self.grad_clip < 0:
             raise InvalidInput("bad training config: check max_epochs, lambda, eta, grad_clip")
 
@@ -106,15 +106,6 @@ class WindowBatch:
     @property
     def frames(self) -> int:
         return self.flat.shape[1]
-
-
-def _land(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Viewing angles from (..., 2) unclamped ones into ``out``: azimuth
-    wrapped into [0, 360), elevation clamped to [-90, 90]."""
-    az = np.remainder(raw[..., 0], 360.0, out=out[..., 0])
-    az[az == 360.0] = 0.0  # a tiny negative azimuth wraps to 360.0
-    np.minimum(np.maximum(raw[..., 1], -90.0), 90.0, out=out[..., 1])
-    return out
 
 
 def _follow_offset(pos: np.ndarray, angle: np.ndarray, out: np.ndarray) -> None:
@@ -182,7 +173,7 @@ def _steer(model: PilotModel, batch: WindowBatch, selected: np.ndarray):
         pre += bias
         mu = np.tanh(pre, out=mus[t + 1])
         np.add(angles[t], mu @ w_r, out=raw[t])
-        _land(raw[t], angles[t + 1])
+        land_angles(raw[t], angles[t + 1])
     return xr, mus, raw, angles
 
 
@@ -206,7 +197,7 @@ def _branch_rewards(
         mu_prev.reshape(b * t_total * s, -1),
     )
     raw = prev + delta.reshape(b, t_total, s, 2)
-    return reward_array(_land(raw, raw), batch.gt[:, :, None], eta)
+    return reward_array(land_angles(raw, raw), batch.gt[:, :, None], eta)
 
 
 def rollout_window(
@@ -501,7 +492,7 @@ def train_step(
             # global clip would scale the selector's update to nothing.
             clip_gradients(model.selector.params(), config.grad_clip)
             clip_gradients(model.regressor.params(), config.grad_clip)
-        sgd_step(model.params(), lr, None)
+        sgd_step(model.params(), lr)
     else:
         for p in model.params():
             p.zero_grad()

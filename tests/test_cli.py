@@ -4,6 +4,7 @@ Every failure must map to its exit code with a one-line message on
 stderr, never a traceback.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 from viewpilot.agent import ModelDims, PilotModel, save_model_checkpoint
-from viewpilot.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, main
+from viewpilot.cli import (
+    EXIT_CONFIG, EXIT_GRADCHECK_FAILED, EXIT_IO, EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, main,
+)
 from viewpilot.config import RunConfig, load_run_config
 from viewpilot.diffcore import LrSchedule
 from viewpilot.observation import SceneConfig, generate_dataset, save_episodes
@@ -74,6 +77,19 @@ def test_bad_config_file_exits_4(tmp_path, capsys, text):
         "train.lr.initial=0.1",
         "trian.seed=1",
         "train.sed=1",
+        "scene.position_noise=NaN",  # written, then rejected by load_episodes
+        "scene.center_speed_max=Infinity",  # OverflowError in the generator
+        "scene.elevation_limit=1e400",  # JSON reads it as infinity
+        pytest.param("scene.cluster_radius=" + "9" * 400, id="scene.cluster_radius=<400 digits>"),
+        "scene.objects=0",
+        "scene.motion_bins=0",
+        "scene.score_shape=0",
+        "scene.segment_min=41",  # above segment_max
+        "scene.turn_limit=-1",
+        "scene.elevation_limit=-1",
+        "scene.cluster_radius=-1",
+        "scene.center_speed_min=3",  # above center_speed_max
+        "scene.appearance_dim=0",  # written, then rejected by train
     ],
 )
 def test_bad_override_exits_4(tmp_path, capsys, override):
@@ -81,6 +97,42 @@ def test_bad_override_exits_4(tmp_path, capsys, override):
     code = _run(capsys, "gen-data", "--config", REFERENCE, "--set", override, "--out", out)
     assert code == EXIT_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override", ["train.lr_initial=NaN", "train.seq_len=1"])
+def test_bad_training_setting_exits_4(tmp_path, capsys, override):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scene": dataclasses.asdict(SCENE), "model": {
+        "selector_hidden": DIMS.selector_hidden, "regressor_hidden": DIMS.regressor_hidden
+    }}))
+    run = tmp_path / "run"
+    argv = ("train", "--config", config, "--set", override, "--data", _episodes(tmp_path))
+    assert _run(capsys, *argv, "--out", run, "--epochs", 2, "--quiet") == EXIT_CONFIG
+    assert not run.exists()
+
+
+@pytest.mark.parametrize(
+    "arch",
+    [
+        {**DIMS.as_dict(), "layers": 2},
+        {k: v for k, v in DIMS.as_dict().items() if k != "slots"},
+        {**DIMS.as_dict(), "slots": -3},
+        {**DIMS.as_dict(), "slots": "3"},
+        list(DIMS.as_dict().values()),
+    ],
+    ids=["extra key", "missing key", "negative", "string", "list"],
+)
+def test_pilot_on_a_malformed_checkpoint_arch_exits_3(tmp_path, capsys, arch):
+    checkpoint = tmp_path / "model.json"
+    save_model_checkpoint(
+        checkpoint, PilotModel(DIMS, np.random.default_rng(0)), 0, LrSchedule(), {"seed": 0}
+    )
+    doc = json.loads(checkpoint.read_text())
+    doc["arch"] = arch
+    checkpoint.write_text(json.dumps(doc))
+    out = tmp_path / "trajectory.jsonl"
+    argv = ("pilot", "--checkpoint", checkpoint, "--data", _episodes(tmp_path), "--out", out)
+    assert _run(capsys, *argv) == EXIT_IO
 
 
 def test_train_on_a_truncated_episode_file_exits_3(tmp_path, capsys):
@@ -131,5 +183,5 @@ def test_gen_data_writes_the_golden_episode_file(tmp_path, capsys):
 def test_gradcheck_with_a_corrupted_gradient_exits_1(capsys):
     code = main(["gradcheck", "--seeds", "1", "--corrupt", "regressor.cell.w_hh"])
     err = capsys.readouterr().err
-    assert code == 1
+    assert code == EXIT_GRADCHECK_FAILED == 1
     assert "FAILED" in err and "Traceback" not in err

@@ -35,7 +35,6 @@ from viewpilot.observation import (
     rank_slots,
     synth_scene,
 )
-from viewpilot.selector import select_greedy
 from viewpilot.training import DEFAULT_ETA, reward_array
 
 DIMS = ModelDims(appearance_dim=6, motion_bins=5, slots=4, selector_hidden=8, regressor_hidden=4)
@@ -58,7 +57,7 @@ class TestSelectorOnly:
         expected, picks = [], []
         for frame in episode.frames:
             h, probs = model.selector.forward(frame.flat, h)
-            picks.append(select_greedy(probs))
+            picks.append(int(np.argmax(probs)))
             expected.append(ViewingAngle(*frame.positions[picks[-1]]))
         assert len(set(picks)) > 1  # the selection moves between slots
         assert selector_only(episode, model) == expected

@@ -6,83 +6,101 @@ import numpy as np
 import pytest
 
 from viewpilot.errors import InvalidInput
-from viewpilot.geometry import (
-    Action,
-    NFoV,
-    ViewingAngle,
-    angular_distance,
-    angular_offset,
-    apply_action,
-    nfov_iou,
-)
+from viewpilot.geometry import NFoV, ViewingAngle, land_angles, nfov_iou
+from viewpilot.observation import OFFSET_SCALE
+from viewpilot.regressor import loss_terms
+from viewpilot.training import _follow_offset
+
+
+def follow_offset(start, target) -> np.ndarray:
+    """The regressor's follow offset from view ``start`` to slot ``target``,
+    in degrees: ``training._follow_offset`` times OFFSET_SCALE."""
+    out = np.empty(2)
+    _follow_offset(np.asarray(target, dtype=float), np.asarray(start, dtype=float), out)
+    return out * OFFSET_SCALE
+
+
+def steer(prev, delta) -> np.ndarray:
+    """The view after steering ``prev`` by ``delta``, landed as the rollout does."""
+    return land_angles(np.add(prev, delta))
 
 
 class TestApplyAction:
+    """Steering lands through ``land_angles``: azimuth wraps, elevation clamps."""
+
     def test_identity_action(self):
-        out = apply_action(ViewingAngle(10, 0), Action(0, 0))
-        assert out == ViewingAngle(10, 0)
+        np.testing.assert_array_equal(steer([10.0, 0.0], [0.0, 0.0]), [10.0, 0.0])
 
     def test_azimuth_wraparound(self):
-        out = apply_action(ViewingAngle(359, 0), Action(2, 0))
-        assert out.azimuth == pytest.approx(1.0)
-        assert out.elevation == 0.0
+        out = steer([359.0, 0.0], [2.0, 0.0])
+        assert out[0] == pytest.approx(1.0)
+        assert out[1] == 0.0
 
     def test_elevation_clamp_at_pole(self):
-        out = apply_action(ViewingAngle(0, 85), Action(0, 10))
-        assert out == ViewingAngle(0, 90)
+        np.testing.assert_array_equal(steer([0.0, 85.0], [0.0, 10.0]), [0.0, 90.0])
 
     def test_total_on_random_inputs(self):
+        # in range, equal to ViewingAngle's scalar rule, and the same in place
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            prev = ViewingAngle(rng.uniform(-720, 720), rng.uniform(-90, 90))
-            delta = Action(rng.uniform(-500, 500), rng.uniform(-200, 200))
-            out = apply_action(prev, delta)
-            assert 0.0 <= out.azimuth < 360.0
-            assert -90.0 <= out.elevation <= 90.0
+        prev = np.column_stack([rng.uniform(-720, 720, 200), rng.uniform(-90, 90, 200)])
+        raw = prev + np.column_stack([rng.uniform(-500, 500, 200), rng.uniform(-200, 200, 200)])
+        raw[0] = (-1e-14, 0.0)  # wraps to 360.0 before the fix-up
+        out = land_angles(raw)
+        assert np.all((0.0 <= out[:, 0]) & (out[:, 0] < 360.0))
+        assert np.all((-90.0 <= out[:, 1]) & (out[:, 1] <= 90.0))
+        assert out.tolist() == [[v.azimuth, v.elevation] for v in map(ViewingAngle, *raw.T)]
+        assert land_angles(raw, raw) is raw and np.array_equal(raw, out)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInput):
-            Action(float("nan"), 0)
+            ViewingAngle(float("nan"), 0)
         with pytest.raises(InvalidInput):
             ViewingAngle(float("inf"), 0)
 
 
 class TestAngularOffset:
+    """The follow offset is the signed shortest offset from the view to the slot."""
+
     def test_shortest_path_across_wrap(self):
-        off = angular_offset(ViewingAngle(350, 0), ViewingAngle(10, 0))
-        assert off.d_azimuth == pytest.approx(20.0)
-        assert off.d_elevation == 0.0
+        off = follow_offset([350.0, 0.0], [10.0, 0.0])
+        assert off[0] == pytest.approx(20.0)
+        assert off[1] == 0.0
 
     def test_zero_offset(self):
-        x = ViewingAngle(123.4, -5.6)
-        off = angular_offset(x, x)
-        assert off == Action(0, 0)
+        np.testing.assert_array_equal(follow_offset([123.4, -5.6], [123.4, -5.6]), [0.0, 0.0])
 
     def test_pure_elevation(self):
-        off = angular_offset(ViewingAngle(0, -10), ViewingAngle(0, 30))
-        assert off.d_azimuth == 0.0
-        assert off.d_elevation == pytest.approx(40.0)
+        off = follow_offset([0.0, -10.0], [0.0, 30.0])
+        assert off[0] == 0.0
+        assert off[1] == pytest.approx(40.0)
 
     def test_offset_inverts_apply(self):
-        # apply_action(a, angular_offset(a, b)) == b whenever nothing clamps.
+        # steering a by the offset to b lands on b whenever nothing clamps
         rng = np.random.default_rng(1)
         for _ in range(300):
-            a = ViewingAngle(rng.uniform(0, 360), rng.uniform(-89, 89))
-            b = ViewingAngle(rng.uniform(0, 360), rng.uniform(-89, 89))
-            back = apply_action(a, angular_offset(a, b))
-            assert back.azimuth == pytest.approx(b.azimuth, abs=1e-9)
-            assert back.elevation == pytest.approx(b.elevation, abs=1e-9)
+            a = [rng.uniform(0, 360), rng.uniform(-89, 89)]
+            b = [rng.uniform(0, 360), rng.uniform(-89, 89)]
+            back = steer(a, follow_offset(a, b))
+            assert back[0] == pytest.approx(b[0], abs=1e-9)
+            assert back[1] == pytest.approx(b[1], abs=1e-9)
 
     def test_roundtrip_recovers_reduced_action(self):
-        # angular_offset(l, apply_action(l, d)) == d with d_azimuth reduced
-        # into (-180, 180], for elevations that do not clamp.
+        # the offset from l to l steered by d is d with its azimuth reduced
+        # into (-180, 180], for elevations that do not clamp
         rng = np.random.default_rng(2)
         for _ in range(300):
-            l = ViewingAngle(rng.uniform(0, 360), rng.uniform(-50, 50))
-            d = Action(rng.uniform(-170, 170), rng.uniform(-30, 30))
-            off = angular_offset(l, apply_action(l, d))
-            assert off.d_azimuth == pytest.approx(d.d_azimuth, abs=1e-9)
-            assert off.d_elevation == pytest.approx(d.d_elevation, abs=1e-9)
+            l = [rng.uniform(0, 360), rng.uniform(-50, 50)]
+            d = [rng.uniform(-170, 170), rng.uniform(-30, 30)]
+            off = follow_offset(l, steer(l, d))
+            assert off[0] == pytest.approx(d[0], abs=1e-9)
+            assert off[1] == pytest.approx(d[1], abs=1e-9)
+
+
+def angular_distance(a: ViewingAngle, b: ViewingAngle) -> float:
+    """The wrap-aware distance between two views: the regression term of
+    ``loss_terms`` over a single frame."""
+    pred, gt = np.array([[[a.azimuth, a.elevation]]]), np.array([[[b.azimuth, b.elevation]]])
+    return float(loss_terms(pred, gt)[0][0])
 
 
 class TestAngularDistance:

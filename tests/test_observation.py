@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -12,8 +13,9 @@ from viewpilot import observation
 from viewpilot.errors import InvalidInput, ParseError, VersionError
 from viewpilot.geometry import (
     ViewingAngle,
-    angular_distance,
     clamp_elevation,
+    land_angles,
+    signed_azimuth_delta,
     signed_azimuth_delta_array,
     wrap_azimuth,
 )
@@ -24,7 +26,6 @@ from viewpilot.observation import (
     _center_path,
     _offset_path,
     _pack_flat,
-    _slot_positions,
     _smooth_track,
     episode_arrays,
     generate_dataset,
@@ -34,6 +35,11 @@ from viewpilot.observation import (
     stream_episodes,
     synth_scene,
 )
+
+
+def angular_distance(a: ViewingAngle, b: ViewingAngle) -> float:
+    """Euclidean norm of the wrap-aware offset between two viewing angles."""
+    return math.hypot(signed_azimuth_delta(b.azimuth - a.azimuth), b.elevation - a.elevation)
 
 
 def _detections(scores, az=None, el=None, d=4, k=3, seed=0):
@@ -573,7 +579,7 @@ class TestGeneratorMatchesPerFrameReference:
             rng = np.random.default_rng(seed)
             az = np.mod(355.0 + np.cumsum(rng.uniform(-6.0, 6.0, frames)), 360.0)
             pos = np.stack([az, rng.uniform(-95.0, 95.0, frames)], axis=-1)
-            pos = _slot_positions(pos[:, 0], pos[:, 1])  # az starts at 355: crosses 0/360
+            pos = land_angles(pos)  # az starts at 355: crosses 0/360
             assert np.array_equal(_smooth_track(pos, window), _ref_smooth_track(pos, window))
 
     @pytest.mark.parametrize("name", REF_SCENES)

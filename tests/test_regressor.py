@@ -5,31 +5,34 @@ import math
 import numpy as np
 import pytest
 
+from viewpilot.agent import PilotModel
 from viewpilot.errors import InvalidInput
-from viewpilot.geometry import Action, ViewingAngle, angular_offset, apply_action
-from viewpilot.regressor import RegressorNetwork, trajectory_loss, trajectory_loss_grad
+from viewpilot.gradcheck import CHECK_DIMS, make_check_batch
+from viewpilot.regressor import RegressorNetwork, loss_grad, loss_terms
+from viewpilot.training import rollout_window, surrogate_loss
+
+from test_geometry import follow_offset, steer
 
 
 class TestNaiveAction:
-    """The naive follow offset fed to the regressor is angular_offset(view, main)."""
+    """The naive follow offset fed to the regressor (``training._follow_offset``)."""
 
     def test_already_there(self):
-        x = ViewingAngle(77, 8)
-        assert angular_offset(x, x) == Action(0, 0)
+        np.testing.assert_array_equal(follow_offset([77.0, 8.0], [77.0, 8.0]), [0.0, 0.0])
 
     def test_wrap_aware_offset(self):
-        delta = angular_offset(ViewingAngle(350, 0), ViewingAngle(10, 5))
-        assert delta.d_azimuth == pytest.approx(20.0)
-        assert delta.d_elevation == pytest.approx(5.0)
+        delta = follow_offset([350.0, 0.0], [10.0, 5.0])
+        assert delta[0] == pytest.approx(20.0)
+        assert delta[1] == pytest.approx(5.0)
 
     def test_applying_lands_on_target(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            prev = ViewingAngle(rng.uniform(0, 360), rng.uniform(-80, 80))
-            main = ViewingAngle(rng.uniform(0, 360), rng.uniform(-80, 80))
-            landed = apply_action(prev, angular_offset(prev, main))
-            assert landed.azimuth == pytest.approx(main.azimuth, abs=1e-9)
-            assert landed.elevation == pytest.approx(main.elevation, abs=1e-9)
+            prev = [rng.uniform(0, 360), rng.uniform(-80, 80)]
+            main = [rng.uniform(0, 360), rng.uniform(-80, 80)]
+            landed = steer(prev, follow_offset(prev, main))
+            assert landed[0] == pytest.approx(main[0], abs=1e-9)
+            assert landed[1] == pytest.approx(main[1], abs=1e-9)
 
 
 class TestRegressorForward:
@@ -66,80 +69,91 @@ class TestRegressorForward:
             net.forward(np.ones(5), np.zeros(2), net.initial_state())
 
 
-def _angles(pairs):
-    return [ViewingAngle(a, e) for a, e in pairs]
+def _track(pairs) -> np.ndarray:
+    return np.array(list(pairs), dtype=np.float64)
+
+
+def _loss(pred, gt, lam):
+    """(regression, smoothness, total) of one (T, 2) trajectory from
+    ``loss_terms``, with total = regression + lam * smoothness as the
+    trajectory-loss gradient check sums it."""
+    reg, smo = loss_terms(pred[None], gt[None])
+    return float(reg[0]), float(smo[0]), float(reg[0]) + lam * float(smo[0])
 
 
 class TestTrajectoryLoss:
     def test_perfect_static_fit_is_zero(self):
-        traj = _angles([(100, 10)] * 5)
-        loss = trajectory_loss(traj, traj, lam=10)
-        assert loss.regression == 0.0
-        assert loss.smoothness == 0.0
-        assert loss.total == 0.0
+        traj = _track([(100, 10)] * 5)
+        assert _loss(traj, traj, lam=10) == (0.0, 0.0, 0.0)
 
     def test_constant_velocity_pays_only_the_startup_term(self):
         # v_1 is defined as (0, 0), so a (1, 0) deg/frame track over T=3
         # contributes one smoothness term ||v_2 - v_1|| = 1.
-        traj = _angles([(0, 0), (1, 0), (2, 0)])
-        loss = trajectory_loss(traj, traj, lam=10)
-        assert loss.regression == 0.0
-        assert loss.smoothness == pytest.approx(1.0)
+        traj = _track([(0, 0), (1, 0), (2, 0)])
+        regression, smoothness, _ = _loss(traj, traj, lam=10)
+        assert regression == 0.0
+        assert smoothness == pytest.approx(1.0)
 
     def test_constant_offset_hand_value(self):
-        gt = _angles([(10, 0)] * 4)
-        pred = _angles([(13, 0)] * 4)
-        loss = trajectory_loss(pred, gt, lam=10)
-        assert loss.regression == pytest.approx(12.0)
-        assert loss.smoothness == pytest.approx(0.0)
-        assert loss.total == pytest.approx(12.0)
+        gt = _track([(10, 0)] * 4)
+        pred = _track([(13, 0)] * 4)
+        regression, smoothness, total = _loss(pred, gt, lam=10)
+        assert regression == pytest.approx(12.0)
+        assert smoothness == pytest.approx(0.0)
+        assert total == pytest.approx(12.0)
 
     def test_wraparound_regression(self):
-        gt = _angles([(359, 0), (359, 0)])
-        pred = _angles([(1, 0), (1, 0)])
-        assert trajectory_loss(pred, gt, lam=0).regression == pytest.approx(4.0)
+        gt = _track([(359, 0), (359, 0)])
+        pred = _track([(1, 0), (1, 0)])
+        assert _loss(pred, gt, lam=0)[0] == pytest.approx(4.0)
 
     def test_total_combines_terms_exactly(self):
-        rng = np.random.default_rng(4)
-        pred = _angles(zip(rng.uniform(0, 360, 6), rng.uniform(-40, 40, 6)))
-        gt = _angles(zip(rng.uniform(0, 360, 6), rng.uniform(-40, 40, 6)))
+        # the supervised objective the gradient check probes is exactly
+        # regression + lam * smoothness of the rolled-out trajectory
+        model = PilotModel(CHECK_DIMS, np.random.default_rng(4))
+        batch, forced = make_check_batch(CHECK_DIMS, 12, 4)
+        tape = rollout_window(model, batch, forced_indices=forced)
+        reg, smo = loss_terms(tape.pred, batch.gt)
         for lam in (0.0, 1.0, 10.0):
-            loss = trajectory_loss(pred, gt, lam)
-            assert loss.total == loss.regression + lam * loss.smoothness
+            total = surrogate_loss(model, batch, forced, tape.rewards, lam, pg_weight=0.0)
+            assert total == float(reg[0] + lam * smo[0])
 
     def test_lambda_monotone_in_total(self):
         rng = np.random.default_rng(5)
-        pred = _angles(zip(rng.uniform(0, 360, 8), rng.uniform(-40, 40, 8)))
-        gt = _angles(zip(rng.uniform(0, 360, 8), rng.uniform(-40, 40, 8)))
-        totals = [trajectory_loss(pred, gt, lam).total for lam in (0, 1, 5, 10, 50)]
+        pred = _track(zip(rng.uniform(0, 360, 8), rng.uniform(-40, 40, 8)))
+        gt = _track(zip(rng.uniform(0, 360, 8), rng.uniform(-40, 40, 8)))
+        totals = [_loss(pred, gt, lam)[2] for lam in (0, 1, 5, 10, 50)]
         assert all(a <= b for a, b in zip(totals, totals[1:]))
 
     def test_nonnegative_and_zero_regression_iff_equal(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            pred = _angles(zip(rng.uniform(0, 360, 5), rng.uniform(-40, 40, 5)))
-            gt = _angles(zip(rng.uniform(0, 360, 5), rng.uniform(-40, 40, 5)))
-            loss = trajectory_loss(pred, gt, 10)
-            assert loss.regression >= 0 and loss.smoothness >= 0
-            assert (loss.regression == 0) == (pred == gt)
+            pred = _track(zip(rng.uniform(0, 360, 5), rng.uniform(-40, 40, 5)))
+            gt = _track(zip(rng.uniform(0, 360, 5), rng.uniform(-40, 40, 5)))
+            regression, smoothness, _ = _loss(pred, gt, 10)
+            assert regression >= 0 and smoothness >= 0
+            assert (regression == 0) == np.array_equal(pred, gt)
+            assert _loss(pred, pred, 10)[0] == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(InvalidInput):
-            trajectory_loss(_angles([(0, 0)] * 3), _angles([(0, 0)] * 4), 1)
+        # trajectories of different lengths do not broadcast into a loss
+        pred, gt = np.zeros((1, 3, 2)), np.zeros((1, 4, 2))
+        with pytest.raises(ValueError):
+            loss_terms(pred, gt)
+        with pytest.raises(ValueError):
+            loss_grad(pred, gt, 1.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         pred = np.column_stack([rng.uniform(0, 360, 8), rng.uniform(-40, 40, 8)])
         gt = pred + rng.normal(scale=4.0, size=pred.shape)
         lam = 10.0
-        analytic = trajectory_loss_grad(pred, gt, lam)
+        analytic = loss_grad(pred[None], gt[None], lam)[0]
         h = 1e-6
         for t in range(8):
             for c in range(2):
                 plus, minus = pred.copy(), pred.copy()
                 plus[t, c] += h
                 minus[t, c] -= h
-                numeric = (
-                    trajectory_loss(plus, gt, lam).total - trajectory_loss(minus, gt, lam).total
-                ) / (2 * h)
+                numeric = (_loss(plus, gt, lam)[2] - _loss(minus, gt, lam)[2]) / (2 * h)
                 assert analytic[t, c] == pytest.approx(numeric, abs=1e-5)

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from viewpilot.agent import ModelDims, PilotModel, initial_state, pilot_step
 from viewpilot.diffcore import softmax
 from viewpilot.errors import InvalidInput
-from viewpilot.selector import SelectorNetwork, select_greedy
+from viewpilot.geometry import ViewingAngle
+from viewpilot.observation import SceneConfig, synth_scene
+from viewpilot.selector import SelectorNetwork
+from viewpilot.training import WindowBatch, rollout_window
 
 # ---------------------------------------------------------------------------
 # Per-frame references for the batched sampling and policy-gradient upstream
@@ -84,21 +88,48 @@ class TestSelectorForward:
             _net().forward(np.ones(5), np.zeros(6))
 
 
+GREEDY_DIMS = ModelDims(4, 4, 4, selector_hidden=2, regressor_hidden=2)
+GREEDY_SCENE = SceneConfig(frames=6, objects=3, slots=4, appearance_dim=4, motion_bins=4)
+GREEDY_EPISODE = synth_scene(GREEDY_SCENE, 0)
+
+
+def _greedy_picks(logits) -> tuple[list[int], list[int]]:
+    """The slots ``pilot_step`` and ``rollout_window(greedy=True)`` select on
+    each frame when the selector's logits are ``logits`` whatever its input:
+    the cell holds h = tanh(atanh(0.5)) in both units, and both entries of
+    head row i are logits[i]."""
+    model = PilotModel(GREEDY_DIMS, np.random.default_rng(0))
+    cell = model.selector.cell
+    cell.w_xh.values[...] = cell.w_hh.values[...] = 0.0
+    cell.b.values[...] = np.arctanh(0.5)
+    model.selector.head.w.values[...] = np.asarray(logits, dtype=float)[:, None]
+    ep = GREEDY_EPISODE
+    state, online = initial_state(model, ViewingAngle(*ep.gt_track[0])), []
+    for frame in ep.frames:
+        _, index, state = pilot_step(frame, state, model)
+        online.append(index)
+    batch = WindowBatch(ep.flat[None], ep.positions[None], ep.motions[None], ep.gt_track[None])
+    return online, rollout_window(model, batch, greedy=True).indices[0, :, 0].tolist()
+
+
 class TestSelectGreedy:
+    """Greedy selection, online and batched, is the argmax of the selector's
+    distribution with ties to the lowest slot."""
+
     def test_argmax(self):
-        assert select_greedy(np.array([0.1, 0.7, 0.2])) == 1
+        assert _greedy_picks([0.1, 0.7, 0.2, 0.0]) == ([1] * 6, [1] * 6)
 
     def test_tie_breaks_to_lowest_index(self):
-        assert select_greedy(np.array([0.5, 0.5])) == 0
-        assert select_greedy(np.full(16, 1 / 16)) == 0
+        assert _greedy_picks([0.0, 0.5, 0.5, 0.0]) == ([1] * 6, [1] * 6)
+        assert _greedy_picks([0.0] * 4) == ([0] * 6, [0] * 6)
 
     def test_invariant_to_monotone_logit_transforms(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            logits = rng.normal(size=5) * 3
-            base = select_greedy(softmax(logits))
+            logits = rng.normal(size=4) * 3
+            base = int(np.argmax(softmax(logits)))
             for transform in (lambda z: 2 * z + 1, np.exp, lambda z: z**3 + z):
-                assert select_greedy(softmax(transform(logits))) == base
+                assert _greedy_picks(transform(logits)) == ([base] * 6, [base] * 6)
 
 
 class TestSelectSample:
