@@ -178,6 +178,21 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
+def _positive(kind):
+    """An argparse type: a finite value of ``kind`` above zero."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="viewpilot",
@@ -198,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a synthetic episode dataset")
     common(p)
     p.add_argument("--seed", type=int, help="dataset seed (default from config)")
-    p.add_argument("--count", type=int, help="number of episodes (default from config)")
+    p.add_argument("--count", type=_positive(int), help="number of episodes (default from config)")
     p.add_argument("--out", required=True, help="output episode file")
     p.set_defaults(func=cmd_gen_data)
 
@@ -232,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
     common(p)
-    p.add_argument("--seeds", type=int, default=10, help="number of random seeds")
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--seeds", type=_positive(int), default=10, help="number of random seeds")
+    p.add_argument("--tolerance", type=_positive(float), default=1e-4)
     p.add_argument("--corrupt", help="perturb this parameter's gradient (negative control)")
     p.add_argument(
         "--corrupt-mode",

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .agent import ModelDims
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInput
 from .observation import SceneConfig
 from .training import TrainConfig
 
@@ -23,6 +23,10 @@ class ModelConfig:
     selector_hidden: int = 32
     regressor_hidden: int = 8
 
+    def __post_init__(self):
+        if min(self.selector_hidden, self.regressor_hidden) < 1:
+            raise InvalidInput("selector_hidden and regressor_hidden must be >= 1")
+
 
 @dataclass(frozen=True)
 class DataConfig:
@@ -30,12 +34,20 @@ class DataConfig:
     train_count: int = 50
     test_count: int = 10
 
+    def __post_init__(self):
+        if min(self.train_count, self.test_count) < 1:
+            raise InvalidInput("train_count and test_count must be >= 1")
+
 
 @dataclass(frozen=True)
 class EvalConfig:
     grid_step: float = 30.0
     dp_smooth_weight: float = 1.0
     h_span: float = 65.5
+
+    def __post_init__(self):
+        if not (0 < self.grid_step <= 180 and 0 < self.h_span <= 360) or self.dp_smooth_weight < 0:
+            raise InvalidInput("grid_step in (0, 180], h_span in (0, 360], dp_smooth_weight >= 0")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,12 @@
 The joint rollout's discrete selections are pinned and the REINFORCE
 rewards frozen at their nominal values, which turns the training objective
 into a deterministic scalar function of the parameters that central
-differences can probe directly.
+differences can probe directly. That function is the sum of two terms: a
+policy term that reads only the selector and a steering term that reads
+only the regressor. Each term is evaluated once at the nominal parameters;
+a probe of one network's parameter then re-evaluates only that network's
+term and adds the other term's nominal value, which is the same float sum
+as re-evaluating both.
 """
 
 from __future__ import annotations
@@ -77,24 +82,24 @@ def check_model(
         p.zero_grad()
     backward_window(model, tape, CHECK_LAMBDA, pg_weight=pg_w, sup_weight=sup_w)
 
-    if mode == "selector":
-        params = model.selector.params()
-    elif mode == "regressor":
-        params = model.regressor.params()
-    else:
-        params = model.params()
+    def loss(pg_weight, sup_weight):
+        return surrogate_loss(model, batch, forced, frozen, CHECK_LAMBDA, pg_weight, sup_weight)
+
+    pg_nominal, sup_nominal = loss(pg_w, 0.0), loss(0.0, sup_w)
+    groups = [  # each network's probes re-evaluate only that network's term
+        (model.selector.params(), lambda: loss(pg_w, 0.0) + sup_nominal),
+        (model.regressor.params(), lambda: pg_nominal + loss(0.0, sup_w)),
+    ]
+    groups = [group for group, weight in zip(groups, (pg_w, sup_w)) if weight != 0.0]
     if corrupt is not None:
-        chosen = [p for p in params if p.name == corrupt]
+        chosen = [p for params, _ in groups for p in params if p.name == corrupt]
         if not chosen:
             raise InvalidInput(f"no parameter named {corrupt!r} in mode {mode!r}")
         chosen[0].grad += 0.5 * (1.0 + np.abs(chosen[0].grad))
-
-    def loss_fn():
-        return surrogate_loss(
-            model, batch, forced, frozen, CHECK_LAMBDA, pg_weight=pg_w, sup_weight=sup_w
-        )
-
-    return gradient_check(loss_fn, params, tolerance=tolerance)
+    errors = {}
+    for params, loss_fn in groups:
+        errors.update(gradient_check(loss_fn, params, tolerance=tolerance).max_rel_error)
+    return GradCheckResult(errors, tolerance)
 
 
 def check_trajectory_loss(seed: int, frames: int = 12, tolerance: float = 1e-4) -> GradCheckResult:

@@ -358,6 +358,12 @@ def surrogate_loss(
     backpropagates: sup_weight * (regression + lam * smoothness) minus
     pg_weight * mean_q(r * log S(i_q)), both averaged over the batch. The
     forward is the training rollout's own selector and steering passes.
+
+    Under pinned selections the policy term reads only the selector and the
+    steering term only the regressor, so the objective is the sum of the
+    ``pg_weight`` call and the ``sup_weight`` call; a zero weight skips its
+    term. ``gradcheck.check_model`` relies on this: a probe of one network
+    re-evaluates only that network's term.
     """
     if frozen_rewards.ndim != 3 or frozen_rewards.shape[2] != 1:
         raise InvalidInput("surrogate_loss covers the single-sample (Q=1) estimator")

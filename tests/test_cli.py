@@ -90,6 +90,13 @@ def test_bad_config_file_exits_4(tmp_path, capsys, text):
         "scene.cluster_radius=-1",
         "scene.center_speed_min=3",  # above center_speed_max
         "scene.appearance_dim=0",  # written, then rejected by train
+        "data.train_count=-1",  # wrote an empty file
+        "data.test_count=0",
+        "model.selector_hidden=0",
+        "model.regressor_hidden=0",
+        "eval.grid_step=181",
+        "eval.h_span=361",
+        "eval.dp_smooth_weight=-1",
     ],
 )
 def test_bad_override_exits_4(tmp_path, capsys, override):
@@ -99,7 +106,9 @@ def test_bad_override_exits_4(tmp_path, capsys, override):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("override", ["train.lr_initial=NaN", "train.seq_len=1"])
+@pytest.mark.parametrize(
+    "override", ["train.lr_initial=NaN", "train.seq_len=1", "model.selector_hidden=0"]
+)
 def test_bad_training_setting_exits_4(tmp_path, capsys, override):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"scene": dataclasses.asdict(SCENE), "model": {
@@ -109,6 +118,28 @@ def test_bad_training_setting_exits_4(tmp_path, capsys, override):
     argv = ("train", "--config", config, "--set", override, "--data", _episodes(tmp_path))
     assert _run(capsys, *argv, "--out", run, "--epochs", 2, "--quiet") == EXIT_CONFIG
     assert not run.exists()
+
+
+@pytest.mark.parametrize("override", ["eval.grid_step=0", "eval.h_span=0", "eval.h_span=-5"])
+def test_bad_eval_setting_exits_4(tmp_path, capsys, override):
+    argv = ("eval", "--set", override, "--data", _episodes(tmp_path), "--methods", "offline_dp")
+    assert _run(capsys, *argv) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen-data", "--count", "0"),
+        ("gradcheck", "--seeds", "0"),  # checked nothing and passed
+        ("gradcheck", "--tolerance", "nan"),  # failed every check
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_flag_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "episodes.jsonl"
+    extra = ("--out", out) if argv[0] == "gen-data" else ()
+    assert _run(capsys, *argv, *extra) == EXIT_USAGE
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,9 @@ from viewpilot.agent import ModelDims, PilotModel, pilot_episode, save_model_che
 from viewpilot.diffcore import CHECKPOINT_FORMAT_VERSION, LrSchedule, gradient_check, softmax
 from viewpilot.errors import ConfigError, ParseError, StateError, VersionError
 from viewpilot.geometry import signed_azimuth_delta_array
-from viewpilot.gradcheck import MODES, check_model, check_trajectory_loss, make_check_batch
+from viewpilot.gradcheck import (
+    CHECK_LAMBDA, MODES, check_model, check_trajectory_loss, make_check_batch,
+)
 from viewpilot.observation import SceneConfig, episode_arrays, generate_dataset, synth_scene
 from viewpilot.training import (
     TrainConfig,
@@ -88,6 +90,74 @@ class TestGradientChecks:
 
         result = gradient_check(loss_fn, model.regressor.params(), tolerance=TOLERANCE)
         assert result.passed, result.max_rel_error
+
+
+def _check_model_one_loss(mode, seed, dims, frames, tolerance, corrupt=None):
+    """``check_model`` as one gradient check of the whole surrogate: every
+    probe re-evaluates both the policy and the steering term."""
+    sup_w, pg_w = {"selector": (0.0, 1.0), "regressor": (1.0, 0.0), "joint": (1.0, 1.0)}[mode]
+    model = PilotModel(dims, np.random.default_rng([seed, 100]))
+    batch, forced = make_check_batch(dims, frames, seed)
+    tape = rollout_window(model, batch, forced_indices=forced)
+    frozen = tape.rewards.copy()
+    for p in model.params():
+        p.zero_grad()
+    backward_window(model, tape, CHECK_LAMBDA, pg_weight=pg_w, sup_weight=sup_w)
+    if mode == "selector":
+        params = model.selector.params()
+    elif mode == "regressor":
+        params = model.regressor.params()
+    else:
+        params = model.params()
+    if corrupt is not None:
+        chosen = [p for p in params if p.name == corrupt][0]
+        chosen.grad += 0.5 * (1.0 + np.abs(chosen.grad))
+
+    def loss_fn():
+        return surrogate_loss(
+            model, batch, forced, frozen, CHECK_LAMBDA, pg_weight=pg_w, sup_weight=sup_w
+        )
+
+    return gradient_check(loss_fn, params, tolerance=tolerance)
+
+
+class TestSplitGradientCheck:
+    """``check_model`` probes each network against its own term of the
+    surrogate plus the other term's nominal value."""
+
+    DIMS = ModelDims(3, 3, 3, selector_hidden=3, regressor_hidden=3)
+    FRAMES = 4
+
+    @pytest.mark.parametrize(
+        "mode, seed, corrupt",
+        [(mode, seed, None) for mode in MODES for seed in range(3)]
+        + [("joint", 0, "selector.cell.w_hh"), ("joint", 0, "regressor.cell.w_hh")],
+    )
+    def test_equals_one_check_of_the_whole_loss(self, mode, seed, corrupt):
+        args = (mode, seed, self.DIMS, self.FRAMES, TOLERANCE, corrupt)
+        got = check_model(*args).max_rel_error
+        want = _check_model_one_loss(*args).max_rel_error
+        assert list(got.items()) == list(want.items())
+
+    @pytest.mark.parametrize("network, pg_weight, sup_weight", [
+        ("selector", 0.0, 1.0), ("regressor", 1.0, 0.0),
+    ])
+    def test_a_term_ignores_the_other_network(self, network, pg_weight, sup_weight):
+        # Under forced selections steering never reads the selector and the
+        # policy term never reads the regressor; the split check relies on it.
+        model = PilotModel(self.DIMS, np.random.default_rng(4))
+        batch, forced = make_check_batch(self.DIMS, self.FRAMES, 4)
+        rewards = np.random.default_rng(5).normal(size=(1, self.FRAMES, 1))
+
+        def loss(pg_w, sup_w):
+            return surrogate_loss(model, batch, forced, rewards, CHECK_LAMBDA, pg_w, sup_w)
+
+        nominal, moved = loss(pg_weight, sup_weight), loss(sup_weight, pg_weight)
+        rng = np.random.default_rng(6)
+        for p in getattr(model, network).params():
+            p.values += rng.normal(size=p.values.shape)
+        assert loss(pg_weight, sup_weight) == nominal
+        assert loss(sup_weight, pg_weight) != moved  # the perturbation reaches its own term
 
 
 class TestRolloutContracts:
