@@ -86,6 +86,34 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def write_benchmark(path, rows: list[evaluation.BenchmarkRow], details: list[dict]) -> None:
+    """JSON-lines benchmark output: aggregate rows then detail records."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(
+                json.dumps(
+                    {
+                        "record": "method",
+                        "method": row.method,
+                        "mo": row.mo,
+                        "mvd": row.mvd,
+                        "mvd_units": "degrees/frame",
+                        "episodes": row.episodes,
+                    }
+                )
+                + "\n"
+            )
+        for rec in details:
+            fh.write(json.dumps({"record": "episode", **rec}) + "\n")
+
+
+def format_benchmark(rows: list[evaluation.BenchmarkRow]) -> str:
+    lines = [f"{'method':<16} {'MO':>7} {'MVD (deg/frame)':>16} {'episodes':>9}"]
+    for row in rows:
+        lines.append(f"{row.method:<16} {row.mo:>7.3f} {row.mvd:>16.3f} {row.episodes:>9}")
+    return "\n".join(lines)
+
+
 def cmd_eval(args) -> int:
     config = _load_config(args)
     names = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -113,12 +141,12 @@ def cmd_eval(args) -> int:
         eta=config.train.eta,
     )
     rows, details = evaluation.benchmark(
-        methods, episodes, h_span=config.eval.h_span, jobs=max(args.jobs, 1)
+        methods, episodes, h_span=config.eval.h_span, jobs=args.jobs
     )
     print(f"checkpoint: {checkpoint_id}")
-    print(evaluation.format_benchmark(rows))
+    print(format_benchmark(rows))
     if args.out:
-        evaluation.write_benchmark(args.out, rows, details)
+        write_benchmark(args.out, rows, details)
         print(f"wrote benchmark records to {args.out}")
     return EXIT_OK
 
@@ -236,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated subset of: {', '.join(evaluation.METHOD_NAMES)}",
     )
     p.add_argument("--out", help="write JSON-lines benchmark records here")
-    p.add_argument("--jobs", type=int, default=1, help="episode-level worker threads")
+    p.add_argument("--jobs", type=_positive(int), default=1, help="episode-level worker threads")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("pilot", help="stream a checkpointed agent over an episode file")

@@ -3,8 +3,8 @@ softmax, SGD with a step-decay schedule, finite-difference gradient checks,
 and checkpoint files.
 
 Everything is float64 numpy. Backward passes are hand-derived; there is no
-general autodiff. Forward functions accept either a single vector or a
-batch-first 2-D array; backward helpers expect 2-D batches.
+general autodiff. Forward functions accept a single vector or a batch-first
+array (``unroll`` also stacked weights); backward helpers expect 2-D batches.
 """
 
 from __future__ import annotations
@@ -88,27 +88,30 @@ class TanhRnnCell:
         return dpre @ self.w_xh.values, dpre @ self.w_hh.values
 
     def unroll(self, xs: np.ndarray) -> np.ndarray:
-        """Hidden states (B, T+1, H) over a (B, T, D) input sequence, from a
-        zero initial state at index 0.
+        """Hidden states (..., B, T+1, H) over a (B, T, D) input sequence,
+        from a zero initial state at index 0.
 
         The input projection of every step is one GEMM ahead of the
         recurrence; each step then adds only ``h @ W_hh`` and the bias, in
-        the summation order of :meth:`step`. The states are a batch-major
-        view of a time-major array.
+        the summation order of :meth:`step`. Weights may carry leading
+        probe axes (..., H, ·), which the states then lead with; each slice
+        is the 2-D computation. The states are a view of a time-major array.
         """
         b, t_total, d = xs.shape
         if d != self.input_dim:
             raise InvalidInput(f"cell expects input {self.input_dim}, got {d}")
-        xproj = (xs.reshape(-1, d) @ self.w_xh.values.T).reshape(b, t_total, self.hidden_dim)
-        hs = np.empty((t_total + 1, b, self.hidden_dim))
+        w_hh, bias = self.w_hh.values.swapaxes(-1, -2), self.b.values[..., None, :]
+        xproj = xs.reshape(-1, d) @ self.w_xh.values.swapaxes(-1, -2)
+        xproj = xproj.reshape(xproj.shape[:-2] + (b, t_total, self.hidden_dim))
+        lead = np.broadcast_shapes(xproj.shape[:-3], w_hh.shape[:-2], bias.shape[:-2])
+        hs = np.empty((t_total + 1,) + lead + (b, self.hidden_dim))
         h = hs[0]
         h[...] = 0.0
-        w_hh, bias = self.w_hh.values.T, self.b.values
         for t in range(t_total):
-            h = np.add(xproj[:, t], h @ w_hh, out=hs[t + 1])
+            h = np.add(xproj[..., t, :], h @ w_hh, out=hs[t + 1])
             h += bias
             np.tanh(h, out=h)
-        return hs.transpose(1, 0, 2)
+        return hs.transpose(tuple(range(1, hs.ndim - 1)) + (0, hs.ndim - 1))
 
     def accumulate_grads(self, dpre: np.ndarray, xs: np.ndarray, h_prevs: np.ndarray) -> None:
         """Parameter grads of many recorded steps as one GEMM each.
@@ -237,37 +240,50 @@ class GradCheckResult:
         return name, self.max_rel_error[name]
 
 
+_PROBE_BLOCK_ENTRIES = 1 << 16  # bound on one probe block's stacked entries (512 kB)
+
+
 def gradient_check(
     loss_fn, params: Sequence[ParamTensor], tolerance: float = 1e-4
 ) -> GradCheckResult:
     """Compare the analytic grads already stored in ``params`` against
     central finite differences of ``loss_fn`` with step 1e-5.
 
-    ``loss_fn()`` must be a deterministic scalar function of the current
-    parameter values with no gradient side effects. The relative error
-    denominator is floored at 1e-3 so that entries whose true gradient is
-    far below the finite-difference noise floor compare in absolute terms.
+    A tensor's entries are probed k at a time, 2k * size at most
+    ``_PROBE_BLOCK_ENTRIES`` (k >= 1). ``loss_fn(param, values)`` runs with
+    ``param.values`` set to the (2k, *shape) stack whose row j holds the
+    j-th entry at orig + step and row k + j at orig - step, and returns the
+    2k losses, with no gradient side effects. Each probe is its own slice
+    and reductions run along contiguous trailing axes, so each loss is the
+    float the 2-D forward gives for that probe alone. The relative error
+    denominator is floored at 1e-3 so that gradients far below the
+    finite-difference noise floor compare in absolute terms.
     """
     step = 1e-5
-    analytic = {p.name: p.grad.copy() for p in params}
+    analytic = {p.name: p.grad.reshape(-1).copy() for p in params}
     errors: dict[str, float] = {}
     for p in params:
-        worst = 0.0
-        flat = p.values.reshape(-1)
-        ref = analytic[p.name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            f_plus = loss_fn()
-            flat[i] = orig - step
-            f_minus = loss_fn()
-            flat[i] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise NumericsError(f"non-finite loss while probing {p.name}[{i}]")
+        nominal, ref, worst = p.values, analytic[p.name], 0.0
+        flat = nominal.reshape(-1)
+        per_block = max(1, _PROBE_BLOCK_ENTRIES // max(2 * flat.size, 1))
+        for lo in range(0, flat.size, per_block):
+            idx = np.arange(lo, min(lo + per_block, flat.size))
+            stack = np.tile(flat, (2, idx.size, 1))
+            stack[0, idx - lo, idx] = flat[idx] + step
+            stack[1, idx - lo, idx] = flat[idx] - step
+            p.values = stack.reshape((2 * idx.size,) + nominal.shape)
+            try:
+                losses = np.asarray(loss_fn(p, p.values), dtype=np.float64)
+            finally:
+                p.values = nominal
+            f_plus, f_minus = losses.reshape(2, -1)
+            finite = np.isfinite(f_plus) & np.isfinite(f_minus)
+            if not finite.all():
+                raise NumericsError(f"non-finite loss while probing {p.name}[{idx[finite.argmin()]}]")
             numeric = (f_plus - f_minus) / (2.0 * step)
-            denom = max(abs(ref[i]), abs(numeric), 1e-3)
-            worst = max(worst, abs(ref[i] - numeric) / denom)
-        errors[p.name] = worst
+            denom = np.maximum(np.maximum(np.abs(ref[idx]), np.abs(numeric)), 1e-3)
+            worst = np.maximum(worst, (np.abs(ref[idx] - numeric) / denom).max())
+        errors[p.name] = float(worst)
     return GradCheckResult(errors, tolerance)
 
 

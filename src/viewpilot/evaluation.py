@@ -1,5 +1,5 @@
 """Metrics (mean overlap, mean velocity difference), baseline pilots, the
-offline dynamic-programming view-path optimizer, and benchmark tables.
+offline dynamic-programming view-path optimizer, and benchmark rows.
 
 MVD is reported in degrees per frame. Benchmark rows carry, per method, the
 MO/MVD means over episodes plus per-episode detail records, including how
@@ -8,7 +8,6 @@ many frames contained no real detections.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -288,31 +287,3 @@ def benchmark(
             for i, mo, mvd in results
         )
     return rows, details
-
-
-def write_benchmark(path, rows: list[BenchmarkRow], details: list[dict]) -> None:
-    """JSON-lines benchmark output: aggregate rows then detail records."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(
-                json.dumps(
-                    {
-                        "record": "method",
-                        "method": row.method,
-                        "mo": row.mo,
-                        "mvd": row.mvd,
-                        "mvd_units": "degrees/frame",
-                        "episodes": row.episodes,
-                    }
-                )
-                + "\n"
-            )
-        for rec in details:
-            fh.write(json.dumps({"record": "episode", **rec}) + "\n")
-
-
-def format_benchmark(rows: list[BenchmarkRow]) -> str:
-    lines = [f"{'method':<16} {'MO':>7} {'MVD (deg/frame)':>16} {'episodes':>9}"]
-    for row in rows:
-        lines.append(f"{row.method:<16} {row.mo:>7.3f} {row.mvd:>16.3f} {row.episodes:>9}")
-    return "\n".join(lines)

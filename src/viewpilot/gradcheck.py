@@ -9,6 +9,21 @@ only the regressor. Each term is evaluated once at the nominal parameters;
 a probe of one network's parameter then re-evaluates only that network's
 term and adds the other term's nominal value, which is the same float sum
 as re-evaluating both.
+
+``diffcore.gradient_check`` evaluates the probes of one parameter tensor
+together: it installs a (P, *shape) stack of probe values as the tensor's
+values and the loss returns all P losses from one forward through the
+training kernels (``TanhRnnCell.unroll``, the selector head and softmax,
+``training._steer`` and ``loss_terms``), which take weights with leading
+probe axes. Probes go in blocks whose stack holds at most
+``diffcore._PROBE_BLOCK_ENTRIES`` entries, which bounds the temporaries
+(the selector's input weights at ``CHECK_DIMS`` take about 60 blocks).
+The results are bit-identical to evaluating each probe alone: every probe
+is its own slice of each stacked array, each stacked matmul runs the same
+per-slice GEMM as the 2-D call, and every reduction runs along contiguous
+trailing axes, so each slice is summed in the order the 2-D forward sums
+it. ``tests/test_training.py`` compares every mode against a per-entry
+loop that calls the loss once per probe.
 """
 
 from __future__ import annotations
@@ -87,8 +102,8 @@ def check_model(
 
     pg_nominal, sup_nominal = loss(pg_w, 0.0), loss(0.0, sup_w)
     groups = [  # each network's probes re-evaluate only that network's term
-        (model.selector.params(), lambda: loss(pg_w, 0.0) + sup_nominal),
-        (model.regressor.params(), lambda: pg_nominal + loss(0.0, sup_w)),
+        (model.selector.params(), lambda param, values: loss(pg_w, 0.0) + sup_nominal),
+        (model.regressor.params(), lambda param, values: pg_nominal + loss(0.0, sup_w)),
     ]
     groups = [group for group, weight in zip(groups, (pg_w, sup_w)) if weight != 0.0]
     if corrupt is not None:
@@ -110,8 +125,8 @@ def check_trajectory_loss(seed: int, frames: int = 12, tolerance: float = 1e-4) 
     tensor = ParamTensor("trajectory.pred", pred)
     tensor.grad[...] = loss_grad(tensor.values[None], gt[None], CHECK_LAMBDA)[0]
 
-    def loss_fn():
-        reg, smo = loss_terms(tensor.values[None], gt[None])
-        return float(reg[0]) + CHECK_LAMBDA * float(smo[0])
+    def loss_fn(param, values):  # all 2 * frames * 2 probes as one batch
+        reg, smo = loss_terms(values, gt)
+        return reg + CHECK_LAMBDA * smo
 
     return gradient_check(loss_fn, [tensor], tolerance=tolerance)

@@ -32,13 +32,14 @@ class SelectorNetwork:
         return h, softmax(self.head.apply(h))
 
     def unroll(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Hidden states (B, T+1, H) and selection distributions (B, T, N)
-        over a (B, T, D) observation sequence, from a zero initial state.
+        """Hidden states (..., B, T+1, H) and selection distributions
+        (..., B, T, N) over a (B, T, D) sequence, from a zero initial state.
 
         The selector never sees the chosen view, so its whole recurrence
         can run ahead of steering; the head and softmax run once over all
         B*T states.
         """
         hs = self.cell.unroll(flat)
-        logits = self.head.apply(hs[:, 1:].reshape(-1, self.hidden_dim))
-        return hs, softmax(logits.reshape(flat.shape[0], flat.shape[1], self.n_slots))
+        states = hs[..., 1:, :].reshape(hs.shape[:-3] + (-1, self.hidden_dim))
+        logits = states @ self.head.w.values.swapaxes(-1, -2)
+        return hs, softmax(logits.reshape(logits.shape[:-2] + flat.shape[:2] + (self.n_slots,)))

@@ -150,24 +150,26 @@ def _steer(model: PilotModel, batch: WindowBatch, selected: np.ndarray):
 
     Each step is the arithmetic of ``RegressorNetwork.forward`` written
     into preallocated buffers, which keeps the per-frame call count low.
-    Returns time-major arrays: regressor inputs (T, B, k+2), hidden states
-    (T+1, B, R), unclamped angles (T, B, 2) and viewing angles (T+1, B, 2),
-    each state array with the initial state first.
-    """
+    Returns time-major arrays: regressor inputs (T, ..., B, k+2), hidden
+    states (T+1, ..., B, R), unclamped angles (T, ..., B, 2) and viewing
+    angles (T+1, ..., B, 2), state arrays with the initial state first and
+    "..." the weights' leading probe axes (none for 2-D weights)."""
     b, t_total = selected.shape
     k = batch.motions.shape[3]
-    cell, w_r = model.regressor.cell, model.regressor.head.w.values.T
-    w_xh, w_hh, bias = cell.w_xh.values.T, cell.w_hh.values.T, cell.b.values
+    cell, w_r = model.regressor.cell, model.regressor.head.w.values.swapaxes(-1, -2)
+    w_xh, w_hh = cell.w_xh.values.swapaxes(-1, -2), cell.w_hh.values.swapaxes(-1, -2)
+    bias = cell.b.values[..., None, :]
+    lead = np.broadcast_shapes(w_r.shape[:-2], w_xh.shape[:-2], w_hh.shape[:-2], bias.shape[:-2])
     pick = (np.arange(b), np.arange(t_total)[:, None], selected.T)
     pos = batch.positions[pick]
-    xr = np.empty((t_total, b, k + 2))
-    xr[..., :k] = batch.motions[pick]
-    mus = np.zeros((t_total + 1, b, cell.hidden_dim))
-    raw = np.empty((t_total, b, 2))
-    angles = np.empty((t_total + 1, b, 2))
+    xr = np.empty((t_total,) + lead + (b, k + 2))
+    xr[..., :k] = batch.motions[pick].reshape((t_total,) + (1,) * len(lead) + (b, k))
+    mus = np.zeros((t_total + 1,) + lead + (b, cell.hidden_dim))
+    raw = np.empty(xr.shape[:-1] + (2,))
+    angles = np.empty(mus.shape[:-1] + (2,))
     angles[0] = batch.gt[:, 0]
     for t in range(t_total):
-        _follow_offset(pos[t], angles[t], xr[t, :, k:])
+        _follow_offset(pos[t], angles[t], xr[t, ..., k:])
         pre = xr[t] @ w_xh
         pre += mus[t] @ w_hh
         pre += bias
@@ -348,16 +350,16 @@ def surrogate_loss(
     lam: float,
     pg_weight: float = 1.0,
     sup_weight: float = 1.0,
-    eta: float = DEFAULT_ETA,
-) -> float:
-    """Deterministic scalar objective used for gradient checking.
+) -> float | np.ndarray:
+    """Deterministic objective used for gradient checking.
 
     The discrete selections are pinned to ``forced_indices`` and the
     REINFORCE rewards to ``frozen_rewards`` (REINFORCE treats rewards as
     constants), leaving exactly the differentiable paths the training step
     backpropagates: sup_weight * (regression + lam * smoothness) minus
     pg_weight * mean_q(r * log S(i_q)), both averaged over the batch. The
-    forward is the training rollout's own selector and steering passes.
+    forward is the training rollout's own selector and steering passes;
+    a weight with a leading probe axis gives one loss per probe.
 
     Under pinned selections the policy term reads only the selector and the
     steering term only the regressor, so the objective is the sum of the
@@ -370,13 +372,15 @@ def surrogate_loss(
     forced = np.asarray(forced_indices, dtype=np.int64)
     total = 0.0
     if pg_weight != 0.0:
-        _, probs = model.selector.unroll(batch.flat)
-        logp = np.log(np.take_along_axis(probs, forced[..., None], axis=2))
-        total -= pg_weight * float((frozen_rewards * logp).sum()) / batch.size
+        probs = model.selector.unroll(batch.flat)[1]
+        chosen = probs[..., np.arange(batch.size)[:, None], np.arange(batch.frames), forced]
+        terms = np.ascontiguousarray(frozen_rewards[..., 0] * np.log(chosen))
+        total -= pg_weight * terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1) / batch.size
     if sup_weight != 0.0:
         angles = _steer(model, batch, forced)[3]
-        reg_term, smo_term = loss_terms(angles[1:].transpose(1, 0, 2), batch.gt)
-        total += sup_weight * float(reg_term.mean() + lam * smo_term.mean())
+        pred = np.ascontiguousarray(np.moveaxis(angles[1:], 0, -2))
+        reg_term, smo_term = loss_terms(pred, batch.gt)
+        total += sup_weight * (reg_term.mean(axis=-1) + lam * smo_term.mean(axis=-1))
     return total
 
 
@@ -393,9 +397,6 @@ class StepStats:
     smoothness: float
     mean_reward: float
     frames: int
-
-    def total(self, lam: float) -> float:
-        return self.regression + lam * self.smoothness
 
 
 @dataclass(frozen=True)
@@ -580,9 +581,10 @@ def train(
     with open(metrics_path, "a+b") as rows:
         # Keep one row per epoch up to the start; this run writes the rest.
         rows.seek(0)
-        for _ in range(start_epoch):
-            rows.readline()
+        kept = sum(bool(rows.readline()) for _ in range(start_epoch))
         rows.truncate()
+    if kept < start_epoch:
+        print(f"warning: {metrics_path.name} holds {kept} rows, expected {start_epoch}", file=sys.stderr)
     with open(metrics_path, "a", encoding="utf-8") as metrics:
         for epoch in range(start_epoch, config.max_epochs):
             lr = schedule.lr(epoch)

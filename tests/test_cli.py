@@ -132,12 +132,16 @@ def test_bad_eval_setting_exits_4(tmp_path, capsys, override):
         ("gen-data", "--count", "0"),
         ("gradcheck", "--seeds", "0"),  # checked nothing and passed
         ("gradcheck", "--tolerance", "nan"),  # failed every check
+        ("eval", "--jobs", "0"),  # ran with one worker
+        ("eval", "--jobs", "-3"),
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_bad_flag_exits_2(tmp_path, capsys, argv):
-    out = tmp_path / "episodes.jsonl"
-    extra = ("--out", out) if argv[0] == "gen-data" else ()
+    out = tmp_path / "out.jsonl"
+    extra = ("--out", out) if argv[0] in ("gen-data", "eval") else ()
+    if argv[0] == "eval":
+        extra += ("--data", _episodes(tmp_path), "--methods", "center_hold")
     assert _run(capsys, *argv, *extra) == EXIT_USAGE
     assert not out.exists()
 

@@ -8,6 +8,7 @@ import pytest
 
 from viewpilot.cli import EXIT_IO, main
 from viewpilot.diffcore import (
+    GradCheckResult,
     Linear,
     LrSchedule,
     ParamTensor,
@@ -91,6 +92,22 @@ class TestTanhRnnCell:
             h = cell.step(xs[:, t], h)
             np.testing.assert_allclose(hs[:, t + 1], h, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("name", ["w_xh", "w_hh", "b"])
+    def test_unroll_over_stacked_weights_is_each_slice_alone(self, name):
+        # gradient_check stacks the probes of one tensor on a leading axis;
+        # every slice must be the float the 2-D unroll gives for it.
+        rng = np.random.default_rng(4)
+        cell = TanhRnnCell("c", 5, 6, rng)
+        xs = rng.normal(size=(2, 9, 5))
+        param = getattr(cell, name)
+        stack = param.values + rng.normal(size=(3,) + param.shape)
+        param.values = stack
+        stacked = cell.unroll(xs)
+        assert stacked.shape == (3, 2, 10, 6)
+        for i in range(3):
+            param.values = stack[i]
+            np.testing.assert_array_equal(stacked[i], cell.unroll(xs))
+
 
 class TestBpttBackward:
     def test_zero_upstream_gives_zero_grads(self):
@@ -116,13 +133,9 @@ class TestBpttBackward:
         cell = TanhRnnCell("c", 3, 4, rng)
         xs = rng.normal(size=(1, 6, 3))
 
-        def loss_fn():
-            h = np.zeros((1, 4))
-            total = 0.0
-            for t in range(6):
-                h = cell.step(xs[:, t], h)
-                total += float(h.sum())
-            return total
+        def loss_fn(param, values):  # the probed tensor is installed in the cell
+            hs = cell.unroll(xs)[..., 1:, :]
+            return hs.reshape(hs.shape[:-3] + (-1,)).sum(axis=-1)
 
         cell.backward_unroll(np.ones((1, 6, 4)), xs, cell.unroll(xs))
         result = gradient_check(loss_fn, cell.params(), tolerance=1e-4)
@@ -174,12 +187,39 @@ class TestSgdStep:
         assert np.linalg.norm(p.values) == pytest.approx(5.0)
 
 
+def per_entry_gradient_check(loss_fn, params, tolerance=1e-4):
+    """``gradient_check`` one probe at a time: the scalar ``loss_fn()`` reads
+    the parameters, whose entries are moved in place. The reference the
+    stacked check must match bit for bit."""
+    step = 1e-5
+    analytic = {p.name: p.grad.copy() for p in params}
+    errors = {}
+    for p in params:
+        worst = 0.0
+        flat = p.values.reshape(-1)
+        ref = analytic[p.name].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            f_plus = loss_fn()
+            flat[i] = orig - step
+            f_minus = loss_fn()
+            flat[i] = orig
+            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                raise NumericsError(f"non-finite loss while probing {p.name}[{i}]")
+            numeric = (f_plus - f_minus) / (2.0 * step)
+            denom = max(abs(ref[i]), abs(numeric), 1e-3)
+            worst = max(worst, abs(ref[i] - numeric) / denom)
+        errors[p.name] = worst
+    return GradCheckResult(errors, tolerance)
+
+
 class TestGradientCheck:
     def test_negative_control_fails(self):
         p = ParamTensor("p", np.array([0.3, -0.7]))
 
-        def loss_fn():
-            return float(np.sum(p.values**2))
+        def loss_fn(param, values):
+            return np.sum(values**2, axis=-1)
 
         p.grad[...] = 2.0 * p.values
         assert gradient_check(loss_fn, [p]).passed
@@ -187,18 +227,46 @@ class TestGradientCheck:
         assert not gradient_check(loss_fn, [p]).passed
 
     def test_empty_parameter_list_passes_vacuously(self):
-        result = gradient_check(lambda: 0.0, [])
+        result = gradient_check(lambda param, values: np.zeros(len(values)), [])
         assert result.passed
         assert result.max_rel_error == {}
 
     def test_nonfinite_loss_raises(self):
-        p = ParamTensor("p", np.array([1.0]))
+        # sqrt is NaN only at the minus probe of the entry at zero
+        p = ParamTensor("p", np.array([1.0, 2.0, 0.0, 3.0]))
 
-        def loss_fn():
-            return float("nan")
+        def loss_fn(param, values):
+            with np.errstate(invalid="ignore"):
+                return np.sqrt(values).sum(axis=-1)
 
-        with pytest.raises(NumericsError):
+        with pytest.raises(NumericsError, match=r"probing p\[2\]"):
             gradient_check(loss_fn, [p])
+
+    def test_nan_analytic_gradient_fails(self):
+        # a NaN error must fail the check, not drop out of the running max
+        p = ParamTensor("p", np.array([0.3, -0.7]))
+        p.grad[...] = [0.6, np.nan]
+        result = gradient_check(lambda param, values: np.sum(values**2, axis=-1), [p])
+        assert not result.passed
+
+    def test_blocks_match_the_per_entry_reference(self):
+        # More entries than one block holds, and not a multiple of the block.
+        rng = np.random.default_rng(7)
+        p = ParamTensor("p", rng.normal(size=(25, 40)))
+        weights = rng.normal(size=p.shape)
+        p.grad[...] = np.cos(p.values) * weights
+        p.grad[3, 5] += 1e-3  # one entry far enough off to set the worst error
+        blocks = []
+
+        def loss_fn(param, values):
+            blocks.append(len(values))
+            terms = np.sin(values) * weights
+            return terms.reshape(len(values), -1).sum(axis=-1)
+
+        got = gradient_check(loss_fn, [p]).max_rel_error
+        assert len(blocks) > 1 and sum(blocks) == 2 * p.values.size and blocks[-1] < blocks[0]
+        want = per_entry_gradient_check(lambda: float(np.sum(np.sin(p.values) * weights)), [p])
+        assert got == want.max_rel_error
 
 
 class TestCheckpoints:

@@ -27,6 +27,8 @@ def test_import_adds_only_the_known_modules():
     )
     added = ast.literal_eval(done.stdout.strip().splitlines()[-1])
     assert "viewpilot.evaluation" in added
+    # The checker and the command line are loaded by their callers only.
+    assert "viewpilot.gradcheck" not in added and "viewpilot.cli" not in added
     extra = [
         name for name in added
         if name.split(".")[0] not in ("viewpilot", "json") and name not in ALLOWED

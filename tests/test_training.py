@@ -10,14 +10,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from viewpilot import gradcheck
 from viewpilot.agent import ModelDims, PilotModel, pilot_episode, save_model_checkpoint
-from viewpilot.diffcore import CHECKPOINT_FORMAT_VERSION, LrSchedule, gradient_check, softmax
+from viewpilot.diffcore import (
+    CHECKPOINT_FORMAT_VERSION, LrSchedule, ParamTensor, gradient_check, softmax,
+)
 from viewpilot.errors import ConfigError, ParseError, StateError, VersionError
 from viewpilot.geometry import signed_azimuth_delta_array
 from viewpilot.gradcheck import (
     CHECK_LAMBDA, MODES, check_model, check_trajectory_loss, make_check_batch,
 )
 from viewpilot.observation import SceneConfig, episode_arrays, generate_dataset, synth_scene
+from viewpilot.regressor import loss_grad, loss_terms
 from viewpilot.training import (
     TrainConfig,
     WindowBatch,
@@ -31,6 +35,7 @@ from viewpilot.training import (
     train,
 )
 
+from test_diffcore import per_entry_gradient_check  # one probe per loss call
 from test_selector import policy_gradient_contribution, sample_indices  # per-frame references
 
 TOLERANCE = 1e-4
@@ -88,8 +93,10 @@ class TestGradientChecks:
         def loss_fn():
             return surrogate_loss(model, batch, forced, tape.rewards, lam, pg_weight=0.0)
 
-        result = gradient_check(loss_fn, model.regressor.params(), tolerance=TOLERANCE)
+        result = per_entry_gradient_check(loss_fn, model.regressor.params(), tolerance=TOLERANCE)
         assert result.passed, result.max_rel_error
+        stacked = gradient_check(lambda param, values: loss_fn(), model.regressor.params())
+        assert stacked.max_rel_error == result.max_rel_error
 
 
 def _check_model_one_loss(mode, seed, dims, frames, tolerance, corrupt=None):
@@ -118,7 +125,17 @@ def _check_model_one_loss(mode, seed, dims, frames, tolerance, corrupt=None):
             model, batch, forced, frozen, CHECK_LAMBDA, pg_weight=pg_w, sup_weight=sup_w
         )
 
-    return gradient_check(loss_fn, params, tolerance=tolerance)
+    return per_entry_gradient_check(loss_fn, params, tolerance=tolerance)
+
+
+def _per_entry_check_model(monkeypatch, *args, **kwargs):
+    """``check_model`` with every probe evaluated alone by the per-entry loop."""
+    def per_entry(loss_fn, params, tolerance):
+        return per_entry_gradient_check(lambda: loss_fn(None, None), params, tolerance)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gradcheck, "gradient_check", per_entry)
+        return check_model(*args, **kwargs)
 
 
 class TestSplitGradientCheck:
@@ -138,6 +155,32 @@ class TestSplitGradientCheck:
         got = check_model(*args).max_rel_error
         want = _check_model_one_loss(*args).max_rel_error
         assert list(got.items()) == list(want.items())
+
+    @pytest.mark.parametrize(
+        "mode, corrupt", [(mode, None) for mode in MODES] + [("selector", "selector.cell.w_xh")]
+    )
+    def test_stacked_probes_equal_the_per_entry_check_at_the_bench_dims(
+        self, monkeypatch, mode, corrupt
+    ):
+        # gradcheck.CHECK_DIMS at seed 0 is the benchmark's configuration;
+        # selector.cell.w_xh there spans several probe blocks.
+        got = check_model(mode, 0, corrupt=corrupt).max_rel_error
+        want = _per_entry_check_model(monkeypatch, mode, 0, corrupt=corrupt).max_rel_error
+        assert list(got.items()) == list(want.items())
+
+    def test_trajectory_check_equals_the_per_entry_check(self):
+        got = check_trajectory_loss(0).max_rel_error
+        rng = np.random.default_rng([0, 103])
+        pred = np.column_stack([rng.uniform(0, 360, 12), rng.uniform(-50, 50, 12)])
+        gt = pred + rng.normal(scale=5.0, size=(12, 2))
+        tensor = ParamTensor("trajectory.pred", pred)
+        tensor.grad[...] = loss_grad(pred[None], gt[None], CHECK_LAMBDA)[0]
+
+        def loss_fn():
+            reg, smo = loss_terms(tensor.values[None], gt[None])
+            return float(reg[0]) + CHECK_LAMBDA * float(smo[0])
+
+        assert got == per_entry_gradient_check(loss_fn, [tensor]).max_rel_error
 
     @pytest.mark.parametrize("network, pg_weight, sup_weight", [
         ("selector", 0.0, 1.0), ("regressor", 1.0, 0.0),
@@ -260,6 +303,16 @@ class TestResume:
         (tmp_path / checkpoint_name(7)).unlink()
         train(episodes, dataclasses.replace(config, max_epochs=9), DIMS, tmp_path, resume=True)
         assert [json.loads(row)["epoch"] for row in self._rows(tmp_path)] == list(range(1, 10))
+
+    def test_resume_warns_when_metrics_rows_are_missing(self, tmp_path, capsys):
+        episodes = generate_dataset(SCENE, 3, 2)
+        train(episodes, self.CONFIG, DIMS, tmp_path)
+        (tmp_path / "metrics.jsonl").unlink()
+        capsys.readouterr()
+        train(episodes, dataclasses.replace(self.CONFIG, max_epochs=6), DIMS, tmp_path, resume=True)
+        warning = capsys.readouterr().err.splitlines()
+        assert len(warning) == 1 and "metrics.jsonl holds 0 rows, expected 4" in warning[0]
+        assert [json.loads(row)["epoch"] for row in self._rows(tmp_path)] == [5, 6]
 
     def test_two_epochs_plus_a_resumed_two_equal_four(self, tmp_path):
         episodes = generate_dataset(SCENE, 3, 2)
