@@ -162,19 +162,9 @@ def write_trajectory(path, records, checkpoint_id: str, episode_index: int = 0, 
         fh = open(path, "w", encoding="utf-8")
     try:
         fh.write(json.dumps({"checkpoint": checkpoint_id, "episode": episode_index}) + "\n")
-        for frame_index, angle, selected in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "frame": frame_index,
-                        "azimuth": angle.azimuth,
-                        "elevation": angle.elevation,
-                        "selected": selected,
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+        for t, angle, selected in records:  # as json.dumps(rec, separators=(",", ":")) writes it
+            az, el = angle.azimuth, angle.elevation
+            fh.write(f'{{"frame":{t:d},"azimuth":{az!r},"elevation":{el!r},"selected":{selected:d}}}\n')
     finally:
         if own:
             fh.close()

@@ -20,6 +20,12 @@ The synthetic generator stands in for a detector/tracker pipeline: it
 moves K objects on the angle plane, designates one as the main object,
 and emits noisy per-frame detections plus a smoothed ground-truth
 viewing-angle track.
+
+Episode files are read a block of frame records at a time, each field of a
+block checked once as one array, so streaming an episode holds one block in
+memory whatever its length. A record is refused, naming its line, unless it
+holds only finite numbers (no booleans), scores in [0, 1], a gt of two
+angles, and a gt_object_index in [0, N) on every frame of its episode or none.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .geometry import (
 )
 
 EPISODE_FORMAT_VERSION = 1
+_BLOCK_FRAMES = 64  # frame records an episode reader reads and checks as one block
 
 # Angle-valued entries of the flat network input are stored in half-turn
 # units so every feature block is O(1); raw tanh units saturate on degree
@@ -404,9 +411,9 @@ def generate_dataset(config: SceneConfig, seed: int, count: int) -> list[Episode
 
 
 # ---------------------------------------------------------------------------
-# Episode files: UTF-8 JSON lines. Each episode block starts with a header
-# record {format_version, d, k, n, t} followed by t frame records. json
-# serializes floats with repr, so round-trips are bit-exact.
+# Episode files: UTF-8 JSON lines. Each episode starts with a header record
+# {format_version, d, k, n, t} followed by t frame records, read _BLOCK_FRAMES
+# at a time. json serializes floats with repr, so round-trips are bit-exact.
 # ---------------------------------------------------------------------------
 
 
@@ -458,21 +465,24 @@ def _parse_header(rec: dict, lineno: int) -> dict:
 
 
 def _finite(values, shape: tuple) -> np.ndarray:
-    """A float64 array of ``shape`` from JSON numbers, all finite."""
+    """A float64 array of ``shape`` from JSON numbers (not booleans), all finite."""
     arr = np.array(values)
-    if arr.shape != shape or arr.dtype.kind not in "biuf":
+    if arr.shape != shape or arr.dtype.kind not in "iuf":
         raise ValueError(f"expected {shape} numbers, got shape {arr.shape} of {arr.dtype}")
+    if bool in map(type, np.array(values, dtype=object).flat):
+        raise ValueError(f"expected {shape} numbers, got a boolean")
     arr = arr.astype(np.float64)
     if not np.isfinite(arr).all():
         raise ValueError("non-finite value")
     return arr
 
 
-def _parse_frame(rec: dict, header: dict, lineno: int) -> tuple:
-    """A frame record's finite arrays, scores (n,), (azimuths, elevations)
-    (2, n) not yet wrapped or clamped, appearance (n, d) and motions (n, k),
-    then its gt ViewingAngle and gt_object_index or None."""
-    n, d, k = header["n"], header["d"], header["k"]
+def _parse_frame(text: str, header: dict, lineno: int, has_idx: bool | None) -> tuple:
+    """A frame record line as a block of one, or the ParseError of its first fault;
+    gt_object_index must be present if ``has_idx`` is True, absent if False, either if None."""
+    if not text:
+        raise ParseError("expected frame record, found end of file", line=lineno)
+    rec, n, d, k = _parse_json_line(text, lineno), header["n"], header["d"], header["k"]
     try:
         objects, main_idx = rec["objects"], rec.get("gt_object_index")
         gt = ViewingAngle(rec["gt"][0], rec["gt"][1])
@@ -486,14 +496,60 @@ def _parse_frame(rec: dict, header: dict, lineno: int) -> tuple:
             raise ValueError(f"scores must be in [0, 1], got {scores.tolist()}")
         angles = _finite((azimuths, elevations), (2, n))
         appearance, motions = _finite(appearance, (n, d)), _finite(motions, (n, k))
+        if len(rec["gt"]) != 2 or bool in map(type, rec["gt"]):
+            raise ValueError(f"gt must be two numbers [azimuth, elevation], got {rec['gt']!r}")
+        if main_idx is not None and (type(main_idx) is not int or not 0 <= main_idx < n):
+            raise ValueError(f"gt_object_index must be an integer in [0, {n}), got {main_idx!r}")
+        if has_idx is not None and has_idx != (main_idx is not None):
+            raise ValueError("gt_object_index must be on every frame of an episode or on none")
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad frame record: {exc}", line=lineno) from exc
-    return scores, angles, appearance, motions, gt, main_idx
+    gt = np.array([[gt.azimuth, gt.elevation]])
+    return appearance[None], land_angles(angles.T[None]), motions[None], scores[None], gt, [main_idx]
+
+
+def _read_block(texts: list, header: dict, has_idx: bool | None) -> tuple | None:
+    """Frame record lines as one block of :func:`_frame_blocks`, each field
+    read by one np.array call and checked once, or None if a check fails."""
+    n, d, k, c = header["n"], header["d"], header["k"], len(texts)
+    try:
+        recs = [json.loads(text) for text in texts]
+        s, az, el, app, mot = zip(*(zip(*rec["objects"], strict=True) for rec in recs), strict=True)
+        gt, idxs = [rec["gt"] for rec in recs], [rec.get("gt_object_index") for rec in recs]
+        arrays = [np.array(a) for a in (s, (az, el), app, mot, gt)]
+    except (KeyError, TypeError, ValueError):
+        return None
+    scores, angles, appearance, motions, gt = arrays
+    has_idx = idxs[0] is not None if has_idx is None else has_idx
+    if not (
+        [a.shape for a in arrays] == [(c, n), (2, c, n), (c, n, d), (c, n, k), (c, 2)]
+        and all(a.dtype == np.float64 and np.isfinite(a).all() for a in arrays)
+        and ((scores >= 0.0) & (scores <= 1.0)).all()
+        and not any("true" in text or "false" in text for text in texts)  # booleans read as 1.0
+        and (all(type(i) is int and 0 <= i < n for i in idxs) if has_idx else idxs.count(None) == c)
+    ):
+        return None
+    return appearance, land_angles(angles.transpose(1, 2, 0)), motions, scores, land_angles(gt), idxs
+
+
+def _frame_blocks(fh, header: dict, lineno: int) -> Iterator[tuple]:
+    """The t frame records after the header at ``lineno`` in blocks of c <=
+    _BLOCK_FRAMES: appearance (c, n, d), positions (c, n, 2), motions (c, n, k),
+    scores (c, n), gt (c, 2) and c gt_object_index values. A block that fails
+    a check is parsed again record by record, to name the bad line."""
+    has_idx = None  # whether the frames carry gt_object_index: None until the first says
+    for first in range(lineno + 1, lineno + 1 + header["t"], _BLOCK_FRAMES):
+        texts = [fh.readline() for _ in range(min(_BLOCK_FRAMES, lineno + 1 + header["t"] - first))]
+        blocks = [_read_block(texts, header, has_idx)]
+        if blocks[0] is None:  # each record is parsed with the has_idx of those before it
+            blocks = (_parse_frame(s, header, at, has_idx) for at, s in enumerate(texts, first))
+        for block in blocks:
+            has_idx = block[5][0] is not None
+            yield block
 
 
 def _episode_blocks(path) -> Iterator[tuple[dict, Iterator]]:
-    """Yield (header, parsed frame iterator) per episode block, reading
-    lazily; see :func:`stream_episodes`."""
+    """Yield (header, :func:`_frame_blocks` iterator) per episode, lazily."""
     with open(path, "r", encoding="utf-8") as fh:
         lineno = 0
         while True:
@@ -504,64 +560,48 @@ def _episode_blocks(path) -> Iterator[tuple[dict, Iterator]]:
             if not line.strip():
                 raise ParseError("unexpected blank line", line=lineno)
             header = _parse_header(_parse_json_line(line, lineno), lineno)
-
-            def frames(header=header, start=lineno):
-                nonlocal lineno
-                for i in range(header["t"]):
-                    row = fh.readline()
-                    lineno = start + 1 + i
-                    if not row:
-                        raise ParseError("expected frame record, found end of file", line=lineno)
-                    yield _parse_frame(_parse_json_line(row, lineno), header, lineno)
-
-            it = frames()
-            yield header, it
-            # Drain any frames the caller skipped so block boundaries stay aligned.
-            for _ in it:
+            blocks = _frame_blocks(fh, header, lineno)
+            yield header, blocks
+            for _ in blocks:  # drain any frames the caller skipped so episodes stay aligned
                 pass
+            lineno += header["t"]
 
 
 def stream_episodes(path) -> Iterator[tuple[dict, Iterator]]:
-    """Yield (header, frame_iterator) per episode block, reading lazily.
+    """Yield (header, frame_iterator) per episode, reading lazily.
 
     Each frame iterator yields (FrameObservation, gt ViewingAngle,
     gt_object_index or None) and must be consumed before advancing to the
-    next episode. A frame's slot arrays are parsed straight from its
-    record's objects, in file order, with azimuths wrapped and elevations
-    clamped. Peak memory stays independent of episode length.
+    next episode. Frames are row views of one block's arrays, so peak memory
+    is one block whatever the episode's length; a bad record raises its
+    ParseError after the frames before it are yielded.
     """
-    for header, records in _episode_blocks(path):
-        yield header, (_frame_observation(*parsed) for parsed in records)
+    for header, blocks in _episode_blocks(path):
+        yield header, _block_frames(blocks)
 
 
-def _frame_observation(scores, angles, appearance, motions, gt, main_idx):
-    positions = land_angles(angles.T)
-    frame = FrameObservation(
-        appearance, positions, motions, scores, _pack_flat(appearance, positions, motions)
-    )
-    return frame, gt, main_idx
+def _block_frames(blocks: Iterator[tuple]) -> Iterator[tuple]:
+    for *slots, gt, idxs in blocks:
+        frames = map(FrameObservation, *slots, _pack_flat(*slots[:3]))
+        yield from zip(frames, map(ViewingAngle, *gt.T.tolist()), idxs)
 
 
 def load_episodes(path) -> list[Episode]:
     """Load every episode in the file; inverse of :func:`save_episodes`.
-    Frames are parsed into arrays sized by their block's header."""
+    Blocks of frames are copied into arrays sized by the episode's header."""
     episodes = []
-    for header, records in _episode_blocks(path):
-        t_total, n = header["t"], header["n"]
+    for header, blocks in _episode_blocks(path):
+        t_total, n, d, k = (header[f] for f in "tndk")
         try:
-            scores, gt = np.empty((t_total, n)), np.empty((t_total, 2))
-            angles = np.empty((t_total, 2, n))  # (azimuths, elevations) rows, as parsed
-            appearance, motions = (np.empty((t_total, n, header[f])) for f in ("d", "k"))
+            arrays = [np.empty((t_total, *shape)) for shape in ((n, d), (n, 2), (n, k), (n,), (2,))]
         except (MemoryError, ValueError):  # so large that some frame must be bad: find it
-            for _ in records:
+            for _ in blocks:
                 pass
             raise ParseError(f"episode header asks for {t_total} frames of {n} slots") from None
         idxs = []
-        for t, (s, a, app, mot, g, main_idx) in enumerate(records):
-            scores[t], angles[t], appearance[t], motions[t] = s, a, app, mot
-            gt[t] = g.azimuth, g.elevation
-            idxs.append(main_idx)
-        positions = land_angles(angles.transpose(0, 2, 1))
-        idxs = idxs if None not in idxs else None
-        episodes.append(Episode(appearance, positions, motions, scores, gt, idxs))
+        for block in blocks:
+            for whole, part in zip(arrays, block):
+                whole[len(idxs) : len(idxs) + len(part)] = part
+            idxs += block[5]
+        episodes.append(Episode(*arrays, idxs if idxs[0] is not None else None))
     return episodes

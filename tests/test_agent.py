@@ -1,6 +1,7 @@
 """Tests for the composed online pilot."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -133,6 +134,22 @@ class TestTrajectoryFiles:
         header, angles, selections = loaded[0]
         assert header["checkpoint"] == "abc123"
         assert angles == traj and selections == picks
+
+    def test_frame_records_are_the_json_dumps_bytes(self, tmp_path):
+        rng = np.random.default_rng(3)
+        raw = [*zip(rng.uniform(-400, 400, 5000).tolist(), rng.uniform(-100, 100, 5000).tolist()),
+               (0.0, 0.0), (359.99999999999994, 90.0), (-0.0, -0.0), (1e-300, -90.0), (5e-324, 1e-300)]
+        angles = [ViewingAngle(az, el) for az, el in raw]
+        picks = rng.integers(0, 1000, len(angles)).tolist()
+        path = tmp_path / "traj.jsonl"
+        write_trajectory(path, zip(range(len(angles)), angles, picks), "abc123")
+        records = [
+            {"frame": t, "azimuth": a.azimuth, "elevation": a.elevation, "selected": picks[t]}
+            for t, a in enumerate(angles)
+        ]
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[1:] == [json.dumps(rec, separators=(",", ":")) + "\n" for rec in records]
+        assert lines[-3] == '{"frame":5002,"azimuth":0.0,"elevation":-0.0,"selected":%d}\n' % picks[-3]
 
     @pytest.mark.parametrize(
         "lines, bad_line",

@@ -220,3 +220,39 @@ def test_gradcheck_with_a_corrupted_gradient_exits_1(capsys):
     err = capsys.readouterr().err
     assert code == EXIT_GRADCHECK_FAILED == 1
     assert "FAILED" in err and "Traceback" not in err
+
+
+def _pilot_golden_file(tmp_path, capsys, bad_frame=None):
+    """`viewpilot pilot` over the golden episode file with a fixed-seed model
+    at the reference dims; a score of 1.5 makes frame ``bad_frame`` bad.
+    Returns the exit code and the trajectory file's bytes."""
+    data, checkpoint, out = (tmp_path / f for f in ("episodes.jsonl", "model.json", "traj.jsonl"))
+    save_episodes(generate_dataset(load_run_config(REFERENCE).scene, 2026, 3), data)
+    dims = ModelDims(16, 12, 8, selector_hidden=32, regressor_hidden=8)
+    model = PilotModel(dims, np.random.default_rng(7))
+    save_model_checkpoint(checkpoint, model, 0, LrSchedule(), {"seed": 7})
+    if bad_frame is not None:
+        lines = data.read_text().splitlines()
+        rec = json.loads(lines[1 + bad_frame])
+        rec["objects"][1][0] = 1.5
+        lines[1 + bad_frame] = json.dumps(rec)
+        data.write_text("\n".join(lines) + "\n")
+    code = _run(capsys, "pilot", "--checkpoint", checkpoint, "--data", data, "--out", out)
+    return code, out.read_bytes()
+
+
+def test_pilot_writes_the_golden_trajectory(tmp_path, capsys):
+    code, trajectory = _pilot_golden_file(tmp_path, capsys)
+    assert code == EXIT_OK and len(trajectory.splitlines()) == 3 * 201
+    assert hashlib.sha256(trajectory).hexdigest() == (
+        "fb0bb018ba20981f1e5c6726bdafbbfaf69bec231888ea63415702866568521e"
+    )
+
+
+def test_pilot_keeps_the_frames_before_a_bad_record(tmp_path, capsys):
+    code, partial = _pilot_golden_file(tmp_path, capsys, bad_frame=70)
+    assert code == EXIT_IO
+    assert len(partial.splitlines()) == 1 + 70  # the header and frames 0-69
+    assert hashlib.sha256(partial).hexdigest() == (
+        "cc9ff388d0b5bc33d1499ce01bfad30148f8da7c69f72f7a2350f30fa51879a9"
+    )

@@ -212,6 +212,25 @@ class TestSynthScene:
         assert np.all(b.scores[:, 4:] == 0.0)
 
 
+# Malformed frame records: edits of one object of a record, and bad gt values.
+BAD_OBJECT_EDITS = {
+    "score 1.5": lambda obj: obj.__setitem__(0, 1.5),
+    "score -0.1": lambda obj: obj.__setitem__(0, -0.1),
+    "string score": lambda obj: obj.__setitem__(0, "0.5"),
+    "nan appearance": lambda obj: obj[3].__setitem__(1, float("nan")),
+    "inf motion": lambda obj: obj[4].__setitem__(0, float("inf")),
+    "nan azimuth": lambda obj: obj.__setitem__(1, float("nan")),
+    "null elevation": lambda obj: obj.__setitem__(2, None),
+    "short appearance": lambda obj: obj[3].pop(),
+    "long motion": lambda obj: obj[4].append(0.0),
+    "four fields": lambda obj: obj.pop(),
+}
+BAD_GT = {
+    "one angle": [1.0], "huge integer": [10**400, 0.0], "string": ["1", 0.0], "null": None,
+    "nan": [float("nan"), 0.0],
+}
+
+
 class TestEpisodeFiles:
     def test_round_trip_identity(self, tmp_path):
         episodes = generate_dataset(SMALL, 42, 3)
@@ -277,25 +296,7 @@ class TestEpisodeFiles:
             assert [f for f, _, _ in recs] == ep.frames
             assert [g for _, g, _ in recs] == ep.gt
 
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda obj: obj.__setitem__(0, 1.5),
-            lambda obj: obj.__setitem__(0, -0.1),
-            lambda obj: obj.__setitem__(0, "0.5"),
-            lambda obj: obj[3].__setitem__(1, float("nan")),
-            lambda obj: obj[4].__setitem__(0, float("inf")),
-            lambda obj: obj.__setitem__(1, float("nan")),
-            lambda obj: obj.__setitem__(2, None),
-            lambda obj: obj[3].pop(),
-            lambda obj: obj[4].append(0.0),
-            lambda obj: obj.pop(),
-        ],
-        ids=[
-            "score 1.5", "score -0.1", "string score", "nan appearance", "inf motion",
-            "nan azimuth", "null elevation", "short appearance", "long motion", "four fields",
-        ],
-    )
+    @pytest.mark.parametrize("edit", BAD_OBJECT_EDITS.values(), ids=BAD_OBJECT_EDITS)
     def test_bad_object_is_a_parse_error_naming_the_line(self, tmp_path, edit):
         path = tmp_path / "episodes.jsonl"
         save_episodes(generate_dataset(SMALL, 1, 1), path)
@@ -308,10 +309,7 @@ class TestEpisodeFiles:
             load_episodes(path)
         assert err.value.line == 6
 
-    @pytest.mark.parametrize(
-        "gt", [[1.0], [10**400, 0.0], ["1", 0.0], None, [float("nan"), 0.0]],
-        ids=["one angle", "huge integer", "string", "null", "nan"],
-    )
+    @pytest.mark.parametrize("gt", BAD_GT.values(), ids=BAD_GT)
     def test_bad_gt_is_a_parse_error_naming_the_line(self, tmp_path, gt):
         path = tmp_path / "episodes.jsonl"
         save_episodes(generate_dataset(SMALL, 1, 1), path)
@@ -598,3 +596,292 @@ class TestGeneratorMatchesPerFrameReference:
             for field in ("flat", "positions", "motions", "scores", "gt_track"):
                 assert np.array_equal(getattr(a, field), getattr(b, field)), field
             assert ep.gt_object_index == ref.gt_object_index
+
+
+# ---------------------------------------------------------------------------
+# The episode reader before it read blocks of frames, kept as the reference:
+# one json.loads, four _finite conversions, a ViewingAngle, land_angles and
+# _pack_flat per frame. The block reader must accept and reject the same
+# records, with the same error and line, and give bit-identical arrays.
+# ---------------------------------------------------------------------------
+
+
+def _ref_finite(values, shape):
+    arr = np.array(values)
+    if arr.shape != shape or arr.dtype.kind not in "biuf":
+        raise ValueError(f"expected {shape} numbers, got shape {arr.shape} of {arr.dtype}")
+    arr = arr.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite value")
+    return arr
+
+
+def _ref_parse_frame(rec, header, lineno):
+    n, d, k = header["n"], header["d"], header["k"]
+    try:
+        objects, main_idx = rec["objects"], rec.get("gt_object_index")
+        gt = ViewingAngle(rec["gt"][0], rec["gt"][1])
+        if len(objects) != n:
+            raise ParseError(f"expected {n} objects, found {len(objects)}", line=lineno)
+        if any(len(o) != 5 for o in objects):
+            raise ValueError("objects are [score, azimuth, elevation, appearance, motion]")
+        scores, azimuths, elevations, appearance, motions = zip(*objects)
+        scores = _ref_finite(scores, (n,))
+        if not np.all((scores >= 0.0) & (scores <= 1.0)):
+            raise ValueError(f"scores must be in [0, 1], got {scores.tolist()}")
+        angles = _ref_finite((azimuths, elevations), (2, n))
+        appearance, motions = _ref_finite(appearance, (n, d)), _ref_finite(motions, (n, k))
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad frame record: {exc}", line=lineno) from exc
+    return scores, angles, appearance, motions, gt, main_idx
+
+
+def _ref_stream_episodes(path):
+    """Yield (header, frames) per episode; frames yields (FrameObservation, gt, index)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lineno = 0
+        while True:
+            line = fh.readline()
+            if not line:
+                return
+            lineno += 1
+            if not line.strip():
+                raise ParseError("unexpected blank line", line=lineno)
+            header = observation._parse_header(observation._parse_json_line(line, lineno), lineno)
+
+            def frames(header=header, start=lineno):
+                nonlocal lineno
+                for i in range(header["t"]):
+                    row = fh.readline()
+                    lineno = start + 1 + i
+                    if not row:
+                        raise ParseError("expected frame record, found end of file", line=lineno)
+                    rec = observation._parse_json_line(row, lineno)
+                    scores, angles, app, mot, gt, idx = _ref_parse_frame(rec, header, lineno)
+                    pos = land_angles(angles.T)
+                    yield FrameObservation(app, pos, mot, scores, _pack_flat(app, pos, mot)), gt, idx
+
+            it = frames()
+            yield header, it
+            for _ in it:
+                pass
+
+
+def _ref_episodes(streamed):
+    """The Episodes the reference loader built from a whole file's frames,
+    given as :func:`_streamed` lists them."""
+    episodes, start = [], 0
+    while start < len(streamed):
+        _, frames, gt, idxs = zip(*streamed[start : start + streamed[start][0]["t"]])
+        slots = [np.stack([getattr(f, name) for f in frames]) for name in
+                 ("appearance", "positions", "motions", "scores")]
+        gt_track = np.array([(g.azimuth, g.elevation) for g in gt])
+        episodes.append(Episode(*slots, gt_track, list(idxs) if None not in idxs else None))
+        start += len(frames)
+    return episodes
+
+
+def _outcome(read, path):
+    """What ``read(path)`` gives: ("ok", result) or ("error", type, message, line)."""
+    try:
+        return "ok", read(path)
+    except ParseError as exc:
+        return "error", type(exc), str(exc), exc.line
+
+
+def _streamed(path, stream=stream_episodes):
+    """Every frame ``stream`` yields, as (header, frame, gt, index), then the
+    ParseError it ends with or None."""
+    out = []
+    try:
+        for header, frames in stream(path):
+            out.extend((header, *rec) for rec in frames)
+    except ParseError as exc:
+        return out, (type(exc), str(exc), exc.line)
+    return out, None
+
+
+BLOCK = observation._BLOCK_FRAMES
+LONG = dataclasses.replace(SMALL, frames=2 * BLOCK + 22)  # three blocks, the last one short
+EDIT_FRAMES = [0, BLOCK - 1, BLOCK, BLOCK + 1, LONG.frames - 1]  # block edges and the final frame
+
+OBJECT_EDITS = {
+    **BAD_OBJECT_EDITS,
+    "six fields": lambda obj: obj.append(0.0),
+    "integer 2**64 in appearance": lambda obj: obj[3].__setitem__(0, 2**64),
+    "integer 2**64 across appearance": lambda obj: obj.__setitem__(3, [2**64] * len(obj[3])),
+}
+# An edit returning a string replaces the record's line with it.
+RECORD_EDITS = {
+    **{f"gt {name}": lambda rec, gt=gt: rec.__setitem__("gt", gt) for name, gt in BAD_GT.items()},
+    "one object missing": lambda rec: rec["objects"].pop(),
+    "objects missing": lambda rec: rec.pop("objects"),
+    "not an object": lambda rec: "[1, 2]",
+    "blank": lambda rec: "",
+    "truncated": lambda rec: json.dumps(rec)[:40],
+}
+
+
+@pytest.fixture(scope="module")
+def long_lines(tmp_path_factory):
+    """The lines of an episode file holding two LONG episodes."""
+    path = tmp_path_factory.mktemp("long") / "episodes.jsonl"
+    save_episodes(generate_dataset(LONG, 8, 2), path)
+    return path.read_text().splitlines()
+
+
+def _edited_file(tmp_path, lines, frame, edit):
+    """``lines`` with the first episode's record ``frame`` passed through
+    ``edit``, written to a file; returns (path, edited line)."""
+    path = tmp_path / "episodes.jsonl"
+    lines = list(lines)
+    rec = json.loads(lines[1 + frame])
+    text = edit(rec)
+    lines[1 + frame] = text if isinstance(text, str) else json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    return path, 2 + frame
+
+
+def _assert_readers_agree(path):
+    """Both readers stream the same frames and end with the same error (type,
+    message and line), and load_episodes gives the reference's episodes or
+    error; returns the block reader's load outcome and streamed frames."""
+    streamed, ref_streamed = _streamed(path), _streamed(path, _ref_stream_episodes)
+    assert streamed == ref_streamed
+    loaded, (frames, end) = _outcome(load_episodes, path), ref_streamed
+    assert loaded == (("error", *end) if end else ("ok", _ref_episodes(frames)))
+    return loaded, streamed
+
+
+class TestBlockReaderMatchesPerFrameReference:
+    def test_valid_files(self, tmp_path):
+        for scene, count in ((LONG, 2), (SceneConfig(), 3), (dataclasses.replace(SMALL, frames=2), 3)):
+            path = tmp_path / "episodes.jsonl"
+            episodes = generate_dataset(scene, 2026, count)
+            save_episodes(episodes, path)
+            (kind, loaded), _ = _assert_readers_agree(path)
+            assert kind == "ok" and loaded == episodes
+
+    @pytest.mark.parametrize("frame", EDIT_FRAMES)
+    @pytest.mark.parametrize("name", OBJECT_EDITS)
+    def test_bad_object(self, tmp_path, long_lines, name, frame):
+        edit = OBJECT_EDITS[name]
+        path, line = _edited_file(tmp_path, long_lines, frame, lambda rec: edit(rec["objects"][1]))
+        (kind, *error), (streamed, end) = _assert_readers_agree(path)
+        assert kind == "error" and error[2] == line and end == tuple(error)
+        assert len(streamed) == frame  # exactly the frames before the bad one
+
+    @pytest.mark.parametrize("frame", EDIT_FRAMES)
+    @pytest.mark.parametrize("name", RECORD_EDITS)
+    def test_bad_record(self, tmp_path, long_lines, name, frame):
+        path, line = _edited_file(tmp_path, long_lines, frame, RECORD_EDITS[name])
+        (kind, *error), (streamed, end) = _assert_readers_agree(path)
+        assert kind == "error" and error[2] == line and end == tuple(error)
+        assert len(streamed) == frame
+
+    @pytest.mark.parametrize("frame", EDIT_FRAMES)
+    def test_file_ending_before_the_frame(self, tmp_path, long_lines, frame):
+        path = tmp_path / "episodes.jsonl"
+        path.write_text("\n".join(long_lines[: 1 + frame]) + "\n")
+        (kind, *error), (streamed, end) = _assert_readers_agree(path)
+        assert kind == "error" and error[2] == 2 + frame and "end of file" in error[1]
+        assert len(streamed) == frame
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rec: rec["objects"][0].__setitem__(3, [1] * len(rec["objects"][0][3])),
+            lambda rec: [obj.__setitem__(0, 1 if i == 0 else 0) for i, obj in enumerate(rec["objects"])],
+            lambda rec: rec.__setitem__("gt", [2**64, -7]),
+            lambda rec: rec.__setitem__("gt", [370, 95]),
+            lambda rec: rec["objects"][2][4].__setitem__(0, 2**63),
+            lambda rec: rec.__setitem__("note", "true or false"),
+        ],
+        ids=["integer appearance", "integer scores", "integer 2**64 gt", "integer gt out of range",
+             "integer 2**63 motion", "string with true"],
+    )
+    @pytest.mark.parametrize("frame", [0, BLOCK + 1])
+    def test_accepted_edits(self, tmp_path, long_lines, edit, frame):
+        path, _ = _edited_file(tmp_path, long_lines, frame, edit)
+        (kind, loaded), (streamed, end) = _assert_readers_agree(path)
+        assert kind == "ok" and end is None and len(streamed) == 2 * LONG.frames
+
+    def test_clamped_gt_and_positions(self, tmp_path, long_lines):
+        def edit(rec):
+            rec["gt"] = [-1e-300, -95.0]
+            rec["objects"][0][1:3] = [720.5, 91.0]
+        path, _ = _edited_file(tmp_path, long_lines, 5, edit)
+        (_, (loaded, *_)), _ = _assert_readers_agree(path)
+        assert loaded.gt_track[5].tolist() == [0.0, -90.0]
+        assert loaded.positions[5, 0].tolist() == [0.5, 90.0]
+
+
+class TestNewRecordRules:
+    """Records the per-frame reference accepted and the block reader refuses."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rec: [obj.__setitem__(0, True) for obj in rec["objects"]], "of bool"),
+            (lambda rec: rec["objects"][1].__setitem__(0, True), "got a boolean"),
+            (lambda rec: rec["objects"][1][3].__setitem__(2, False), "got a boolean"),
+            (lambda rec: rec.__setitem__("gt", [True, 0.0]), "gt must be two numbers"),
+            (lambda rec: rec.__setitem__("gt", [1.0, 2.0, 3.0]), "gt must be two numbers"),
+            (lambda rec: rec.__setitem__("gt_object_index", "abc"), "must be an integer in"),
+            (lambda rec: rec.__setitem__("gt_object_index", 99), "must be an integer in"),
+            (lambda rec: rec.__setitem__("gt_object_index", -1), "must be an integer in"),
+            (lambda rec: rec.__setitem__("gt_object_index", True), "must be an integer in"),
+            (lambda rec: rec.__setitem__("gt_object_index", 1.0), "must be an integer in"),
+            (lambda rec: rec.pop("gt_object_index"), "on every frame of an episode or on none"),
+        ],
+        ids=["true scores", "true score", "false appearance", "true gt", "three gt", "string index",
+             "index 99", "index -1", "true index", "float index", "index missing"],
+    )
+    @pytest.mark.parametrize("frame", [1, BLOCK - 1, BLOCK + 1, LONG.frames - 1])
+    def test_refused_with_the_line(self, tmp_path, long_lines, edit, message, frame):
+        path, line = _edited_file(tmp_path, long_lines, frame, edit)
+        edited = path.read_text().splitlines()[line - 1]
+        _ref_parse_frame(json.loads(edited), json.loads(long_lines[0]), line)  # the reference accepts it
+        with pytest.raises(ParseError, match=message) as err:
+            load_episodes(path)
+        assert err.value.line == line
+        streamed, end = _streamed(path)
+        assert end == (ParseError, str(err.value), line) and len(streamed) == frame
+
+    def test_index_present_only_after_the_first_frame(self, tmp_path):
+        path = tmp_path / "episodes.jsonl"
+        save_episodes(generate_dataset(LONG, 3, 1), path)
+        lines = path.read_text().splitlines()
+        recs = [json.loads(line) for line in lines[1:]]
+        for rec in recs:
+            rec.pop("gt_object_index")
+        recs[BLOCK + 3]["gt_object_index"] = 0
+        path.write_text("\n".join(lines[:1] + [json.dumps(rec) for rec in recs]) + "\n")
+        with pytest.raises(ParseError, match="on every frame") as err:
+            load_episodes(path)
+        assert err.value.line == BLOCK + 5
+        recs[BLOCK + 3].pop("gt_object_index")
+        path.write_text("\n".join(lines[:1] + [json.dumps(rec) for rec in recs]) + "\n")
+        assert load_episodes(path)[0].gt_object_index is None
+
+    def test_first_frame_index_must_be_valid(self, tmp_path, long_lines):
+        path, line = _edited_file(tmp_path, long_lines, 0, lambda rec: rec.update(gt_object_index=4))
+        with pytest.raises(ParseError, match=r"in \[0, 4\), got 4") as err:
+            load_episodes(path)
+        assert err.value.line == line == 2
+
+
+def test_streamed_frames_are_views_of_one_block(tmp_path):
+    path = tmp_path / "episodes.jsonl"
+    scene = dataclasses.replace(SMALL, frames=1000)
+    save_episodes(generate_dataset(scene, 5, 1), path)
+    ((_, frames),) = [(h, list(f)) for h, f in stream_episodes(path)]
+    bases = set()
+    for frame, _, _ in frames:
+        for name in ("appearance", "positions", "motions", "scores", "flat"):
+            base = getattr(frame, name).base
+            assert base is not None and base.shape[0] <= BLOCK, name
+            bases.add(id(base))
+    # one base per field per block: the frames share ceil(1000 / BLOCK) blocks
+    assert len(bases) <= 5 * -(-scene.frames // BLOCK)
+    assert [f for f, _, _ in frames] == load_episodes(path)[0].frames
