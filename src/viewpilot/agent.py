@@ -1,6 +1,8 @@
 """The composed online pilot: per-frame selection, naive follow offset,
 recurrent refinement, and viewing-angle update. Strictly causal — each step
-sees only the current observation and the carried state.
+sees only the current observation and the carried state. One steering
+step serves :func:`pilot_step` and the agent method ``evaluation.agent_pilot``;
+``training._steer`` is its batched form, held to the same floats by a test.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from .diffcore import Checkpoint, LrSchedule, ParamTensor, load_checkpoint, params_digest, save_checkpoint
 from .errors import ConfigError, InvalidInput, ParseError
-from .geometry import ViewingAngle, signed_azimuth_delta
+from .geometry import ViewingAngle, clamp_elevation, signed_azimuth_delta, wrap_azimuth
 from .observation import OFFSET_SCALE, Episode, FrameObservation, _parse_json_line
 from .regressor import RegressorNetwork
 from .selector import SelectorNetwork
@@ -37,13 +39,7 @@ class ModelDims:
         return (self.appearance_dim + 2 + self.motion_bins) * self.slots
 
     def as_dict(self) -> dict:
-        return {
-            "appearance_dim": self.appearance_dim,
-            "motion_bins": self.motion_bins,
-            "slots": self.slots,
-            "selector_hidden": self.selector_hidden,
-            "regressor_hidden": self.regressor_hidden,
-        }
+        return dict(vars(self))
 
 
 class PilotModel:
@@ -110,6 +106,29 @@ def initial_state(model: PilotModel, init: ViewingAngle) -> AgentState:
     return AgentState(model.selector.initial_state(), model.regressor.initial_state(), init)
 
 
+def steering_step(model: PilotModel):
+    """``step(x, target_az, target_el, az, el, mu) -> (az, el, mu)``: move the
+    view (az, el) toward the selected slot at (target_az, target_el). ``x``
+    (k+2,) holds the slot's motions; the step writes the follow offset into
+    its last two entries. Each operation is ``training._steer``'s at B=1, in
+    its order, so the landed views are the same floats (NaN stays NaN)."""
+    cell, k = model.regressor.cell, model.dims.motion_bins
+    w_xh, w_hh, bias = cell.w_xh.values.T, cell.w_hh.values.T, cell.b.values
+    w_r = model.regressor.head.w.values.T
+
+    def step(x, target_az, target_el, az, el, mu):
+        x[k] = signed_azimuth_delta(target_az - az) / OFFSET_SCALE
+        x[k + 1] = (target_el - el) / OFFSET_SCALE
+        pre = x @ w_xh
+        pre += mu @ w_hh
+        pre += bias
+        mu = np.tanh(pre, out=pre)
+        d_az, d_el = (mu @ w_r).tolist()
+        return wrap_azimuth(az + d_az), clamp_elevation(el + d_el), mu
+
+    return step
+
+
 def pilot_step(
     obs: FrameObservation, state: AgentState, model: PilotModel
 ) -> tuple[ViewingAngle, int, AgentState]:
@@ -123,11 +142,10 @@ def pilot_step(
     index = int(np.argmax(probs))  # ties go to the lowest slot
     if not 0 <= index < len(obs.scores):
         raise InvalidInput(f"selection index {index} out of range")
-    # wrap-aware offset from the view to the slot, whose row is wrapped and clamped already
-    az, el = obs.positions[index].tolist()
-    naive = np.array([signed_azimuth_delta(az - state.angle.azimuth), el - state.angle.elevation])
-    mu, out = model.regressor.forward(obs.motions[index], naive / OFFSET_SCALE, state.regressor_mu)
-    angle = ViewingAngle(state.angle.azimuth + float(out[0]), state.angle.elevation + float(out[1]))
+    x = np.append(obs.motions[index], (0.0, 0.0))
+    target, view = obs.positions[index].tolist(), (state.angle.azimuth, state.angle.elevation)
+    az, el, mu = steering_step(model)(x, *target, *view, state.regressor_mu)
+    angle = ViewingAngle(az, el)
     return angle, index, AgentState(h, mu, angle)
 
 
@@ -171,7 +189,8 @@ def write_trajectory(path, records, checkpoint_id: str, episode_index: int = 0, 
 
 
 def read_trajectories(path) -> list[tuple[dict, list[ViewingAngle], list[int]]]:
-    """Read a trajectory file back as (header, angles, selections) per episode."""
+    """Read a trajectory file back as (header, angles, selections) per episode.
+    Frames must count up from 0, selections be integers >= 0, and no value a boolean."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -181,10 +200,18 @@ def read_trajectories(path) -> list[tuple[dict, list[ViewingAngle], list[int]]]:
                 continue
             if not out:
                 raise ParseError("frame record before any header", line=lineno)
+            _, angles, selections = out[-1]
             try:
-                angle, selected = ViewingAngle(rec["azimuth"], rec["elevation"]), rec["selected"]
-            except (KeyError, TypeError, InvalidInput) as exc:
+                if bool in map(type, rec.values()):
+                    raise ValueError("a value is a boolean")
+                frame, selected = rec["frame"], rec["selected"]
+                if type(frame) is not int or frame != len(angles):
+                    raise ValueError(f"frame {frame!r} should be {len(angles)}")
+                if type(selected) is not int or selected < 0:
+                    raise ValueError(f"selected {selected!r} is not a non-negative integer")
+                angle = ViewingAngle(rec["azimuth"], rec["elevation"])
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad frame record: {exc!r}", line=lineno) from exc
-            out[-1][1].append(angle)
-            out[-1][2].append(selected)
+            angles.append(angle)
+            selections.append(selected)
     return out

@@ -13,16 +13,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .agent import PilotModel
+from .agent import PilotModel, steering_step
 from .errors import InvalidInput
-from .geometry import DEFAULT_H_SPAN, ViewingAngle, nfov_iou_array, signed_azimuth_delta_array
+from .geometry import (
+    DEFAULT_H_SPAN, ViewingAngle, nfov_iou_array, signed_azimuth_delta_array, viewing_angles,
+)
 from .observation import Episode
 # Unused here; perfbench's tracer swaps these bindings and fails a check if one is missing.
 from .agent import pilot_episode  # noqa: F401
 from .geometry import nfov_iou  # noqa: F401
 from .observation import episode_arrays, synth_scene  # noqa: F401
 from .regressor import velocity_array
-from .training import DEFAULT_ETA, WindowBatch, rollout_window
+from .training import DEFAULT_ETA
 
 Trajectory = Sequence[ViewingAngle]
 
@@ -69,14 +71,10 @@ def center_hold(episode: Episode) -> list[ViewingAngle]:
     return [ViewingAngle(*episode.gt_track[0].tolist())] * len(episode)
 
 
-def _angles(arr: np.ndarray) -> list[ViewingAngle]:
-    return [ViewingAngle(az, el) for az, el in arr.tolist()]
-
-
 def greedy_salient(episode: Episode) -> list[ViewingAngle]:
     """Jump to the highest-scoring detection every frame (slot 0 by the
     score ordering)."""
-    return _angles(episode.positions[:, 0])
+    return viewing_angles(episode.positions[:, 0])
 
 
 def selector_only(episode: Episode, model: PilotModel) -> list[ViewingAngle]:
@@ -84,7 +82,7 @@ def selector_only(episode: Episode, model: PilotModel) -> list[ViewingAngle]:
     position directly, skipping the refinement network."""
     _, probs = model.selector.unroll(episode.flat[None])
     picks = np.argmax(probs[0], axis=-1)
-    return _angles(episode.positions[np.arange(len(picks)), picks])
+    return viewing_angles(episode.positions[np.arange(len(picks)), picks])
 
 
 def gt_replay(episode: Episode) -> list[ViewingAngle]:
@@ -93,13 +91,18 @@ def gt_replay(episode: Episode) -> list[ViewingAngle]:
 
 
 def agent_pilot(episode: Episode, model: PilotModel) -> list[ViewingAngle]:
-    """The full online agent (greedy selection plus refinement), as one
-    greedy rollout of the whole episode. Its angles equal those of
-    ``pilot_step`` folded over the episode from the first ground-truth angle."""
-    batch = WindowBatch(
-        episode.flat[None], episode.positions[None], episode.motions[None], episode.gt_track[None]
-    )
-    return _angles(rollout_window(model, batch, greedy=True).pred[0])
+    """The full online agent, ``pilot_step`` folded over the episode from its
+    first ground-truth angle: the selector runs once, its argmax picks each
+    frame's slot, then ``agent.steering_step`` moves the view frame by frame."""
+    _, probs = model.selector.unroll(episode.flat[None])
+    frames, picks = np.arange(len(episode)), np.argmax(probs[0], axis=-1)
+    xs = np.append(episode.motions[frames, picks], np.zeros((len(episode), 2)), axis=1)
+    step, mu, views = steering_step(model), model.regressor.initial_state(), []
+    az, el = episode.gt_track[0].tolist()
+    for x, target in zip(xs, episode.positions[frames, picks].tolist()):
+        az, el, mu = step(x, *target, az, el, mu)
+        views.append((az, el))
+    return viewing_angles(views)
 
 
 def default_view_grid(step: float = 30.0) -> list[ViewingAngle]:
@@ -108,7 +111,8 @@ def default_view_grid(step: float = 30.0) -> list[ViewingAngle]:
         raise InvalidInput(f"grid step must be in (0, 180], got {step}")
     azimuths = np.arange(step / 2.0, 360.0, step)
     elevations = np.arange(-90.0 + step / 2.0, 90.0, step)
-    return [ViewingAngle(a, e) for a in azimuths for e in elevations]
+    grid = np.stack(np.meshgrid(azimuths, elevations, indexing="ij"), axis=-1)
+    return viewing_angles(grid.reshape(-1, 2))
 
 
 # Frames per block of _dp_unaries are chosen so that one (block, G, N)
@@ -219,23 +223,17 @@ def build_methods(
     needs_model = {"agent", "selector_only"}
     if needs_model & set(names) and model is None:
         raise InvalidInput("agent and selector_only methods need a model checkpoint")
-    table: dict[str, Callable] = {}
-    for name in names:
-        if name == "agent":
-            table[name] = lambda ep: agent_pilot(ep, model)
-        elif name == "selector_only":
-            table[name] = lambda ep: selector_only(ep, model)
-        elif name == "center_hold":
-            table[name] = center_hold
-        elif name == "greedy_salient":
-            table[name] = greedy_salient
-        elif name == "offline_dp":
-            table[name] = lambda ep: offline_dp(
-                ep, grid_step=grid_step, smooth_weight=dp_smooth_weight, eta=eta
-            )
-        elif name == "gt_replay":
-            table[name] = gt_replay
-    return table
+    table: dict[str, Callable] = {
+        "agent": lambda ep: agent_pilot(ep, model),
+        "selector_only": lambda ep: selector_only(ep, model),
+        "center_hold": center_hold,
+        "greedy_salient": greedy_salient,
+        "offline_dp": lambda ep: offline_dp(
+            ep, grid_step=grid_step, smooth_weight=dp_smooth_weight, eta=eta
+        ),
+        "gt_replay": gt_replay,
+    }
+    return {name: table[name] for name in names}
 
 
 def empty_frame_count(episode: Episode) -> int:

@@ -27,8 +27,8 @@ def wrap_azimuth(azimuth: float) -> float:
 
 
 def clamp_elevation(elevation: float) -> float:
-    """Clamp an elevation into [-90, 90]."""
-    return min(90.0, max(-90.0, elevation))
+    """Clamp an elevation into [-90, 90]; NaN stays NaN, as in :func:`land_angles`."""
+    return -90.0 if elevation < -90.0 else 90.0 if elevation > 90.0 else elevation
 
 
 def signed_azimuth_delta(delta: float) -> float:
@@ -71,6 +71,23 @@ class ViewingAngle:
             raise InvalidInput(f"non-finite viewing angle ({self.azimuth}, {self.elevation})")
         object.__setattr__(self, "azimuth", wrap_azimuth(float(self.azimuth)))
         object.__setattr__(self, "elevation", clamp_elevation(float(self.elevation)))
+
+
+def viewing_angles(rows) -> list[ViewingAngle]:
+    """``[ViewingAngle(az, el) for az, el in rows]`` for a (T, 2) array, with
+    the finiteness check, wrap and clamp run once over the whole array."""
+    rows = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        az, el = rows[np.argmin(finite)].tolist()
+        raise InvalidInput(f"non-finite viewing angle ({az}, {el})")
+    new, put, angles = object.__new__, object.__setattr__, []
+    for az, el in land_angles(rows).tolist():
+        angle = new(ViewingAngle)
+        put(angle, "azimuth", az)
+        put(angle, "elevation", el)
+        angles.append(angle)
+    return angles
 
 
 @dataclass(frozen=True)

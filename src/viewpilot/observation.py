@@ -38,7 +38,8 @@ import numpy as np
 
 from .errors import InvalidInput, ParseError, VersionError
 from .geometry import (
-    ViewingAngle, clamp_elevation, land_angles, signed_azimuth_delta_array, wrap_azimuth,
+    ViewingAngle, clamp_elevation, land_angles, signed_azimuth_delta_array, viewing_angles,
+    wrap_azimuth,
 )
 
 EPISODE_FORMAT_VERSION = 1
@@ -186,7 +187,7 @@ class Episode:
     @property
     def gt(self) -> list[ViewingAngle]:
         """The ground-truth track as ViewingAngles, built on each access."""
-        return [ViewingAngle(az, el) for az, el in self.gt_track.tolist()]
+        return viewing_angles(self.gt_track)
 
 
 def episode_arrays(episode: Episode) -> Episode:
@@ -583,7 +584,7 @@ def stream_episodes(path) -> Iterator[tuple[dict, Iterator]]:
 def _block_frames(blocks: Iterator[tuple]) -> Iterator[tuple]:
     for *slots, gt, idxs in blocks:
         frames = map(FrameObservation, *slots, _pack_flat(*slots[:3]))
-        yield from zip(frames, map(ViewingAngle, *gt.T.tolist()), idxs)
+        yield from zip(frames, viewing_angles(gt), idxs)
 
 
 def load_episodes(path) -> list[Episode]:

@@ -12,12 +12,14 @@ so its whole recurrence runs before the steering loop: one GEMM projects
 every frame's input, each step adds only the recurrent term, and the head,
 softmax and sampling run once over (B, T, N). Only the steering regressor
 is sequential over frames, because each offset input depends on the
-previous viewing angle. The extra REINFORCE samples branch off states that
-are known once that loop is done, so their rewards come from one batched
-step afterwards. The backward pass runs the regressor and selector chains
-as two reverse loops that carry only their recurrences, and accumulates
-weight gradients with one GEMM over all B*T steps. The ``RolloutTape``
-stores the forward as batch-major (B, T[+1], .) arrays.
+previous viewing angle: ``_steer`` is the batched ``agent.steering_step``,
+the step the online pilot and the agent method fold. The extra REINFORCE
+samples branch off states that are known once that loop is done, so their
+rewards come from one batched step afterwards. The backward pass runs the
+regressor and selector chains as two reverse loops that carry only their
+recurrences, and accumulates weight gradients with one GEMM over all B*T
+steps. The ``RolloutTape`` stores the forward as batch-major (B, T[+1], .)
+arrays.
 """
 
 from __future__ import annotations
@@ -148,8 +150,8 @@ class RolloutTape:
 def _steer(model: PilotModel, batch: WindowBatch, selected: np.ndarray):
     """Roll the steering regressor over the selections ``selected`` (B, T).
 
-    Each step is the arithmetic of ``RegressorNetwork.forward`` written
-    into preallocated buffers, which keeps the per-frame call count low.
+    Each step is ``agent.steering_step``'s arithmetic in its order, written
+    into preallocated buffers; at B=1 the angles are that step's floats.
     Returns time-major arrays: regressor inputs (T, ..., B, k+2), hidden
     states (T+1, ..., B, R), unclamped angles (T, ..., B, 2) and viewing
     angles (T+1, ..., B, 2), state arrays with the initial state first and
@@ -206,13 +208,12 @@ def rollout_window(
     model: PilotModel,
     batch: WindowBatch,
     rng: np.random.Generator | None = None,
-    greedy: bool = False,
     forced_indices: np.ndarray | None = None,
     q_samples: int = 1,
     eta: float = DEFAULT_ETA,
 ) -> RolloutTape:
-    """Run the full agent over a window batch with sampled (default),
-    greedy, or forced selection, recording a tape for the backward pass.
+    """Run the full agent over a window batch with sampled (default) or
+    forced selection, recording a tape for the backward pass.
 
     The viewing angle starts at each window's first ground-truth angle.
     Sample q=0 drives the rollout; extra samples (q >= 1) branch off the
@@ -233,9 +234,6 @@ def rollout_window(
         if forced.shape != (b, t_total):
             raise InvalidInput(f"forced indices must be {(b, t_total)}, got {forced.shape}")
         indices[..., 0] = forced
-        draws -= 1
-    elif greedy:
-        indices[..., 0] = np.argmax(probs, axis=-1)
         draws -= 1
     if draws > 0:
         if rng is None:

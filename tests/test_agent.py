@@ -122,6 +122,16 @@ class TestCheckpointGlue:
             load_model_checkpoint(path, expect_dims=dataclasses.replace(DIMS, slots=9))
 
 
+HEADER = '{"checkpoint":"abc","episode":0}'
+
+
+def _record(frame="0", azimuth="1.0", elevation="2.0", selected="0") -> str:
+    """A trajectory frame record line with the given JSON values."""
+    return (
+        f'{{"frame":{frame},"azimuth":{azimuth},"elevation":{elevation},"selected":{selected}}}'
+    )
+
+
 class TestTrajectoryFiles:
     def test_round_trip(self, tmp_path):
         model = _model(9)
@@ -154,11 +164,31 @@ class TestTrajectoryFiles:
     @pytest.mark.parametrize(
         "lines, bad_line",
         [
-            (['{"frame":0,"azimuth":1.0,"elevation":2.0,"selected":0}'], 1),
-            (['{"checkpoint":"abc","episode":0}', '{"frame":0,"azimuth":1.0'], 2),
-            (['{"checkpoint":"abc","episode":0}', '{"frame":0,"azimuth":1.0,"selected":0}'], 2),
+            ([_record()], 1),
+            ([HEADER, '{"frame":0,"azimuth":1.0'], 2),
+            ([HEADER, '{"frame":0,"azimuth":1.0,"selected":0}'], 2),
+            ([HEADER, _record(selected='"x"')], 2),
+            ([HEADER, _record(selected="-1")], 2),
+            ([HEADER, _record(selected="1.0")], 2),
+            ([HEADER, _record(selected="true")], 2),
+            ([HEADER, _record(frame="1")], 2),
+            ([HEADER, _record(), _record(frame="2")], 3),
+            ([HEADER, _record(), _record()], 3),
+            ([HEADER, _record(frame="0.0")], 2),
+            ([HEADER, _record(frame="false")], 2),
+            ([HEADER, _record(), HEADER, _record(frame="1")], 4),
+            ([HEADER, _record(azimuth="true")], 2),
+            ([HEADER, _record(elevation="false")], 2),
+            ([HEADER, _record()[:-1] + ',"note":true}'], 2),
+            ([HEADER, _record(azimuth="NaN")], 2),
         ],
-        ids=["no header", "truncated record", "missing field"],
+        ids=[
+            "no header", "truncated record", "missing field", "selected string",
+            "selected negative", "selected float", "selected boolean", "frame not from zero",
+            "frame skips", "frame repeats", "frame float", "frame boolean",
+            "frame not restarted", "azimuth boolean", "elevation boolean", "extra boolean",
+            "non-finite angle",
+        ],
     )
     def test_malformed_file_is_a_parse_error_naming_the_line(self, tmp_path, lines, bad_line):
         path = tmp_path / "traj.jsonl"
@@ -166,3 +196,23 @@ class TestTrajectoryFiles:
         with pytest.raises(ParseError) as err:
             read_trajectories(path)
         assert err.value.line == bad_line
+
+    def test_string_selection_then_boolean_record_is_refused(self, tmp_path):
+        path = tmp_path / "traj.jsonl"
+        lines = [
+            HEADER,
+            _record(frame="7", selected='"x"'),
+            _record(frame="true", azimuth="true", selected="99"),
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_trajectories(path)
+        assert err.value.line == 2
+
+    def test_frames_count_from_zero_in_each_episode(self, tmp_path):
+        path = tmp_path / "traj.jsonl"
+        lines = [HEADER, _record(), _record(frame="1", selected="3"), HEADER, _record()]
+        path.write_text("\n".join(lines) + "\n")
+        loaded = read_trajectories(path)
+        assert [sel for _, _, sel in loaded] == [[0, 3], [0]]
+        assert loaded[0][1] == [ViewingAngle(1.0, 2.0)] * 2

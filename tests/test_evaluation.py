@@ -32,10 +32,11 @@ from viewpilot.observation import (
     Episode,
     SceneConfig,
     episode_arrays,
+    generate_dataset,
     rank_slots,
     synth_scene,
 )
-from viewpilot.training import DEFAULT_ETA, reward_array
+from viewpilot.training import DEFAULT_ETA, WindowBatch, reward_array, rollout_window
 
 DIMS = ModelDims(appearance_dim=6, motion_bins=5, slots=4, selector_hidden=8, regressor_hidden=4)
 SCENE = SceneConfig(frames=60, objects=3, slots=4, appearance_dim=6, motion_bins=5)
@@ -235,7 +236,61 @@ class TestOfflineDp:
 # ---------------------------------------------------------------------------
 
 
+REFERENCE_DIMS = ModelDims(16, 12, 8, 32, 8)
+REFERENCE_SCENE = SceneConfig(
+    frames=200, objects=4, slots=8, appearance_dim=16, motion_bins=12,
+    position_noise=1.5, appearance_noise=0.3, main_score_bias=1.0,
+)
+
+
+@pytest.fixture(scope="module")
+def reference_test_split():
+    """The test split of configs/reference.json (gen-data --seed 99 --count 10)."""
+    return generate_dataset(REFERENCE_SCENE, 99, 10)
+
+
+def _forced_rollout(model, episode):
+    """The training kernel at B=1 forced to the selector's greedy picks:
+    (picks, rolled-out angles (T, 2))."""
+    batch = WindowBatch(
+        episode.flat[None], episode.positions[None], episode.motions[None], episode.gt_track[None]
+    )
+    picks = np.argmax(model.selector.unroll(batch.flat)[1], axis=-1)
+    return picks[0], rollout_window(model, batch, forced_indices=picks).pred[0]
+
+
 class TestAgentPilot:
+    @pytest.mark.parametrize("model_seed", [7, 8, 9])
+    @pytest.mark.parametrize("scale", [0.0, 0.3])
+    def test_training_kernel_and_online_fold_equal_the_agent(
+        self, model_seed, scale, reference_test_split
+    ):
+        model = PilotModel(REFERENCE_DIMS, np.random.default_rng([model_seed, 0]))
+        rng = np.random.default_rng([model_seed, 1])
+        for p in model.params():  # nonzero biases put their sums' order to the test
+            p.values += scale * rng.normal(size=p.shape)
+        for episode in reference_test_split:
+            agent = agent_pilot(episode, model)
+            picks, pred = _forced_rollout(model, episode)
+            assert pred.tolist() == [[a.azimuth, a.elevation] for a in agent]
+            assert pilot_episode(episode, model) == (agent, picks.tolist())
+
+    @pytest.mark.parametrize(
+        "weight, index", [("regressor.head.w", (1, 0)), ("regressor.cell.w_hh", (0, 0))]
+    )
+    def test_nan_weight_raises_at_the_first_non_finite_angle(self, weight, index, reference_test_split):
+        model = PilotModel(REFERENCE_DIMS, np.random.default_rng([7, 0]))
+        model.param_map()[weight].values[index] = np.nan
+        episode = reference_test_split[0]
+        pred = _forced_rollout(model, episode)[1]
+        az, el = pred[np.argmin(np.isfinite(pred).all(axis=1))].tolist()
+        message = f"non-finite viewing angle ({az}, {el})"
+        assert np.isnan(el)  # a NaN elevation is not clamped away
+        for pilot in (agent_pilot, lambda ep, m: pilot_episode(ep, m)[0]):
+            with pytest.raises(InvalidInput) as err:
+                pilot(episode, model)
+            assert str(err.value) == message
+
     @pytest.mark.parametrize("seed, scale", [(0, 0.0), (1, 0.5), (2, 2.0)])
     def test_equals_pilot_episode(self, seed, scale):
         model, episode = _model(seed, scale), synth_scene(SCENE, 10 + seed)

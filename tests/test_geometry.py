@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from viewpilot.errors import InvalidInput
-from viewpilot.geometry import NFoV, ViewingAngle, land_angles, nfov_iou
+from viewpilot.geometry import NFoV, ViewingAngle, land_angles, nfov_iou, viewing_angles
 from viewpilot.observation import OFFSET_SCALE
 from viewpilot.regressor import loss_terms
 from viewpilot.training import _follow_offset
@@ -56,6 +56,33 @@ class TestApplyAction:
             ViewingAngle(float("nan"), 0)
         with pytest.raises(InvalidInput):
             ViewingAngle(float("inf"), 0)
+
+
+class TestViewingAngles:
+    """The list builder equals one constructor call per row."""
+
+    def test_equals_the_constructor_per_row(self):
+        rng = np.random.default_rng(4)
+        rows = [*zip(rng.uniform(-800, 800, 500), rng.uniform(-200, 200, 500)),
+                (-1e-320, -0.0), (360.0, 90.0), (-360.0, -90.0), (0.0, 1e-300)]
+        built = viewing_angles(np.array(rows))
+        expected = [ViewingAngle(az, el) for az, el in np.array(rows).tolist()]
+        assert [(a.azimuth, a.elevation) for a in built] == [
+            (a.azimuth, a.elevation) for a in expected
+        ]
+        assert all(type(a.azimuth) is float and type(a.elevation) is float for a in built)
+        assert [math.copysign(1.0, a.elevation) for a in built] == [
+            math.copysign(1.0, a.elevation) for a in expected
+        ]
+
+    @pytest.mark.parametrize("bad", [(math.nan, 1.0), (2.0, math.inf), (-math.inf, math.nan)])
+    def test_first_non_finite_row_raises_the_constructors_error(self, bad):
+        rows = np.array([(10.0, 5.0), bad, (math.nan, math.nan)])
+        with pytest.raises(InvalidInput) as expected:
+            ViewingAngle(*bad)
+        with pytest.raises(InvalidInput) as err:
+            viewing_angles(rows)
+        assert str(err.value) == str(expected.value)
 
 
 class TestAngularOffset:

@@ -94,7 +94,8 @@ GREEDY_EPISODE = synth_scene(GREEDY_SCENE, 0)
 
 
 def _greedy_picks(logits) -> tuple[list[int], list[int]]:
-    """The slots ``pilot_step`` and ``rollout_window(greedy=True)`` select on
+    """The slots ``pilot_step`` and a rollout forced to the argmax of
+    ``selector.unroll`` (as the agent method picks them) select on
     each frame when the selector's logits are ``logits`` whatever its input:
     the cell holds h = tanh(atanh(0.5)) in both units, and both entries of
     head row i are logits[i]."""
@@ -109,7 +110,8 @@ def _greedy_picks(logits) -> tuple[list[int], list[int]]:
         _, index, state = pilot_step(frame, state, model)
         online.append(index)
     batch = WindowBatch(ep.flat[None], ep.positions[None], ep.motions[None], ep.gt_track[None])
-    return online, rollout_window(model, batch, greedy=True).indices[0, :, 0].tolist()
+    picks = np.argmax(model.selector.unroll(batch.flat)[1], axis=-1)
+    return online, rollout_window(model, batch, forced_indices=picks).indices[0, :, 0].tolist()
 
 
 class TestSelectGreedy:

@@ -221,7 +221,8 @@ class TestRolloutContracts:
         batch = WindowBatch(
             arrays.flat[None], arrays.positions[None], arrays.motions[None], arrays.gt_track[None]
         )
-        tape = rollout_window(model, batch, greedy=True)
+        picks = np.argmax(model.selector.unroll(batch.flat)[1], axis=-1)
+        tape = rollout_window(model, batch, forced_indices=picks)
         trajectory, selections = pilot_episode(episode, model)
         assert tape.indices[0, :, 0].tolist() == selections
         online = np.array([[a.azimuth, a.elevation] for a in trajectory])
