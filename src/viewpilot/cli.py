@@ -22,7 +22,7 @@ import numpy as np
 from . import evaluation
 from .agent import initial_state, load_model_checkpoint, pilot_step, write_trajectory
 from .config import RunConfig, apply_overrides, load_run_config
-from .errors import ConfigError, NumericsError, ParseError, PilotError
+from .errors import ConfigError, InvalidInput, NumericsError, ParseError, PilotError
 from .gradcheck import MODES, check_model, check_trajectory_loss
 from .observation import generate_dataset, load_episodes, save_episodes, stream_episodes
 from .training import train
@@ -124,6 +124,11 @@ def cmd_eval(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    if "offline_dp" in names:
+        try:
+            evaluation.check_grid_step(config.eval.grid_step)
+        except InvalidInput as exc:
+            raise ConfigError(exc) from None
     episodes = load_episodes(args.data)
     model = None
     checkpoint_id = "none"
@@ -140,9 +145,7 @@ def cmd_eval(args) -> int:
         dp_smooth_weight=config.eval.dp_smooth_weight,
         eta=config.train.eta,
     )
-    rows, details = evaluation.benchmark(
-        methods, episodes, h_span=config.eval.h_span, jobs=args.jobs
-    )
+    rows, details = evaluation.benchmark(methods, episodes, h_span=config.eval.h_span)
     print(f"checkpoint: {checkpoint_id}")
     print(format_benchmark(rows))
     if args.out:
@@ -264,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated subset of: {', '.join(evaluation.METHOD_NAMES)}",
     )
     p.add_argument("--out", help="write JSON-lines benchmark records here")
-    p.add_argument("--jobs", type=_positive(int), default=1, help="episode-level worker threads")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("pilot", help="stream a checkpointed agent over an episode file")

@@ -8,6 +8,8 @@ many frames contained no real detections.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -105,6 +107,31 @@ def agent_pilot(episode: Episode, model: PilotModel) -> list[ViewingAngle]:
     return viewing_angles(views)
 
 
+# The DP's dense (G, G) float64 arrays may hold at most this many entries
+# (64 MB each): the 5-degree grid's 2,592 views fit, the 4-degree's 4,050 not.
+MAX_DP_ENTRIES = 1 << 23
+
+
+def check_grid_views(views: int) -> None:
+    """Refuse an empty view grid or one too large for the DP's arrays."""
+    if not 0 < views * views <= MAX_DP_ENTRIES:
+        raise InvalidInput(
+            f"offline_dp takes 1 to {math.isqrt(MAX_DP_ENTRIES)} grid views, got a {views}-view grid"
+        )
+
+
+def check_grid_step(step: float) -> None:
+    """Refuse a step outside (0, 180] or one whose grid ``check_grid_views``
+    refuses, counting its views as np.arange does."""
+    if not 0 < step <= 180:
+        raise InvalidInput(f"grid step must be in (0, 180], got {step}")
+    start = step / 2.0
+    columns, rows = (360.0 - start) / step, (90.0 - (-90.0 + start)) / step
+    if not columns * rows <= MAX_DP_ENTRIES:  # before math.ceil: a tiny step's counts are inf
+        raise InvalidInput(f"grid step {step} makes more than {MAX_DP_ENTRIES} offline_dp grid views")
+    check_grid_views(math.ceil(columns) * math.ceil(rows))
+
+
 def default_view_grid(step: float = 30.0) -> list[ViewingAngle]:
     """Cell centers of a step x step angle grid covering the sphere."""
     if step <= 0 or step > 180:
@@ -115,38 +142,62 @@ def default_view_grid(step: float = 30.0) -> list[ViewingAngle]:
     return viewing_angles(grid.reshape(-1, 2))
 
 
-# Frames per block of _dp_unaries are chosen so that one (block, G, N)
-# float64 temporary holds about this many entries (4 MB).
+def _dp_grid(views: list[ViewingAngle], smooth_weight: float):
+    """The views, their (G, 2) array, the unique azimuths with each view's
+    column among them, and the contiguous (to, from) transition matrix."""
+    check_grid_views(len(views))
+    grid_arr = np.array([[v.azimuth, v.elevation] for v in views])
+    azimuths, column = np.unique(grid_arr[:, 0], return_inverse=True)
+    daz = np.abs(signed_azimuth_delta_array(grid_arr[:, None, 0] - grid_arr[None, :, 0]))
+    trans = smooth_weight * np.hypot(daz, grid_arr[:, None, 1] - grid_arr[None, :, 1])
+    trans_to = np.ascontiguousarray(trans.T)  # (to, from): each argmax reads one row
+    return views, grid_arr, azimuths, column, trans_to
+
+
+@functools.lru_cache(maxsize=1)
+def _default_dp_grid(grid_step: float, smooth_weight: float):
+    """``_dp_grid`` of ``default_view_grid(grid_step)``, kept for the next
+    call, so an eval pass prepares it once and only if offline_dp runs."""
+    check_grid_step(grid_step)  # before the views exist
+    return _dp_grid(default_view_grid(grid_step), smooth_weight)
+
+
+# Frames per block of _dp_unaries: block * G * N stays near this many entries,
+# so the running minimum's (block, G) float64 arrays (512 KB at 8 slots) stay
+# in a 4 MB L2 cache; sizing by G alone ran 5-degree unaries 1.7x slower there.
 _DP_BLOCK_ENTRIES = 1 << 19
 
 
-def _dp_unaries(episode: Episode, grid_arr: np.ndarray, eta: float) -> np.ndarray:
+def _dp_unaries(
+    episode: Episode, grid_arr: np.ndarray, azimuths: np.ndarray, column: np.ndarray, eta: float
+) -> np.ndarray:
     """unary[t, g]: score-weighted reward of grid view g against the nearest
     real detection at frame t (zero when the frame has no detections).
 
-    Distances are taken once per (frame, view, slot) with padded slots
-    masked out, and the reward (``reward_array``'s piecewise form) only at
-    the nearest slot. Frames go in blocks that bound the temporaries.
+    ``azimuths`` are the grid's unique azimuths and ``column`` indexes each
+    view's among them. A running minimum over the real slots in slot order
+    keeps a view's distance and score where a slot is strictly closer, so
+    ties keep the lower slot as argmin does. The reward (``reward_array``'s
+    piecewise form) is taken at the kept distance. Frames go in blocks.
     """
-    t_total, n = episode.scores.shape
-    azimuths, column = np.unique(grid_arr[:, 0], return_inverse=True)
-    unary = np.zeros((t_total, grid_arr.shape[0]))
-    block = max(1, _DP_BLOCK_ENTRIES // (grid_arr.shape[0] * n))
+    (t_total, n), g_total = episode.scores.shape, grid_arr.shape[0]
+    unary = np.zeros((t_total, g_total))
+    block = max(1, _DP_BLOCK_ENTRIES // (g_total * n))
     for lo in range(0, t_total, block):
-        frames = slice(lo, lo + block)
-        real = episode.scores[frames] > 0.0
-        slots = np.flatnonzero(real.any(axis=0))  # slots padded in every frame are skipped
-        if slots.size == 0:
-            continue
-        pos, real = episode.positions[frames, slots], real[:, slots]
-        daz = signed_azimuth_delta_array(azimuths[:, None] - pos[:, None, :, 0])[:, column]
-        dist = np.hypot(daz, grid_arr[:, 1, None] - pos[:, None, :, 1])  # (block, G, slots)
-        np.copyto(dist, np.inf, where=~real[:, None])
-        nearest = np.argmin(dist, axis=2)[..., None]
-        d = np.take_along_axis(dist, nearest, axis=2)[..., 0]
-        score = np.take_along_axis(episode.scores[frames, None, slots], nearest, axis=2)[..., 0]
-        value = score * np.where(d <= eta, 1.0 - d / eta, -1.0)
-        unary[frames] = np.where(real.any(axis=1)[:, None], value, 0.0)
+        scores, positions = episode.scores[lo : lo + block], episode.positions[lo : lo + block]
+        real = scores > 0.0
+        nearest = np.full((len(scores), g_total), np.inf)
+        score = np.zeros_like(nearest)
+        for s in np.flatnonzero(real.any(axis=0)):  # slots padded in every frame are skipped
+            pos = positions[:, s, :, None]
+            daz = signed_azimuth_delta_array(azimuths - pos[:, 0])[:, column]
+            dist = np.hypot(daz, grid_arr[:, 1] - pos[:, 1])  # (block, G)
+            closer = dist < nearest
+            closer &= real[:, s, None]
+            np.copyto(nearest, dist, where=closer)
+            np.copyto(score, scores[:, s, None], where=closer)
+        value = score * np.where(nearest <= eta, 1.0 - nearest / eta, -1.0)
+        unary[lo : lo + block] = np.where(real.any(axis=1)[:, None], value, 0.0)
     return unary
 
 
@@ -163,15 +214,20 @@ def offline_dp(
     by dynamic programming. Consumes the entire episode before emitting any
     angle, so it is an explicitly offline reference method, not an online
     policy.
+
+    Costs O(T*G*S + T*G^2) for T frames, G views and S slots. Without a
+    ``grid``, the default grid and its transition matrix are prepared once
+    per (grid_step, smooth_weight) and kept for the next call, so an eval
+    pass over many episodes prepares them once. Ties go to the lower slot
+    when picking a view's nearest detection and to the lower view index in
+    the recursion. A grid with more than ``MAX_DP_ENTRIES`` view pairs
+    raises ``InvalidInput`` before any (G, G) array is allocated.
     """
-    views = list(grid) if grid is not None else default_view_grid(grid_step)
-    if not views:
-        raise InvalidInput("empty view grid")
-    grid_arr = np.array([[v.azimuth, v.elevation] for v in views])
-    unary = _dp_unaries(episode, grid_arr, eta)
-    daz = np.abs(signed_azimuth_delta_array(grid_arr[:, None, 0] - grid_arr[None, :, 0]))
-    trans = smooth_weight * np.hypot(daz, grid_arr[:, None, 1] - grid_arr[None, :, 1])
-    trans_to = np.ascontiguousarray(trans.T)  # (to, from): each argmax reads one row
+    if grid is None:
+        views, grid_arr, azimuths, column, trans_to = _default_dp_grid(grid_step, smooth_weight)
+    else:
+        views, grid_arr, azimuths, column, trans_to = _dp_grid(list(grid), smooth_weight)
+    unary = _dp_unaries(episode, grid_arr, azimuths, column, eta)
 
     t_total, g_total = unary.shape
     best = unary[0].copy()
@@ -250,38 +306,29 @@ def benchmark(
     """Evaluate each method on each episode.
 
     Returns aggregate rows plus per-episode detail records (method, episode
-    index, mo, mvd, empty_frames). MVD units are degrees per frame.
+    index, mo, mvd, empty_frames). MVD units are degrees per frame. Episodes
+    run one after another: ``jobs`` must be 1. An episode shorter than the
+    3 frames MVD needs is refused, by index, before any method runs.
     """
     if not episodes:
         raise InvalidInput("benchmark needs at least one episode")
+    if jobs != 1:
+        raise InvalidInput(f"benchmark runs episodes one at a time; jobs must be 1, got {jobs}")
+    for i, ep in enumerate(episodes):
+        if len(ep) < 3:
+            raise InvalidInput(f"episode {i} has {len(ep)} frames; MVD needs at least 3")
     rows, details = [], []
     empties = [empty_frame_count(ep) for ep in episodes]
     gts = [ep.gt_track for ep in episodes]
     for name, fn in methods.items():
-        def run(pair):
-            i, ep = pair
+        mos, mvds = [], []
+        for ep, gt in zip(episodes, gts):
             traj = _as_array(fn(ep))
-            return i, mean_overlap(traj, gts[i], h_span=h_span), mean_velocity_difference(traj)
-
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor  # kept off the import path
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(run, enumerate(episodes)))
-        else:
-            results = [run(pair) for pair in enumerate(episodes)]
-        results.sort()
-        mos = np.array([r[1] for r in results])
-        mvds = np.array([r[2] for r in results])
-        rows.append(BenchmarkRow(name, float(mos.mean()), float(mvds.mean()), len(episodes)))
+            mos.append(mean_overlap(traj, gt, h_span=h_span))
+            mvds.append(mean_velocity_difference(traj))
+        rows.append(BenchmarkRow(name, float(np.mean(mos)), float(np.mean(mvds)), len(episodes)))
         details.extend(
-            {
-                "method": name,
-                "episode": i,
-                "mo": float(mo),
-                "mvd": float(mvd),
-                "empty_frames": empties[i],
-            }
-            for i, mo, mvd in results
+            {"method": name, "episode": i, "mo": mo, "mvd": mvd, "empty_frames": empties[i]}
+            for i, (mo, mvd) in enumerate(zip(mos, mvds))
         )
     return rows, details

@@ -132,7 +132,7 @@ def test_bad_eval_setting_exits_4(tmp_path, capsys, override):
         ("gen-data", "--count", "0"),
         ("gradcheck", "--seeds", "0"),  # checked nothing and passed
         ("gradcheck", "--tolerance", "nan"),  # failed every check
-        ("eval", "--jobs", "0"),  # ran with one worker
+        ("eval", "--jobs", "0"),  # the --jobs flag is gone: an unknown flag
         ("eval", "--jobs", "-3"),
     ],
     ids=lambda argv: " ".join(argv),
@@ -198,6 +198,37 @@ def test_pilot_with_a_nan_parameter_exits_5(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_NUMERICS
     assert err.startswith("numerics error") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "step, views", [(1.0, "a 64800-view grid"), (4.0, "a 4050-view grid"), (1e-310, "more than")]
+)
+def test_eval_grid_too_large_for_the_dp_exits_4_with_its_view_count(tmp_path, capsys, step, views):
+    out = tmp_path / "bench.jsonl"
+    argv = ["eval", "--set", f"eval.grid_step={step}", "--data", _episodes(tmp_path)]
+    code = main([str(a) for a in argv + ["--methods", "center_hold,offline_dp", "--out", out]])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("configuration error") and views in err
+    assert not out.exists()
+
+
+def test_a_grid_too_large_for_the_dp_is_no_error_without_offline_dp(tmp_path, capsys):
+    data, out = _episodes(tmp_path), tmp_path / "bench.jsonl"
+    argv = ("eval", "--set", "eval.grid_step=1", "--data", data, "--methods", "center_hold")
+    assert _run(capsys, *argv, "--out", out) == EXIT_OK
+    assert out.exists()
+
+
+def test_eval_on_an_episode_too_short_for_mvd_names_it_and_exits_2(tmp_path, capsys):
+    data, out = tmp_path / "short.jsonl", tmp_path / "bench.jsonl"
+    assert _run(capsys, "gen-data", "--set", "scene.frames=2", "--count", 2, "--out", data) == EXIT_OK
+    argv = ["eval", "--data", data, "--methods", "center_hold,offline_dp", "--out", out]
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.strip() == "error: episode 0 has 2 frames; MVD needs at least 3"
+    assert not out.exists()
 
 
 def test_unknown_method_exits_2(tmp_path, capsys):

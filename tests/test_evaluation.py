@@ -5,6 +5,7 @@ references, and the array code must equal them exactly.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -186,6 +187,15 @@ def _with_padding(episode: Episode, empty: list[int], single: list[int]) -> Epis
     return Episode(*slots, episode.gt_track)
 
 
+def _with_ties(episode: Episode, frames, pairs) -> Episode:
+    """In ``frames``, each (lower, upper) slot pair of ``pairs`` sits at one
+    position, so both are equally near every view; their scores differ."""
+    positions = episode.positions.copy()
+    for lower, upper in pairs:
+        positions[frames, upper] = positions[frames, lower]
+    return Episode(episode.appearance, positions, episode.motions, episode.scores, episode.gt_track)
+
+
 REPEATED_AZIMUTHS = [
     ViewingAngle(10.0, 0.0), ViewingAngle(200.0, -10.0), ViewingAngle(10.0, 30.0),
     ViewingAngle(359.5, 0.0), ViewingAngle(0.0, 0.0), ViewingAngle(10.0, -60.0),
@@ -199,7 +209,24 @@ DP_CASES = {
     ),
     "grid_step 45": (synth_scene(SCENE, 4), None, 45.0),
     "repeated grid azimuths": (synth_scene(SCENE, 5), REPEATED_AZIMUTHS, 30.0),
+    "tied detections": (_with_ties(synth_scene(SCENE, 6), slice(5, 45), [(0, 1), (2, 3)]), None, 30.0),
 }
+
+
+class TestBenchmark:
+    def test_short_episode_is_named_before_any_method_runs(self):
+        calls = []
+        short = synth_scene(dataclasses.replace(SCENE, frames=2), 1)
+        episodes = [synth_scene(SCENE, 1), short, short]
+        with pytest.raises(InvalidInput, match="episode 1 has 2 frames; MVD needs at least 3"):
+            evaluation.benchmark({"center_hold": lambda ep: calls.append(ep)}, episodes)
+        assert calls == []
+
+    @pytest.mark.parametrize("jobs", [0, 2])
+    def test_jobs_other_than_one_is_refused(self, jobs):
+        methods = evaluation.build_methods(["center_hold"])
+        with pytest.raises(InvalidInput, match="jobs must be 1"):
+            evaluation.benchmark(methods, [synth_scene(SCENE, 1)], jobs=jobs)
 
 
 def test_empty_frame_count_counts_frames_without_detections():
@@ -218,7 +245,9 @@ class TestOfflineDp:
         grid_arr = np.array([[v.azimuth, v.elevation] for v in views])
         expected = _unaries_per_frame(episode, grid_arr, DEFAULT_ETA)
         assert np.any(expected != 0.0)
-        assert _dp_unaries(episode, grid_arr, DEFAULT_ETA).tobytes() == expected.tobytes()
+        azimuths, column = np.unique(grid_arr[:, 0], return_inverse=True)
+        unaries = _dp_unaries(episode, grid_arr, azimuths, column, DEFAULT_ETA)
+        assert unaries.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("case", list(DP_CASES))
     @pytest.mark.parametrize("smooth_weight", [1.0, 0.05])
@@ -229,6 +258,43 @@ class TestOfflineDp:
         assert path == _offline_dp_per_frame(episode, views, smooth_weight, DEFAULT_ETA)
         if smooth_weight < 1.0:
             assert len(set(path)) > 1  # the path moves between views
+
+    @pytest.mark.parametrize("case", [name for name, (_, grid, _) in DP_CASES.items() if grid is None])
+    @pytest.mark.parametrize("eta", [DEFAULT_ETA, 25.0])
+    def test_built_method_equals_offline_dp(self, case, eta):
+        episode, _, step = DP_CASES[case]
+        method = evaluation.build_methods(
+            ["offline_dp"], grid_step=step, dp_smooth_weight=0.05, eta=eta
+        )["offline_dp"]
+        for ep in (episode, synth_scene(SCENE, 9), episode):  # one grid serves every episode
+            assert method(ep) == offline_dp(ep, grid_step=step, smooth_weight=0.05, eta=eta)
+
+    def test_grid_is_prepared_once_and_only_when_offline_dp_runs(self):
+        prepared = evaluation._default_dp_grid
+        prepared.cache_clear()
+        episodes = [synth_scene(SCENE, 1), synth_scene(SCENE, 2), synth_scene(SCENE, 3)]
+        evaluation.benchmark(evaluation.build_methods(["center_hold", "gt_replay"]), episodes)
+        methods = evaluation.build_methods(["center_hold", "offline_dp"], grid_step=1.0)
+        assert prepared.cache_info().misses == 0  # neither eval nor building prepared a grid
+        with pytest.raises(InvalidInput, match="a 64800-view grid"):
+            methods["offline_dp"](episodes[0])
+        prepared.cache_clear()
+        methods = evaluation.build_methods(["offline_dp"], grid_step=45.0, dp_smooth_weight=0.05)
+        evaluation.benchmark(methods, episodes)
+        assert prepared.cache_info()[:2] == (2, 1)  # (hits, misses)
+
+    def test_grid_past_the_entry_bound_is_refused(self):
+        episode, side = synth_scene(SCENE, 3), math.isqrt(evaluation.MAX_DP_ENTRIES)
+        evaluation.check_grid_views(side)
+        for views in (0, side + 1):  # refused before any (G, G) array exists
+            with pytest.raises(InvalidInput, match=f"got a {views}-view grid"):
+                offline_dp(episode, grid=[ViewingAngle(0.0, 0.0)] * views)
+        with pytest.raises(InvalidInput, match="got a 4050-view grid"):
+            offline_dp(episode, grid_step=4.0)
+        for step in (1e-3, 1e-310, 5e-324):  # 1e-310's view counts overflow a float
+            with pytest.raises(InvalidInput, match=f"makes more than {evaluation.MAX_DP_ENTRIES} offline_dp grid views"):
+                offline_dp(episode, grid_step=step)
+        assert len(default_view_grid(5.0)) == 2592
 
 
 # ---------------------------------------------------------------------------
