@@ -1,8 +1,9 @@
 """The composed online pilot: per-frame selection, naive follow offset,
 recurrent refinement, and viewing-angle update. Strictly causal — each step
-sees only the current observation and the carried state. One steering
-step serves :func:`pilot_step` and the agent method ``evaluation.agent_pilot``;
-``training._steer`` is its batched form, held to the same floats by a test.
+sees only the current observation and the carried state. The selector steps
+with ``diffcore.TanhRnnCell.step``; :func:`steering_step` replicates that
+step inline for :func:`pilot_step` and ``evaluation.agent_pilot``, held by a
+test to the floats of ``training._steer``, which calls the method.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import Checkpoint, LrSchedule, ParamTensor, load_checkpoint, params_digest, save_checkpoint
+from .diffcore import (
+    Checkpoint, LrSchedule, ParamTensor, load_checkpoint, params_digest, save_checkpoint, softmax,
+)
 from .errors import ConfigError, InvalidInput, ParseError
 from .geometry import ViewingAngle, clamp_elevation, signed_azimuth_delta, wrap_azimuth
 from .observation import OFFSET_SCALE, Episode, FrameObservation, _parse_json_line
@@ -110,8 +113,9 @@ def steering_step(model: PilotModel):
     """``step(x, target_az, target_el, az, el, mu) -> (az, el, mu)``: move the
     view (az, el) toward the selected slot at (target_az, target_el). ``x``
     (k+2,) holds the slot's motions; the step writes the follow offset into
-    its last two entries. Each operation is ``training._steer``'s at B=1, in
-    its order, so the landed views are the same floats (NaN stays NaN)."""
+    its last two entries. It is ``TanhRnnCell.step`` inlined (a call would add
+    a third to its time), then ``training._steer``'s head and landing at B=1,
+    in their order, so the landed views are the same floats (NaN stays NaN)."""
     cell, k = model.regressor.cell, model.dims.motion_bins
     w_xh, w_hh, bias = cell.w_xh.values.T, cell.w_hh.values.T, cell.b.values
     w_r = model.regressor.head.w.values.T
@@ -138,8 +142,8 @@ def pilot_step(
         raise InvalidInput(
             f"observation dim {obs.flat.shape[-1]} != model dim {model.dims.flat_dim}"
         )
-    h, probs = model.selector.forward(obs.flat, state.selector_h)
-    index = int(np.argmax(probs))  # ties go to the lowest slot
+    h = model.selector.cell.step(obs.flat, state.selector_h)
+    index = int(np.argmax(softmax(h @ model.selector.head.w.values.T)))  # ties: lowest slot
     if not 0 <= index < len(obs.scores):
         raise InvalidInput(f"selection index {index} out of range")
     x = np.append(obs.motions[index], (0.0, 0.0))

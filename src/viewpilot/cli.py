@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation
-from .agent import initial_state, load_model_checkpoint, pilot_step, write_trajectory
+from .agent import ModelDims, initial_state, load_model_checkpoint, pilot_step, write_trajectory
 from .config import RunConfig, apply_overrides, load_run_config
 from .errors import ConfigError, InvalidInput, NumericsError, ParseError, PilotError
 from .gradcheck import MODES, check_model, check_trajectory_loss
@@ -48,6 +48,20 @@ def _out_dir(config: RunConfig) -> Path:
     return Path(os.environ.get(ENV_OUT_DIR, config.paths.out_dir))
 
 
+def _check_episode_dims(found, dims: ModelDims, against: str) -> None:
+    """Refuse (exit 4) episodes whose per-slot dims d/k/n, one tuple each
+    in ``found``, differ from ``dims``. Swapped d and k keep the selector's
+    input width, so nothing later catches the mismatch cleanly."""
+    want = (dims.appearance_dim, dims.motion_bins, dims.slots)
+    for got in found:
+        if got != want:
+            raise ConfigError(f"episode dims d/k/n {got} do not match {against} {want}")
+
+
+def _slot_dims(episodes) -> list[tuple[int, int, int]]:
+    return [(ep.appearance.shape[2], ep.motions.shape[2], ep.scores.shape[1]) for ep in episodes]
+
+
 def cmd_gen_data(args) -> int:
     config = _load_config(args)
     scene = config.scene
@@ -72,6 +86,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     config = _load_config(args)
     episodes = load_episodes(args.data)
+    _check_episode_dims(_slot_dims(episodes), config.dims(), "the config's")
     train_cfg = config.train
     if args.epochs is not None:
         import dataclasses
@@ -137,6 +152,7 @@ def cmd_eval(args) -> int:
             print("--checkpoint is required for agent/selector_only methods", file=sys.stderr)
             return EXIT_USAGE
         model, ckpt = load_model_checkpoint(args.checkpoint, expect_dims=config.dims())
+        _check_episode_dims(_slot_dims(episodes), model.dims, "the checkpoint's")
         checkpoint_id = ckpt.digest
     methods = evaluation.build_methods(
         names,
@@ -156,15 +172,10 @@ def cmd_eval(args) -> int:
 
 def cmd_pilot(args) -> int:
     model, ckpt = load_model_checkpoint(args.checkpoint, expect_dims=None)
-    dims = model.dims
     with open(args.out, "w", encoding="utf-8") as out_fh:
         for index, (header, frames) in enumerate(stream_episodes(args.data)):
-            got = (header["d"], header["k"], header["n"])
-            if got != (dims.appearance_dim, dims.motion_bins, dims.slots):
-                raise ConfigError(
-                    f"episode dims d/k/n {got} do not match the checkpoint's "
-                    f"({dims.appearance_dim}, {dims.motion_bins}, {dims.slots})"
-                )
+            found = [(header["d"], header["k"], header["n"])]
+            _check_episode_dims(found, model.dims, "the checkpoint's")
 
             def records():
                 state = None

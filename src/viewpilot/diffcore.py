@@ -3,8 +3,11 @@ softmax, SGD with a step-decay schedule, finite-difference gradient checks,
 and checkpoint files.
 
 Everything is float64 numpy. Backward passes are hand-derived; there is no
-general autodiff. Forward functions accept a single vector or a batch-first
-array (``unroll`` also stacked weights); backward helpers expect 2-D batches.
+general autodiff. ``TanhRnnCell.step`` and ``backward_step`` are the cells'
+one forward and one reverse step; ``unroll`` and ``agent.steering_step``
+replicate ``step`` inline. Forward functions accept a single vector or a
+batch-first array (``step`` and ``unroll`` also stacked weights); backward
+helpers expect 2-D batches.
 """
 
 from __future__ import annotations
@@ -70,30 +73,34 @@ class TanhRnnCell:
     def params(self) -> list[ParamTensor]:
         return [self.w_xh, self.w_hh, self.b]
 
-    def step(self, x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
+    def step(self, x: np.ndarray, h_prev: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``tanh(x @ W_xh^T + h_prev @ W_hh^T + b)``, summed in that order, in
+        place in ``out`` when given. Weights may carry leading probe axes as in
+        :meth:`unroll`; when ``w_hh`` or ``b`` does, ``x`` or ``out`` must too."""
         if x.shape[-1] != self.input_dim or h_prev.shape[-1] != self.hidden_dim:
             raise InvalidInput(
                 f"cell expects input {self.input_dim} / hidden {self.hidden_dim}, "
                 f"got {x.shape[-1]} / {h_prev.shape[-1]}"
             )
-        return np.tanh(x @ self.w_xh.values.T + h_prev @ self.w_hh.values.T + self.b.values)
+        bias = self.b.values
+        pre = np.matmul(x, self.w_xh.values.swapaxes(-1, -2), out=out)
+        pre += h_prev @ self.w_hh.values.swapaxes(-1, -2)
+        pre += bias if bias.ndim == 1 else bias[..., None, :]
+        return np.tanh(pre, out=pre)
 
-    def backward_step(self, dh: np.ndarray, x: np.ndarray, h_prev: np.ndarray, h: np.ndarray):
-        """Accumulate parameter grads for one recorded step; returns (dx, dh_prev).
-
-        All arguments are (B, dim) batches saved from the forward pass.
-        """
-        dpre = dh * (1.0 - h * h)
-        self.accumulate_grads(dpre, x, h_prev)
-        return dpre @ self.w_xh.values, dpre @ self.w_hh.values
+    def backward_step(self, d: np.ndarray, deriv: np.ndarray) -> np.ndarray:
+        """Pre-activation grads, in place, of the post-activation grads ``d``
+        (B, H) (``d *= deriv``, the saved 1 - h^2); returns the previous state's."""
+        d *= deriv
+        return d @ self.w_hh.values
 
     def unroll(self, xs: np.ndarray) -> np.ndarray:
         """Hidden states (..., B, T+1, H) over a (B, T, D) input sequence,
         from a zero initial state at index 0.
 
-        The input projection of every step is one GEMM ahead of the
-        recurrence; each step then adds only ``h @ W_hh`` and the bias, in
-        the summation order of :meth:`step`. Weights may carry leading
+        The loop is :meth:`step` with every step's input projection hoisted
+        into one GEMM ahead of the recurrence, inline because a call per step
+        would add about a third to a B=1 step. Weights may carry leading
         probe axes (..., H, ·), which the states then lead with; each slice
         is the 2-D computation. The states are a view of a time-major array.
         """
@@ -134,11 +141,8 @@ class TanhRnnCell:
         deriv = 1.0 - hs[:, 1:] * hs[:, 1:]
         dpre = np.empty((dh.shape[1],) + hs[:, 0].shape)  # time-major
         carry = np.zeros_like(hs[:, 0])
-        w_hh = self.w_hh.values
         for t in reversed(range(dh.shape[1])):
-            d = np.add(dh[:, t], carry, out=dpre[t])
-            d *= deriv[:, t]
-            carry = d @ w_hh
+            carry = self.backward_step(np.add(dh[:, t], carry, out=dpre[t]), deriv[:, t])
         self.accumulate_grads(dpre.transpose(1, 0, 2), xs, hs[:, :-1])
         return carry
 
@@ -155,8 +159,6 @@ class Linear:
         self, name: str, input_dim: int, output_dim: int, rng: np.random.Generator,
         gain: float = 1.0,
     ):
-        self.input_dim = input_dim
-        self.output_dim = output_dim
         self.w = ParamTensor(
             f"{name}.w", gain * uniform_init(rng, (output_dim, input_dim), input_dim)
         )
@@ -164,13 +166,8 @@ class Linear:
     def params(self) -> list[ParamTensor]:
         return [self.w]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[-1] != self.input_dim:
-            raise InvalidInput(f"linear expects input {self.input_dim}, got {x.shape[-1]}")
-        return x @ self.w.values.T
-
     def backward(self, dy: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Accumulate the weight grad for one recorded apply; returns dx."""
+        """Accumulate the weight grad for outputs ``x @ W^T``; returns dx."""
         self.w.grad += dy.T @ x
         return dy @ self.w.values
 

@@ -14,8 +14,10 @@ as re-evaluating both.
 together: it installs a (P, *shape) stack of probe values as the tensor's
 values and the loss returns all P losses from one forward through the
 training kernels (``TanhRnnCell.unroll``, the selector head and softmax,
-``training._steer`` and ``loss_terms``), which take weights with leading
-probe axes. Probes go in blocks whose stack holds at most
+``training._steer``, which steps the regressor with ``TanhRnnCell.step``,
+and ``loss_terms``), which take weights with leading probe axes. The
+analytic side is ``training.backward_window``, whose reverse loops run
+``TanhRnnCell.backward_step``. Probes go in blocks whose stack holds at most
 ``diffcore._PROBE_BLOCK_ENTRIES`` entries, which bounds the temporaries
 (the selector's input weights at ``CHECK_DIMS`` take about 60 blocks).
 The results are bit-identical to evaluating each probe alone: every probe

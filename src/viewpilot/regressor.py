@@ -2,7 +2,10 @@
 
 The regressor consumes the selected object's motion histogram concatenated
 with the naive follow-the-object offset, runs one tanh RNN step, and maps the
-hidden state linearly to a 2-D steering action. The loss over a predicted
+hidden state linearly to a 2-D steering action. That step is
+``diffcore.TanhRnnCell.step`` in ``training._steer`` and
+``training._branch_rewards``, and its inline B=1 form
+``agent.steering_step`` in the online pilot. The loss over a predicted
 trajectory is the summed wrap-aware distance to ground truth plus lambda
 times the summed change in viewing-angle velocity.
 """
@@ -12,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .diffcore import Linear, TanhRnnCell
-from .errors import InvalidInput
 from .geometry import signed_azimuth_delta_array
 
 
@@ -23,7 +25,6 @@ class RegressorNetwork:
     """tanh RNN over (motion, naive offset) with a bias-free 2-D linear head."""
 
     def __init__(self, motion_bins: int, hidden_dim: int, rng: np.random.Generator):
-        self.motion_bins = motion_bins
         self.hidden_dim = hidden_dim
         self.cell = TanhRnnCell("regressor.cell", motion_bins + 2, hidden_dim, rng)
         self.head = Linear("regressor.head", hidden_dim, 2, rng, gain=ACTION_GAIN)
@@ -33,14 +34,6 @@ class RegressorNetwork:
 
     def initial_state(self) -> np.ndarray:
         return np.zeros(self.hidden_dim)
-
-    def forward(self, motion: np.ndarray, naive: np.ndarray, mu_prev: np.ndarray):
-        """One refinement step; returns (new hidden state, steering delta)."""
-        if motion.shape[-1] != self.motion_bins:
-            raise InvalidInput(f"expected motion dim {self.motion_bins}, got {motion.shape[-1]}")
-        x = np.concatenate([motion, naive], axis=-1)
-        mu = self.cell.step(x, mu_prev)
-        return mu, self.head.apply(mu)
 
 
 def _offsets(pred: np.ndarray, ref: np.ndarray) -> np.ndarray:

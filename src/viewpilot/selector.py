@@ -1,6 +1,8 @@
 """Main-object selection: a recurrent network over frame observations with a
-softmax head. Greedy selection is the argmax (``agent.pilot_step``);
-sampled selection and the REINFORCE gradient run batched in ``training``.
+softmax head. Its step is ``diffcore.TanhRnnCell.step`` (one frame, in
+``agent.pilot_step``) or ``TanhRnnCell.unroll`` (a whole sequence, here).
+Greedy selection is the argmax (``agent.pilot_step``); sampled selection and
+the REINFORCE gradient run batched in ``training``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ class SelectorNetwork:
     """tanh RNN + bias-free softmax head producing a distribution over slots."""
 
     def __init__(self, input_dim: int, hidden_dim: int, n_slots: int, rng: np.random.Generator):
-        self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.n_slots = n_slots
         self.cell = TanhRnnCell("selector.cell", input_dim, hidden_dim, rng)
@@ -25,11 +26,6 @@ class SelectorNetwork:
 
     def initial_state(self) -> np.ndarray:
         return np.zeros(self.hidden_dim)
-
-    def forward(self, obs_flat: np.ndarray, h_prev: np.ndarray):
-        """One recurrent step; returns (new hidden state, selection probabilities)."""
-        h = self.cell.step(obs_flat, h_prev)
-        return h, softmax(self.head.apply(h))
 
     def unroll(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hidden states (..., B, T+1, H) and selection distributions

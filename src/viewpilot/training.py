@@ -12,14 +12,15 @@ so its whole recurrence runs before the steering loop: one GEMM projects
 every frame's input, each step adds only the recurrent term, and the head,
 softmax and sampling run once over (B, T, N). Only the steering regressor
 is sequential over frames, because each offset input depends on the
-previous viewing angle: ``_steer`` is the batched ``agent.steering_step``,
-the step the online pilot and the agent method fold. The extra REINFORCE
-samples branch off states that are known once that loop is done, so their
-rewards come from one batched step afterwards. The backward pass runs the
-regressor and selector chains as two reverse loops that carry only their
-recurrences, and accumulates weight gradients with one GEMM over all B*T
-steps. The ``RolloutTape`` stores the forward as batch-major (B, T[+1], .)
-arrays.
+previous viewing angle: ``_steer`` calls ``TanhRnnCell.step`` once per
+frame, the step that ``agent.steering_step`` folds inline for the online
+pilot and the agent method. The extra REINFORCE samples branch off states
+that are known once that loop is done, so their rewards come from one
+``TanhRnnCell.step`` call afterwards. The backward pass runs the regressor
+and selector chains as two reverse loops that carry only their recurrences
+through ``TanhRnnCell.backward_step``, and accumulates weight gradients with
+one GEMM over all B*T steps. The ``RolloutTape`` stores the forward as
+batch-major (B, T[+1], .) arrays.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ class TrainConfig:
             raise InvalidInput("batch_size, q_samples, checkpoint_interval must be >= 1, seq_len >= 2")
         if self.max_epochs < 0 or self.smooth_lambda < 0 or self.eta <= 0 or self.grad_clip < 0:
             raise InvalidInput("bad training config: check max_epochs, lambda, eta, grad_clip")
+        self.schedule()  # refuses a non-positive lr_initial, lr_decay or lr_period
 
     def schedule(self) -> LrSchedule:
         return LrSchedule(self.lr_initial, self.lr_decay, self.lr_period)
@@ -150,8 +152,9 @@ class RolloutTape:
 def _steer(model: PilotModel, batch: WindowBatch, selected: np.ndarray):
     """Roll the steering regressor over the selections ``selected`` (B, T).
 
-    Each step is ``agent.steering_step``'s arithmetic in its order, written
-    into preallocated buffers; at B=1 the angles are that step's floats.
+    Each step is ``TanhRnnCell.step`` into preallocated buffers, then the
+    head and landing in ``agent.steering_step``'s order; at B=1 the angles
+    are that step's floats.
     Returns time-major arrays: regressor inputs (T, ..., B, k+2), hidden
     states (T+1, ..., B, R), unclamped angles (T, ..., B, 2) and viewing
     angles (T+1, ..., B, 2), state arrays with the initial state first and
@@ -159,9 +162,9 @@ def _steer(model: PilotModel, batch: WindowBatch, selected: np.ndarray):
     b, t_total = selected.shape
     k = batch.motions.shape[3]
     cell, w_r = model.regressor.cell, model.regressor.head.w.values.swapaxes(-1, -2)
-    w_xh, w_hh = cell.w_xh.values.swapaxes(-1, -2), cell.w_hh.values.swapaxes(-1, -2)
-    bias = cell.b.values[..., None, :]
-    lead = np.broadcast_shapes(w_r.shape[:-2], w_xh.shape[:-2], w_hh.shape[:-2], bias.shape[:-2])
+    lead = np.broadcast_shapes(
+        w_r.shape[:-2], cell.w_xh.shape[:-2], cell.w_hh.shape[:-2], cell.b.shape[:-1]
+    )
     pick = (np.arange(b), np.arange(t_total)[:, None], selected.T)
     pos = batch.positions[pick]
     xr = np.empty((t_total,) + lead + (b, k + 2))
@@ -172,10 +175,7 @@ def _steer(model: PilotModel, batch: WindowBatch, selected: np.ndarray):
     angles[0] = batch.gt[:, 0]
     for t in range(t_total):
         _follow_offset(pos[t], angles[t], xr[t, ..., k:])
-        pre = xr[t] @ w_xh
-        pre += mus[t] @ w_hh
-        pre += bias
-        mu = np.tanh(pre, out=mus[t + 1])
+        mu = cell.step(xr[t], mus[t], mus[t + 1])
         np.add(angles[t], mu @ w_r, out=raw[t])
         land_angles(raw[t], angles[t + 1])
     return xr, mus, raw, angles
@@ -188,19 +188,17 @@ def _branch_rewards(
     """Rewards (B, T, S) of one steering step per extra sample ``selected``
     (B, T, S), each branching off the rollout's state entering its frame:
     time-major ``angles`` (T, B, 2) and ``mus`` (T, B, R). No branch feeds
-    another, so all of them run as one batch of the regressor's forward."""
+    another, so all of them run as one ``TanhRnnCell.step`` over B*T*S rows."""
     b, t_total, s = selected.shape
+    k, cell = batch.motions.shape[3], model.regressor.cell
     pick = (np.arange(b)[:, None, None], np.arange(t_total)[:, None], selected)
     prev = angles.transpose(1, 0, 2)[:, :, None]
-    naive = np.empty((b, t_total, s, 2))
-    _follow_offset(batch.positions[pick], prev, naive)
+    x = np.empty((b, t_total, s, k + 2))
+    x[..., :k] = batch.motions[pick]
+    _follow_offset(batch.positions[pick], prev, x[..., k:])
     mu_prev = np.broadcast_to(mus.transpose(1, 0, 2)[:, :, None], (b, t_total, s, mus.shape[2]))
-    _, delta = model.regressor.forward(
-        batch.motions[pick].reshape(b * t_total * s, -1),
-        naive.reshape(-1, 2),
-        mu_prev.reshape(b * t_total * s, -1),
-    )
-    raw = prev + delta.reshape(b, t_total, s, 2)
+    mu = cell.step(x.reshape(-1, k + 2), mu_prev.reshape(-1, cell.hidden_dim))
+    raw = prev + (mu @ model.regressor.head.w.values.T).reshape(b, t_total, s, 2)
     return reward_array(land_angles(raw, raw), batch.gt[:, :, None], eta)
 
 
@@ -318,8 +316,7 @@ def backward_window(
     gate[..., 1] = tape.el_free.T
     mus = tape.mus.transpose(1, 0, 2)
     deriv = 1.0 - mus[1:] * mus[1:]
-    w_r, w_hh = reg.head.w.values, reg.cell.w_hh.values
-    w_off = reg.cell.w_xh.values[:, k:]
+    w_r, w_off = reg.head.w.values, reg.cell.w_xh.values[:, k:]
     ddelta = np.empty_like(dl_loss)
     dpre = np.empty_like(deriv)
     carry_l = np.zeros((b, 2))
@@ -328,8 +325,7 @@ def backward_window(
         g = np.add(dl_loss[t], carry_l, out=ddelta[t])
         g *= gate[t]
         d = np.add(g @ w_r, carry_mu, out=dpre[t])
-        d *= deriv[t]
-        carry_mu = d @ w_hh
+        carry_mu = reg.cell.backward_step(d, deriv[t])  # d is now dLoss/dpre
         carry_l = g - (d @ w_off) / OFFSET_SCALE  # through the half-turn input scaling
     reg.head.w.grad += ddelta.reshape(-1, 2).T @ mus[1:].reshape(-1, reg.hidden_dim)
     reg.cell.accumulate_grads(dpre, tape.xrs.transpose(1, 0, 2), mus[:-1])

@@ -97,6 +97,9 @@ def test_bad_config_file_exits_4(tmp_path, capsys, text):
         "eval.grid_step=181",
         "eval.h_span=361",
         "eval.dp_smooth_weight=-1",
+        "train.lr_initial=0",
+        "train.lr_decay=-0.5",
+        "train.lr_period=0",
     ],
 )
 def test_bad_override_exits_4(tmp_path, capsys, override):
@@ -107,7 +110,8 @@ def test_bad_override_exits_4(tmp_path, capsys, override):
 
 
 @pytest.mark.parametrize(
-    "override", ["train.lr_initial=NaN", "train.seq_len=1", "model.selector_hidden=0"]
+    "override",
+    ["train.lr_initial=NaN", "train.seq_len=1", "model.selector_hidden=0", "train.lr_decay=0"],
 )
 def test_bad_training_setting_exits_4(tmp_path, capsys, override):
     config = tmp_path / "config.json"
@@ -118,6 +122,36 @@ def test_bad_training_setting_exits_4(tmp_path, capsys, override):
     argv = ("train", "--config", config, "--set", override, "--data", _episodes(tmp_path))
     assert _run(capsys, *argv, "--out", run, "--epochs", 2, "--quiet") == EXIT_CONFIG
     assert not run.exists()
+
+
+@pytest.mark.parametrize("data_dims", [(3, 5, 3), (5, 3, 4)], ids=["swapped d/k", "other n"])
+def test_train_and_eval_on_episodes_of_other_dims_exit_4(tmp_path, capsys, data_dims):
+    # config and checkpoint at d/k/n = (5, 3, 3); swapped d/k keep the flat width
+    scene = dataclasses.replace(SCENE, appearance_dim=5, motion_bins=3)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scene": dataclasses.asdict(scene), "model": {
+        "selector_hidden": DIMS.selector_hidden, "regressor_hidden": DIMS.regressor_hidden
+    }}))
+    d, k, n = data_dims
+    data = tmp_path / "episodes.jsonl"
+    other = dataclasses.replace(SCENE, appearance_dim=d, motion_bins=k, slots=n)
+    save_episodes(generate_dataset(other, 1, 2), data)
+    checkpoint = tmp_path / "model.json"
+    dims = dataclasses.replace(DIMS, appearance_dim=5, motion_bins=3)
+    save_model_checkpoint(checkpoint, PilotModel(dims, np.random.default_rng(0)), 0, LrSchedule(), {})
+    run, out = tmp_path / "run", tmp_path / "bench.jsonl"
+    for argv in (
+        ("train", "--data", data, "--out", run, "--epochs", 1, "--quiet"),
+        ("eval", "--data", data, "--checkpoint", checkpoint, "--methods", "agent", "--out", out),
+        ("eval", "--data", data, "--checkpoint", checkpoint, "--methods", "selector_only"),
+    ):
+        code = main([str(a) for a in argv + ("--config", config)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.strip() == f"configuration error: episode dims d/k/n {data_dims} do not match " + (
+            "the config's (5, 3, 3)" if argv[0] == "train" else "the checkpoint's (5, 3, 3)"
+        )
+    assert not run.exists() and not out.exists()
 
 
 @pytest.mark.parametrize("override", ["eval.grid_step=0", "eval.h_span=0", "eval.h_span=-5"])

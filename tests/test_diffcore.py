@@ -108,6 +108,22 @@ class TestTanhRnnCell:
             param.values = stack[i]
             np.testing.assert_array_equal(stacked[i], cell.unroll(xs))
 
+    @pytest.mark.parametrize("name", ["w_xh", "w_hh", "b"])
+    def test_step_over_stacked_weights_is_each_slice_alone(self, name):
+        # training._steer steps the regressor cell under stacked probes,
+        # into its state buffer through the positional ``out``.
+        rng = np.random.default_rng(4)
+        cell = TanhRnnCell("c", 5, 6, rng)
+        x, h = rng.normal(size=(3, 2, 5)), rng.uniform(-1, 1, size=(2, 6))
+        param = getattr(cell, name)
+        stack = param.values + rng.normal(size=(3,) + param.shape)
+        param.values = stack
+        out = np.empty((3, 2, 6))
+        assert cell.step(x, h, out) is out
+        for i in range(3):
+            param.values = stack[i]
+            np.testing.assert_array_equal(out[i], cell.step(x[i], h))
+
 
 class TestBpttBackward:
     def test_zero_upstream_gives_zero_grads(self):
@@ -123,7 +139,6 @@ class TestBpttBackward:
         rng = np.random.default_rng(3)
         layer = Linear("l", 4, 1, rng)
         x = rng.normal(size=(1, 4))
-        layer.apply(x)
         layer.backward(np.ones((1, 1)), x)
         np.testing.assert_allclose(layer.w.grad, x, atol=1e-15)
 

@@ -12,6 +12,7 @@ import pytest
 
 from viewpilot import evaluation
 from viewpilot.agent import ModelDims, PilotModel, initial_state, pilot_episode, pilot_step
+from viewpilot.diffcore import softmax
 from viewpilot.errors import InvalidInput
 from viewpilot.evaluation import (
     _dp_unaries,
@@ -55,11 +56,12 @@ class TestSelectorOnly:
     def test_matches_a_per_frame_fold_of_the_selector(self):
         model = _model()
         episode = synth_scene(SCENE, 1)
+        cell, head = model.selector.cell, model.selector.head.w.values
         h = model.selector.initial_state()
         expected, picks = [], []
         for frame in episode.frames:
-            h, probs = model.selector.forward(frame.flat, h)
-            picks.append(int(np.argmax(probs)))
+            h = cell.step(frame.flat, h)
+            picks.append(int(np.argmax(softmax(h @ head.T))))
             expected.append(ViewingAngle(*frame.positions[picks[-1]]))
         assert len(set(picks)) > 1  # the selection moves between slots
         assert selector_only(episode, model) == expected

@@ -1,15 +1,13 @@
 """Tests for action refinement and the regression + smoothness loss."""
 
-import math
-
 import numpy as np
 import pytest
 
-from viewpilot.agent import PilotModel
+from viewpilot.agent import ModelDims, PilotModel, steering_step
 from viewpilot.errors import InvalidInput
 from viewpilot.gradcheck import CHECK_DIMS, make_check_batch
-from viewpilot.regressor import RegressorNetwork, loss_grad, loss_terms
-from viewpilot.training import rollout_window, surrogate_loss
+from viewpilot.regressor import loss_grad, loss_terms
+from viewpilot.training import WindowBatch, rollout_window, surrogate_loss
 
 from test_geometry import follow_offset, steer
 
@@ -35,38 +33,52 @@ class TestNaiveAction:
             assert landed[1] == pytest.approx(main[1], abs=1e-9)
 
 
+def _steering(motion_bins=6, hidden=4, seed=0):
+    """``agent.steering_step`` of a fresh model and that model's regressor."""
+    dims = ModelDims(3, motion_bins, 2, selector_hidden=2, regressor_hidden=hidden)
+    model = PilotModel(dims, np.random.default_rng(seed))
+    return steering_step(model), model.regressor
+
+
 class TestRegressorForward:
+    """``agent.steering_step``, one frame of the regressor's forward."""
+
     def test_zero_weights_emit_zero_action(self):
-        net = RegressorNetwork(6, 4, np.random.default_rng(0))
+        step, net = _steering()
         for p in net.params():
             p.values[...] = 0.0
-        _, delta = net.forward(np.ones(6), np.array([30.0, -10.0]), net.initial_state())
-        np.testing.assert_array_equal(delta, np.zeros(2))
+        az, el, mu = step(np.ones(8), 130.0, -10.0, 100.0, 20.0, net.initial_state())
+        assert (az, el) == (100.0, 20.0)
+        np.testing.assert_array_equal(mu, np.zeros(4))
 
     def test_deterministic(self):
-        net = RegressorNetwork(6, 4, np.random.default_rng(1))
-        args = (np.linspace(0, 1, 6), np.array([5.0, 2.0]), np.zeros(4))
-        mu1, d1 = net.forward(*args)
-        mu2, d2 = net.forward(*args)
+        step, net = _steering(seed=1)
+        args = (105.0, 2.0, 100.0, 0.0, np.linspace(-0.5, 0.5, 4))
+        az1, el1, mu1 = step(np.linspace(0, 1, 8), *args)
+        az2, el2, mu2 = step(np.linspace(0, 1, 8), *args)
+        assert (az1, el1) == (az2, el2)
         np.testing.assert_array_equal(mu1, mu2)
-        np.testing.assert_array_equal(d1, d2)
 
     def test_single_unit_hand_fixture(self):
         # cell ignores its input (zero weights) and holds atanh(0.5) bias, so
-        # mu = 0.5; the 2x1 head (10, 0) then emits delta = (5, 0).
-        net = RegressorNetwork(3, 1, np.random.default_rng(2))
+        # mu = 0.5; the 2x1 head (10, 0) then moves the view by (5, 0).
+        step, net = _steering(motion_bins=1, hidden=1, seed=2)
         net.cell.w_xh.values[...] = 0.0
         net.cell.w_hh.values[...] = 0.0
-        net.cell.b.values[...] = math.atanh(0.5)
+        net.cell.b.values[...] = np.arctanh(0.5)
         net.head.w.values[...] = np.array([[10.0], [0.0]])
-        _, delta = net.forward(np.ones(3), np.array([-3.0, 7.0]), net.initial_state())
-        assert delta[0] == pytest.approx(5.0, abs=1e-12)
-        assert delta[1] == pytest.approx(0.0, abs=1e-12)
+        az, el, mu = step(np.ones(3), 97.0, 14.0, 100.0, 7.0, net.initial_state())
+        assert (az, el) == (105.0, 7.0)
+        assert mu[0] == 0.5
 
     def test_motion_dimension_checked(self):
-        net = RegressorNetwork(6, 4, np.random.default_rng(3))
-        with pytest.raises(InvalidInput):
-            net.forward(np.ones(5), np.zeros(2), net.initial_state())
+        # one motion bin too many reaches the regressor cell, whose step refuses it
+        model = PilotModel(CHECK_DIMS, np.random.default_rng(3))
+        batch, forced = make_check_batch(CHECK_DIMS, 6, 3)
+        wide = np.concatenate([batch.motions, batch.motions[..., :1]], axis=-1)
+        batch = WindowBatch(batch.flat, batch.positions, wide, batch.gt)
+        with pytest.raises(InvalidInput, match="cell expects input 14 / hidden 8, got 15 / 8"):
+            rollout_window(model, batch, forced_indices=forced)
 
 
 def _track(pairs) -> np.ndarray:

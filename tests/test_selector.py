@@ -59,33 +59,32 @@ def _net(input_dim=12, hidden=6, slots=4, seed=0):
 
 
 class TestSelectorForward:
+    """``SelectorNetwork.unroll``, the selector's forward over a sequence."""
+
     def test_probabilities_sum_to_one(self):
-        net = _net()
-        rng = np.random.default_rng(1)
-        h = net.initial_state()
-        for _ in range(20):
-            h, probs = net.forward(rng.normal(size=12), h)
-            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.all(probs >= 0)
+        _, probs = _net().unroll(np.random.default_rng(1).normal(size=(2, 20, 12)))
+        assert probs.shape == (2, 20, 4)
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(probs >= 0)
 
     def test_zero_weights_give_uniform(self):
         net = _net()
         for p in net.head.params():
             p.values[...] = 0.0
-        _, probs = net.forward(np.ones(12), net.initial_state())
+        _, probs = net.unroll(np.ones((1, 3, 12)))
         np.testing.assert_allclose(probs, 0.25, atol=1e-15)
 
     def test_deterministic(self):
         net = _net()
-        x, h = np.linspace(0, 1, 12), np.zeros(6)
-        h1, p1 = net.forward(x, h)
-        h2, p2 = net.forward(x, h)
+        xs = np.linspace(0, 1, 36).reshape(1, 3, 12)
+        h1, p1 = net.unroll(xs)
+        h2, p2 = net.unroll(xs)
         np.testing.assert_array_equal(h1, h2)
         np.testing.assert_array_equal(p1, p2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInput):
-            _net().forward(np.ones(5), np.zeros(6))
+            _net().unroll(np.ones((1, 3, 5)))
 
 
 GREEDY_DIMS = ModelDims(4, 4, 4, selector_hidden=2, regressor_hidden=2)
