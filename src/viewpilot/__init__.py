@@ -18,7 +18,7 @@ from .errors import (
     StateError,
     VersionError,
 )
-from .geometry import NFoV, ViewingAngle, nfov_iou
+from .geometry import ViewingAngle, nfov_iou
 from .observation import (
     Episode,
     FrameObservation,

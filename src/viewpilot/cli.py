@@ -133,11 +133,9 @@ def cmd_eval(args) -> int:
     config = _load_config(args)
     names = [m.strip() for m in args.methods.split(",") if m.strip()]
     unknown = [n for n in names if n not in evaluation.METHOD_NAMES]
-    if unknown:
-        print(
-            f"unknown methods {unknown}; valid methods: {', '.join(evaluation.METHOD_NAMES)}",
-            file=sys.stderr,
-        )
+    if unknown or not names:
+        problem = f"unknown methods {unknown}" if unknown else "no methods given"
+        print(f"{problem}; valid methods: {', '.join(evaluation.METHOD_NAMES)}", file=sys.stderr)
         return EXIT_USAGE
     if "offline_dp" in names:
         try:

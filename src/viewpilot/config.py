@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 from .agent import ModelDims
 from .errors import ConfigError, InvalidInput
+from .evaluation import DEFAULT_DP_SMOOTH_WEIGHT, DEFAULT_GRID_STEP
+from .geometry import DEFAULT_H_SPAN
 from .observation import SceneConfig
 from .training import TrainConfig
 
@@ -41,9 +43,9 @@ class DataConfig:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    grid_step: float = 30.0
-    dp_smooth_weight: float = 1.0
-    h_span: float = 65.5
+    grid_step: float = DEFAULT_GRID_STEP
+    dp_smooth_weight: float = DEFAULT_DP_SMOOTH_WEIGHT
+    h_span: float = DEFAULT_H_SPAN
 
     def __post_init__(self):
         if not (0 < self.grid_step <= 180 and 0 < self.h_span <= 360) or self.dp_smooth_weight < 0:

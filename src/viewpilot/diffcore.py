@@ -176,9 +176,9 @@ class Linear:
 class LrSchedule:
     """Step-decay learning rate: initial * decay^(epoch // period)."""
 
-    initial: float = 1e-5
-    decay: float = 0.9
-    period: int = 50
+    initial: float
+    decay: float
+    period: int
 
     def __post_init__(self):
         if self.initial <= 0 or self.decay <= 0 or self.period <= 0:
@@ -346,8 +346,9 @@ def load_checkpoint(path, expect_arch: dict | None = None) -> Checkpoint:
     """Load a checkpoint; rejects unknown format versions and, when
     ``expect_arch`` is given, any architecture mismatch.
 
-    A file that is not a complete checkpoint, or whose parameter values do
-    not hash to its stored digest, raises ``ParseError``.
+    A file that is not a complete checkpoint, whose epoch is not a count
+    (a non-negative integer), or whose parameter values do not hash to its
+    stored digest, raises ``ParseError``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -369,7 +370,10 @@ def load_checkpoint(path, expect_arch: dict | None = None) -> Checkpoint:
             if not np.all(np.isfinite(values)):
                 raise NumericsError(f"checkpoint parameter {name} has non-finite entries")
             params[name] = values
-        ckpt = Checkpoint(arch, doc["epoch"], sched, doc["rng"], params, doc["digest"])
+        epoch = doc["epoch"]
+        if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
+            raise ParseError(f"checkpoint {path} has epoch {epoch!r}, not a non-negative integer")
+        ckpt = Checkpoint(arch, epoch, sched, doc["rng"], params, doc["digest"])
     except KeyError as exc:
         raise ParseError(f"checkpoint {path} is missing the key {exc}") from exc
     except (TypeError, ValueError, AttributeError) as exc:

@@ -1,9 +1,13 @@
 """Metrics (mean overlap, mean velocity difference), baseline pilots, the
 offline dynamic-programming view-path optimizer, and benchmark rows.
 
-MVD is reported in degrees per frame. Benchmark rows carry, per method, the
-MO/MVD means over episodes plus per-episode detail records, including how
-many frames contained no real detections.
+The metrics take (T, 2) angle arrays: MO averages ``geometry.nfov_iou``
+over the frames, and MVD is reported in degrees per frame. Methods return
+lists of ViewingAngle, which ``benchmark`` turns into one array per episode.
+``offline_dp`` runs over the step x step view grid of ``default_view_grid``,
+prepared once per (grid_step, smooth_weight). Benchmark rows carry, per
+method, the MO/MVD means over episodes plus per-episode detail records,
+including how many frames contained no real detections.
 """
 
 from __future__ import annotations
@@ -18,48 +22,40 @@ import numpy as np
 from .agent import PilotModel, steering_step
 from .errors import InvalidInput
 from .geometry import (
-    DEFAULT_H_SPAN, ViewingAngle, nfov_iou_array, signed_azimuth_delta_array, viewing_angles,
+    DEFAULT_H_SPAN, ViewingAngle, land_angles, nfov_iou, signed_azimuth_delta_array, viewing_angles,
 )
 from .observation import Episode
 # Unused here; perfbench's tracer swaps these bindings and fails a check if one is missing.
 from .agent import pilot_episode  # noqa: F401
-from .geometry import nfov_iou  # noqa: F401
 from .observation import episode_arrays, synth_scene  # noqa: F401
 from .regressor import velocity_array
 from .training import DEFAULT_ETA
 
-Trajectory = Sequence[ViewingAngle]
+DEFAULT_GRID_STEP = 30.0
+DEFAULT_DP_SMOOTH_WEIGHT = 1.0
 
 
-def _as_array(trajectory) -> np.ndarray:
-    if isinstance(trajectory, np.ndarray):
-        return np.asarray(trajectory, dtype=np.float64)
-    return np.array([[p.azimuth, p.elevation] for p in trajectory], dtype=np.float64)
-
-
-def mean_overlap(pred: Trajectory, gt: Trajectory, h_span: float = DEFAULT_H_SPAN) -> float:
-    """Mean per-frame IoU between the predicted and ground-truth view windows.
-
-    Takes sequences of ViewingAngle or (T, 2) arrays. The IoUs are summed
-    in frame order (a pairwise ``np.sum`` would change the last bits).
+def mean_overlap(pred: np.ndarray, gt: np.ndarray, h_span: float = DEFAULT_H_SPAN) -> float:
+    """Mean per-frame IoU between the predicted and ground-truth view windows
+    of two (T, 2) angle arrays. The IoUs are summed in frame order (a
+    pairwise ``np.sum`` would change the last bits).
     """
-    pred_arr, gt_arr = _as_array(pred), _as_array(gt)
-    if pred_arr.shape != gt_arr.shape:
-        raise InvalidInput(f"trajectory lengths differ: {pred_arr.shape} vs {gt_arr.shape}")
-    iou = nfov_iou_array(pred_arr, gt_arr, h_span)
-    return float(np.add.accumulate(iou)[-1]) / pred_arr.shape[0]
+    if pred.shape != gt.shape:
+        raise InvalidInput(f"trajectory lengths differ: {pred.shape} vs {gt.shape}")
+    iou = nfov_iou(pred, gt, h_span)
+    return float(np.add.accumulate(iou)[-1]) / pred.shape[0]
 
 
-def mean_velocity_difference(pred: Trajectory) -> float:
-    """Mean norm of consecutive viewing-angle velocity changes, deg/frame.
+def mean_velocity_difference(pred: np.ndarray) -> float:
+    """Mean norm of consecutive viewing-angle velocity changes of a (T, 2)
+    angle array, deg/frame.
 
     Averages over the T-2 well-defined velocity differences, so it needs at
     least 3 frames.
     """
-    pred_arr = _as_array(pred)
-    if pred_arr.shape[0] < 3:
-        raise InvalidInput(f"MVD needs at least 3 frames, got {pred_arr.shape[0]}")
-    v = velocity_array(pred_arr[None])[0][1:]  # real velocities, t >= 1
+    if pred.shape[0] < 3:
+        raise InvalidInput(f"MVD needs at least 3 frames, got {pred.shape[0]}")
+    v = velocity_array(pred[None])[0][1:]  # real velocities, t >= 1
     return float(np.linalg.norm(np.diff(v, axis=0), axis=1).mean())
 
 
@@ -112,54 +108,44 @@ def agent_pilot(episode: Episode, model: PilotModel) -> list[ViewingAngle]:
 MAX_DP_ENTRIES = 1 << 23
 
 
-def check_grid_views(views: int) -> None:
-    """Refuse an empty view grid or one too large for the DP's arrays."""
-    if not 0 < views * views <= MAX_DP_ENTRIES:
-        raise InvalidInput(
-            f"offline_dp takes 1 to {math.isqrt(MAX_DP_ENTRIES)} grid views, got a {views}-view grid"
-        )
-
-
 def check_grid_step(step: float) -> None:
-    """Refuse a step outside (0, 180] or one whose grid ``check_grid_views``
-    refuses, counting its views as np.arange does."""
+    """Refuse a step outside (0, 180] or one whose grid is too large for the
+    DP's (G, G) arrays, counting its views as np.arange does."""
     if not 0 < step <= 180:
         raise InvalidInput(f"grid step must be in (0, 180], got {step}")
     start = step / 2.0
     columns, rows = (360.0 - start) / step, (90.0 - (-90.0 + start)) / step
     if not columns * rows <= MAX_DP_ENTRIES:  # before math.ceil: a tiny step's counts are inf
         raise InvalidInput(f"grid step {step} makes more than {MAX_DP_ENTRIES} offline_dp grid views")
-    check_grid_views(math.ceil(columns) * math.ceil(rows))
+    views = math.ceil(columns) * math.ceil(rows)
+    if views * views > MAX_DP_ENTRIES:
+        raise InvalidInput(
+            f"offline_dp takes at most {math.isqrt(MAX_DP_ENTRIES)} grid views, got a {views}-view grid"
+        )
 
 
-def default_view_grid(step: float = 30.0) -> list[ViewingAngle]:
-    """Cell centers of a step x step angle grid covering the sphere."""
-    if step <= 0 or step > 180:
-        raise InvalidInput(f"grid step must be in (0, 180], got {step}")
+def default_view_grid(step: float) -> np.ndarray:
+    """Cell centers of a step x step angle grid covering the sphere, as a
+    landed (G, 2) angle array; a grid ``check_grid_step`` refuses raises."""
+    check_grid_step(step)
     azimuths = np.arange(step / 2.0, 360.0, step)
     elevations = np.arange(-90.0 + step / 2.0, 90.0, step)
     grid = np.stack(np.meshgrid(azimuths, elevations, indexing="ij"), axis=-1)
-    return viewing_angles(grid.reshape(-1, 2))
+    return land_angles(grid.reshape(-1, 2))
 
 
-def _dp_grid(views: list[ViewingAngle], smooth_weight: float):
-    """The views, their (G, 2) array, the unique azimuths with each view's
-    column among them, and the contiguous (to, from) transition matrix."""
-    check_grid_views(len(views))
-    grid_arr = np.array([[v.azimuth, v.elevation] for v in views])
+@functools.lru_cache(maxsize=1)
+def _dp_grid(grid_step: float, smooth_weight: float):
+    """The grid's views, their (G, 2) array, the unique azimuths with each
+    view's column among them, and the contiguous (to, from) transition
+    matrix. Kept for the next call, so an eval pass prepares it once and
+    only if offline_dp runs."""
+    grid_arr = default_view_grid(grid_step)
     azimuths, column = np.unique(grid_arr[:, 0], return_inverse=True)
     daz = np.abs(signed_azimuth_delta_array(grid_arr[:, None, 0] - grid_arr[None, :, 0]))
     trans = smooth_weight * np.hypot(daz, grid_arr[:, None, 1] - grid_arr[None, :, 1])
     trans_to = np.ascontiguousarray(trans.T)  # (to, from): each argmax reads one row
-    return views, grid_arr, azimuths, column, trans_to
-
-
-@functools.lru_cache(maxsize=1)
-def _default_dp_grid(grid_step: float, smooth_weight: float):
-    """``_dp_grid`` of ``default_view_grid(grid_step)``, kept for the next
-    call, so an eval pass prepares it once and only if offline_dp runs."""
-    check_grid_step(grid_step)  # before the views exist
-    return _dp_grid(default_view_grid(grid_step), smooth_weight)
+    return viewing_angles(grid_arr), grid_arr, azimuths, column, trans_to
 
 
 # Frames per block of _dp_unaries: block * G * N stays near this many entries,
@@ -203,9 +189,9 @@ def _dp_unaries(
 
 def offline_dp(
     episode: Episode,
-    grid: Sequence[ViewingAngle] | None = None,
-    smooth_weight: float = 1.0,
-    grid_step: float = 30.0,
+    *,
+    smooth_weight: float = DEFAULT_DP_SMOOTH_WEIGHT,
+    grid_step: float = DEFAULT_GRID_STEP,
     eta: float = DEFAULT_ETA,
 ) -> list[ViewingAngle]:
     """Whole-episode view-path optimization over a discrete grid.
@@ -215,18 +201,15 @@ def offline_dp(
     angle, so it is an explicitly offline reference method, not an online
     policy.
 
-    Costs O(T*G*S + T*G^2) for T frames, G views and S slots. Without a
-    ``grid``, the default grid and its transition matrix are prepared once
-    per (grid_step, smooth_weight) and kept for the next call, so an eval
-    pass over many episodes prepares them once. Ties go to the lower slot
-    when picking a view's nearest detection and to the lower view index in
-    the recursion. A grid with more than ``MAX_DP_ENTRIES`` view pairs
-    raises ``InvalidInput`` before any (G, G) array is allocated.
+    Costs O(T*G*S + T*G^2) for T frames, G views and S slots. The view
+    grid of ``grid_step`` and its transition matrix are prepared once per
+    (grid_step, smooth_weight) and kept for the next call, so an eval pass
+    over many episodes prepares them once. Ties go to the lower slot when
+    picking a view's nearest detection and to the lower view index in the
+    recursion. A grid with more than ``MAX_DP_ENTRIES`` view pairs raises
+    ``InvalidInput`` before any (G, G) array is allocated.
     """
-    if grid is None:
-        views, grid_arr, azimuths, column, trans_to = _default_dp_grid(grid_step, smooth_weight)
-    else:
-        views, grid_arr, azimuths, column, trans_to = _dp_grid(list(grid), smooth_weight)
+    views, grid_arr, azimuths, column, trans_to = _dp_grid(grid_step, smooth_weight)
     unary = _dp_unaries(episode, grid_arr, azimuths, column, eta)
 
     t_total, g_total = unary.shape
@@ -268,8 +251,8 @@ METHOD_NAMES = ("agent", "selector_only", "center_hold", "greedy_salient", "offl
 def build_methods(
     names: Sequence[str],
     model: PilotModel | None = None,
-    grid_step: float = 30.0,
-    dp_smooth_weight: float = 1.0,
+    grid_step: float = DEFAULT_GRID_STEP,
+    dp_smooth_weight: float = DEFAULT_DP_SMOOTH_WEIGHT,
     eta: float = DEFAULT_ETA,
 ) -> dict[str, Callable[[Episode], list[ViewingAngle]]]:
     """Resolve method names to episode -> trajectory callables."""
@@ -323,7 +306,7 @@ def benchmark(
     for name, fn in methods.items():
         mos, mvds = [], []
         for ep, gt in zip(episodes, gts):
-            traj = _as_array(fn(ep))
+            traj = np.array([[p.azimuth, p.elevation] for p in fn(ep)])
             mos.append(mean_overlap(traj, gt, h_span=h_span))
             mvds.append(mean_velocity_difference(traj))
         rows.append(BenchmarkRow(name, float(np.mean(mos)), float(np.mean(mvds)), len(episodes)))

@@ -1,9 +1,10 @@
 """Viewing-sphere arithmetic on the (azimuth, elevation) angle plane.
 
 Azimuth lives in [0, 360) and wraps; elevation lives in [-90, 90] and
-clamps (no pole crossing). Distances and rectangle overlaps are computed
-on the angle plane with wrap-aware azimuth differences, not on the true
-sphere.
+clamps (no pole crossing). Distances and the NFoV window overlap
+(:func:`nfov_iou`, the per-frame term of mean overlap) are computed on the
+angle plane with wrap-aware azimuth differences, not on the true sphere.
+The IoU takes (..., 2) angle arrays; there is no per-window object.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 from .errors import InvalidInput
 
 DEFAULT_H_SPAN = 65.5
-DEFAULT_V_SPAN = DEFAULT_H_SPAN * 3.0 / 4.0  # 4:3 aspect ratio
 
 
 def wrap_azimuth(azimuth: float) -> float:
@@ -90,71 +90,14 @@ def viewing_angles(rows) -> list[ViewingAngle]:
     return angles
 
 
-@dataclass(frozen=True)
-class NFoV:
-    """An axis-aligned rectangle on the angle plane centered at a viewing angle.
+def nfov_iou(a: np.ndarray, b: np.ndarray, h_span: float = DEFAULT_H_SPAN) -> np.ndarray:
+    """Per-row intersection-over-union of the 4:3 NFoV windows of span
+    ``h_span`` centered at the (..., 2) angle arrays ``a`` and ``b``.
 
-    v_span defaults to h_span * 3/4 (a 4:3 window).
-    """
-
-    center: ViewingAngle
-    h_span: float = DEFAULT_H_SPAN
-    v_span: float | None = None
-
-    def __post_init__(self):
-        if self.v_span is None:
-            object.__setattr__(self, "v_span", self.h_span * 3.0 / 4.0)
-        if not (self.h_span > 0.0 and self.v_span > 0.0):
-            raise InvalidInput(f"NFoV spans must be positive, got ({self.h_span}, {self.v_span})")
-
-    def elevation_extent(self) -> tuple[float, float]:
-        """Vertical extent [low, high], clipped to the [-90, 90] elevation range."""
-        half = self.v_span / 2.0
-        low = max(-90.0, self.center.elevation - half)
-        high = min(90.0, self.center.elevation + half)
-        return low, high
-
-    def area(self) -> float:
-        low, high = self.elevation_extent()
-        return self.h_span * (high - low)
-
-
-def _azimuth_overlap(width: float, center_delta: float) -> float:
-    """Overlap length of two azimuth arcs of equal ``width`` whose centers differ
-    by ``center_delta`` degrees (shortest absolute difference)."""
-    d = abs(center_delta)
-    near = max(0.0, width - d)
-    far = max(0.0, width - (360.0 - d))
-    return min(width, near + far)
-
-
-def nfov_iou(a: NFoV, b: NFoV) -> float:
-    """Intersection-over-union of two equal-span NFoV rectangles.
-
-    Azimuth overlap is wrap-aware; elevation extents are clipped to
+    Centers are wrapped and clamped as :class:`ViewingAngle` does. The
+    azimuth overlap is wrap-aware; elevation extents are clipped to
     [-90, 90] before intersecting. Symmetric, in [0, 1], and exactly 1
-    iff the centers coincide.
-    """
-    if a.h_span != b.h_span or a.v_span != b.v_span:
-        raise InvalidInput(
-            f"NFoV spans must match: ({a.h_span}, {a.v_span}) vs ({b.h_span}, {b.v_span})"
-        )
-    ov_az = _azimuth_overlap(a.h_span, signed_azimuth_delta(b.center.azimuth - a.center.azimuth))
-    a_low, a_high = a.elevation_extent()
-    b_low, b_high = b.elevation_extent()
-    ov_el = max(0.0, min(a_high, b_high) - max(a_low, b_low))
-    inter = ov_az * ov_el
-    union = a.area() + b.area() - inter
-    return inter / union
-
-
-def nfov_iou_array(a: np.ndarray, b: np.ndarray, h_span: float = DEFAULT_H_SPAN) -> np.ndarray:
-    """Per-row :func:`nfov_iou` of the 4:3 windows of span ``h_span``
-    centered at the (..., 2) angle arrays ``a`` and ``b``.
-
-    Centers are wrapped and clamped as :class:`ViewingAngle` does, and every
-    operation is the scalar version's in the same order, so each entry is
-    bit-identical to :func:`nfov_iou` of the two rows' :class:`NFoV` windows.
+    where the centers coincide.
     """
     if not h_span > 0.0:
         raise InvalidInput(f"NFoV spans must be positive, got {h_span}")

@@ -517,17 +517,21 @@ def checkpoint_name(epoch: int) -> str:
 
 def _resume_checkpoint(out_dir: Path, dims: ModelDims):
     """(model, checkpoint) from the newest checkpoint in ``out_dir`` that
-    loads: a damaged one is skipped with a warning on stderr. Version and
-    architecture mismatches raise, and so does the newest error if none loads."""
+    loads: a damaged one, or one whose epoch is not its file name's, is
+    skipped with a warning on stderr. Version and architecture mismatches
+    raise, and so does the newest error if none loads."""
     names = (re.fullmatch(r"checkpoint_epoch(\d+)\.json", p.name) for p in out_dir.iterdir())
     found = sorted((int(m.group(1)), m.string) for m in names if m)
     if not found:
         raise InvalidInput(f"no checkpoint to resume from in {out_dir}")
     errors = []
-    for _, name in reversed(found):
+    for number, name in reversed(found):
         path = out_dir / name
         try:
-            return load_model_checkpoint(path, expect_dims=dims)
+            model, ckpt = load_model_checkpoint(path, expect_dims=dims)
+            if ckpt.epoch != number:
+                raise ParseError(f"checkpoint {path} holds epoch {ckpt.epoch}, not {number}")
+            return model, ckpt
         except VersionError:
             raise
         except ParseError as exc:

@@ -18,10 +18,10 @@ from viewpilot.agent import (
     save_model_checkpoint,
     write_trajectory,
 )
-from viewpilot.diffcore import LrSchedule
 from viewpilot.errors import ConfigError, InvalidInput, ParseError
 from viewpilot.geometry import ViewingAngle
 from viewpilot.observation import Episode, SceneConfig, synth_scene
+from viewpilot.training import TrainConfig
 
 DIMS = ModelDims(appearance_dim=6, motion_bins=5, slots=4, selector_hidden=8, regressor_hidden=4)
 SCENE = SceneConfig(frames=30, objects=3, slots=4, appearance_dim=6, motion_bins=5)
@@ -109,7 +109,7 @@ class TestCheckpointGlue:
         model = _model(7)
         ep = _episode(7)
         path = tmp_path / "model.json"
-        save_model_checkpoint(path, model, 3, LrSchedule(), {"seed": 0})
+        save_model_checkpoint(path, model, 3, TrainConfig().schedule(), {"seed": 0})
         loaded, ckpt = load_model_checkpoint(path, expect_dims=DIMS)
         assert ckpt.epoch == 3
         assert pilot_episode(ep, loaded)[0] == pilot_episode(ep, model)[0]
@@ -117,7 +117,7 @@ class TestCheckpointGlue:
     def test_dims_mismatch_rejected(self, tmp_path):
         model = _model(8)
         path = tmp_path / "model.json"
-        save_model_checkpoint(path, model, 0, LrSchedule(), {})
+        save_model_checkpoint(path, model, 0, TrainConfig().schedule(), {})
         with pytest.raises(ConfigError):
             load_model_checkpoint(path, expect_dims=dataclasses.replace(DIMS, slots=9))
 

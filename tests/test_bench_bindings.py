@@ -67,3 +67,18 @@ def test_traced_cell_steps_count_every_kernel_step(monkeypatch):
     for name in ("regressor_cell_step", "selector_backward_step", "regressor_backward_step"):
         assert grew(name, after_train, after_check) > 0
     assert grew("selector_cell_step", after_check) == 1
+
+
+def test_traced_benchmark_counts_one_iou_call_per_mean_overlap(monkeypatch):
+    """``mean_overlap`` reaches the IoU through ``evaluation.nfov_iou``, the
+    binding the tracer counts, once per method and episode."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    episodes = observation.generate_dataset(RunConfig().scene, 3, 3)
+    with tracer.Tracer() as traced:
+        assert traced.missing == []
+        methods = evaluation.build_methods(["center_hold", "gt_replay"])
+        evaluation.benchmark(methods, episodes)
+    assert traced.stats["geometry.nfov_iou.calls"] == 6
+    assert traced.stats["evaluation.mean_overlap.calls"] == 6

@@ -17,8 +17,8 @@ from viewpilot.cli import (
     EXIT_CONFIG, EXIT_GRADCHECK_FAILED, EXIT_IO, EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, main,
 )
 from viewpilot.config import RunConfig, load_run_config
-from viewpilot.diffcore import LrSchedule
 from viewpilot.observation import SceneConfig, generate_dataset, save_episodes
+from viewpilot.training import TrainConfig
 
 REFERENCE = Path(__file__).resolve().parents[1] / "configs" / "reference.json"
 SCENE = SceneConfig(frames=20, objects=2, slots=3, appearance_dim=4, motion_bins=4)
@@ -39,6 +39,15 @@ def _episodes(tmp_path, truncated=False) -> Path:
         text = path.read_text()
         path.write_text(text[: len(text) * 3 // 4])  # ends inside a frame record
     return path
+
+
+def _small_config(tmp_path) -> Path:
+    """A config file whose scene and model fit ``_episodes``."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scene": dataclasses.asdict(SCENE), "model": {
+        "selector_hidden": DIMS.selector_hidden, "regressor_hidden": DIMS.regressor_hidden
+    }}))
+    return config
 
 
 def test_reference_config_is_the_default():
@@ -114,12 +123,9 @@ def test_bad_override_exits_4(tmp_path, capsys, override):
     ["train.lr_initial=NaN", "train.seq_len=1", "model.selector_hidden=0", "train.lr_decay=0"],
 )
 def test_bad_training_setting_exits_4(tmp_path, capsys, override):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"scene": dataclasses.asdict(SCENE), "model": {
-        "selector_hidden": DIMS.selector_hidden, "regressor_hidden": DIMS.regressor_hidden
-    }}))
     run = tmp_path / "run"
-    argv = ("train", "--config", config, "--set", override, "--data", _episodes(tmp_path))
+    config, data = _small_config(tmp_path), _episodes(tmp_path)
+    argv = ("train", "--config", config, "--set", override, "--data", data)
     assert _run(capsys, *argv, "--out", run, "--epochs", 2, "--quiet") == EXIT_CONFIG
     assert not run.exists()
 
@@ -138,7 +144,8 @@ def test_train_and_eval_on_episodes_of_other_dims_exit_4(tmp_path, capsys, data_
     save_episodes(generate_dataset(other, 1, 2), data)
     checkpoint = tmp_path / "model.json"
     dims = dataclasses.replace(DIMS, appearance_dim=5, motion_bins=3)
-    save_model_checkpoint(checkpoint, PilotModel(dims, np.random.default_rng(0)), 0, LrSchedule(), {})
+    model = PilotModel(dims, np.random.default_rng(0))
+    save_model_checkpoint(checkpoint, model, 0, TrainConfig().schedule(), {})
     run, out = tmp_path / "run", tmp_path / "bench.jsonl"
     for argv in (
         ("train", "--data", data, "--out", run, "--epochs", 1, "--quiet"),
@@ -193,9 +200,8 @@ def test_bad_flag_exits_2(tmp_path, capsys, argv):
 )
 def test_pilot_on_a_malformed_checkpoint_arch_exits_3(tmp_path, capsys, arch):
     checkpoint = tmp_path / "model.json"
-    save_model_checkpoint(
-        checkpoint, PilotModel(DIMS, np.random.default_rng(0)), 0, LrSchedule(), {"seed": 0}
-    )
+    model = PilotModel(DIMS, np.random.default_rng(0))
+    save_model_checkpoint(checkpoint, model, 0, TrainConfig().schedule(), {"seed": 0})
     doc = json.loads(checkpoint.read_text())
     doc["arch"] = arch
     checkpoint.write_text(json.dumps(doc))
@@ -213,7 +219,7 @@ def test_train_on_a_truncated_episode_file_exits_3(tmp_path, capsys):
 def test_pilot_on_a_truncated_episode_file_exits_3(tmp_path, capsys):
     checkpoint = tmp_path / "model.json"
     model = PilotModel(DIMS, np.random.default_rng(0))
-    save_model_checkpoint(checkpoint, model, 0, LrSchedule(), {"seed": 0})
+    save_model_checkpoint(checkpoint, model, 0, TrainConfig().schedule(), {"seed": 0})
     data = _episodes(tmp_path, truncated=True)
     out = tmp_path / "trajectory.jsonl"
     code = _run(capsys, "pilot", "--checkpoint", checkpoint, "--data", data, "--out", out)
@@ -223,7 +229,7 @@ def test_pilot_on_a_truncated_episode_file_exits_3(tmp_path, capsys):
 def test_pilot_with_a_nan_parameter_exits_5(tmp_path, capsys):
     checkpoint = tmp_path / "model.json"
     model = PilotModel(DIMS, np.random.default_rng(0))
-    save_model_checkpoint(checkpoint, model, 0, LrSchedule(), {"seed": 0})
+    save_model_checkpoint(checkpoint, model, 0, TrainConfig().schedule(), {"seed": 0})
     doc = json.loads(checkpoint.read_text())
     doc["params"]["regressor.head.w"]["values"][1] = float("nan")  # json writes and reads NaN
     checkpoint.write_text(json.dumps(doc))
@@ -270,6 +276,58 @@ def test_unknown_method_exits_2(tmp_path, capsys):
     assert _run(capsys, "eval", "--data", data, "--methods", "center_hold,bogus") == EXIT_USAGE
 
 
+@pytest.mark.parametrize("methods", [",", "", " , "])
+def test_empty_method_list_exits_2_before_reading_data(tmp_path, capsys, methods):
+    code = main(["eval", "--data", str(tmp_path / "missing.jsonl"), "--methods", methods])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("no methods given; valid methods: agent,")
+
+
+class TestResumeEpoch:
+    """``train --resume`` reads a checkpoint's epoch as a count that must
+    match its file name; otherwise the checkpoint is unreadable."""
+
+    @staticmethod
+    def _train(tmp_path, capsys, epochs, *extra) -> tuple[int, str]:
+        argv = ("train", "--config", _small_config(tmp_path), "--data", _episodes(tmp_path),
+                "--out", tmp_path / "run", "--epochs", epochs, "--quiet", *extra)
+        code = main([str(a) for a in argv])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    @staticmethod
+    def _set_epoch(source: Path, target: Path, epoch) -> None:
+        doc = json.loads(source.read_text())
+        doc["epoch"] = epoch
+        target.write_text(json.dumps(doc))
+
+    @pytest.mark.parametrize("epoch", ["0", 0.0, False, -1, None])
+    def test_an_epoch_that_is_not_a_count_exits_3(self, tmp_path, capsys, epoch):
+        assert self._train(tmp_path, capsys, 0)[0] == EXIT_OK
+        checkpoint = tmp_path / "run" / "checkpoint_epoch00000.json"
+        self._set_epoch(checkpoint, checkpoint, epoch)
+        code, err = self._train(tmp_path, capsys, 2, "--resume")
+        assert code == EXIT_IO
+        assert err.splitlines()[-1].startswith("data error: checkpoint")
+        assert f"has epoch {epoch!r}, not a non-negative integer" in err
+
+    def test_an_epoch_other_than_the_file_names_falls_back_or_exits_3(self, tmp_path, capsys):
+        assert self._train(tmp_path, capsys, 0)[0] == EXIT_OK
+        run = tmp_path / "run"
+        self._set_epoch(run / "checkpoint_epoch00000.json", run / "checkpoint_epoch00001.json", 5)
+        code, err = self._train(tmp_path, capsys, 2, "--resume")
+        assert code == EXIT_OK
+        assert err.startswith("warning: skipping unreadable checkpoint checkpoint_epoch00001.json")
+        assert "holds epoch 5, not 1" in err
+        rows = (run / "metrics.jsonl").read_text().splitlines()
+        assert [json.loads(row)["epoch"] for row in rows] == [1, 2]  # trained from epoch 0
+        for epoch in (0, 2):
+            (run / f"checkpoint_epoch{epoch:05d}.json").unlink()
+        code, err = self._train(tmp_path, capsys, 2, "--resume")
+        assert code == EXIT_IO and "holds epoch 5, not 1" in err.splitlines()[-1]
+
+
 def test_gen_data_writes_the_golden_episode_file(tmp_path, capsys):
     # the digest of tests/test_observation.py::TestGoldenDigests, through the command
     out = tmp_path / "episodes.jsonl"
@@ -295,7 +353,7 @@ def _pilot_golden_file(tmp_path, capsys, bad_frame=None):
     save_episodes(generate_dataset(load_run_config(REFERENCE).scene, 2026, 3), data)
     dims = ModelDims(16, 12, 8, selector_hidden=32, regressor_hidden=8)
     model = PilotModel(dims, np.random.default_rng(7))
-    save_model_checkpoint(checkpoint, model, 0, LrSchedule(), {"seed": 7})
+    save_model_checkpoint(checkpoint, model, 0, TrainConfig().schedule(), {"seed": 7})
     if bad_frame is not None:
         lines = data.read_text().splitlines()
         rec = json.loads(lines[1 + bad_frame])

@@ -21,6 +21,7 @@ from viewpilot.diffcore import (
     softmax,
 )
 from viewpilot.errors import ConfigError, InvalidInput, NumericsError, ParseError, VersionError
+from viewpilot.training import TrainConfig
 
 
 class TestSoftmax:
@@ -158,11 +159,12 @@ class TestBpttBackward:
 
 
 class TestLrSchedule:
-    def test_paper_defaults_decay_at_period(self):
-        sched = LrSchedule()
-        assert sched.lr(0) == pytest.approx(1e-5)
-        assert sched.lr(49) == pytest.approx(1e-5)
-        assert sched.lr(50) == pytest.approx(9e-6)
+    def test_reference_defaults_decay_at_period(self):
+        sched = TrainConfig().schedule()
+        assert sched == LrSchedule(0.02, 0.9, 50)
+        assert sched.lr(0) == pytest.approx(0.02)
+        assert sched.lr(49) == pytest.approx(0.02)
+        assert sched.lr(50) == pytest.approx(0.018)
 
     def test_non_increasing(self):
         sched = LrSchedule(1e-3, 0.5, 3)
@@ -171,7 +173,7 @@ class TestLrSchedule:
 
     def test_positive_fields_required(self):
         with pytest.raises(InvalidInput):
-            LrSchedule(initial=-1.0)
+            LrSchedule(-1.0, 0.9, 50)
 
 
 class TestSgdStep:
@@ -296,24 +298,24 @@ class TestCheckpoints:
         params = self._params()
         path = tmp_path / "ckpt.json"
         arch = {"slots": 4}
-        save_checkpoint(path, arch, 7, LrSchedule(), {"seed": 1}, params)
+        save_checkpoint(path, arch, 7, TrainConfig().schedule(), {"seed": 1}, params)
         ckpt = load_checkpoint(path)
         assert ckpt.epoch == 7
         assert ckpt.arch == arch
-        assert ckpt.schedule == LrSchedule()
+        assert ckpt.schedule == TrainConfig().schedule()
         for p in params:
             np.testing.assert_array_equal(ckpt.params[p.name], p.values)
 
     def test_architecture_mismatch_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, {"slots": 4}, 0, LrSchedule(), {}, self._params())
+        save_checkpoint(path, {"slots": 4}, 0, TrainConfig().schedule(), {}, self._params())
         load_checkpoint(path, expect_arch={"slots": 4})
         with pytest.raises(ConfigError):
             load_checkpoint(path, expect_arch={"slots": 8})
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, {}, 0, LrSchedule(), {}, self._params())
+        save_checkpoint(path, {}, 0, TrainConfig().schedule(), {}, self._params())
         doc = path.read_text().replace('"format_version": 1', '"format_version": 9', 1)
         path.write_text(doc)
         with pytest.raises(VersionError):
@@ -321,7 +323,7 @@ class TestCheckpoints:
 
     def test_truncated_file_is_a_parse_error(self, tmp_path):
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, {}, 0, LrSchedule(), {}, self._params())
+        save_checkpoint(path, {}, 0, TrainConfig().schedule(), {}, self._params())
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
         with pytest.raises(ParseError):
@@ -330,7 +332,7 @@ class TestCheckpoints:
     @pytest.mark.parametrize("key", ["arch", "epoch", "lr_schedule", "rng", "params", "digest"])
     def test_missing_key_is_a_parse_error(self, tmp_path, key):
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, {}, 0, LrSchedule(), {}, self._params())
+        save_checkpoint(path, {}, 0, TrainConfig().schedule(), {}, self._params())
         doc = json.loads(path.read_text())
         del doc[key]
         path.write_text(json.dumps(doc))
@@ -339,7 +341,7 @@ class TestCheckpoints:
 
     def test_digest_mismatch_is_a_parse_error(self, tmp_path):
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, {}, 0, LrSchedule(), {}, self._params())
+        save_checkpoint(path, {}, 0, TrainConfig().schedule(), {}, self._params())
         doc = json.loads(path.read_text())
         doc["params"]["b.w"]["values"][0] += 1e-12
         path.write_text(json.dumps(doc))
@@ -348,7 +350,7 @@ class TestCheckpoints:
 
     def test_cli_exits_3_on_a_truncated_checkpoint(self, tmp_path, capsys):
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, {}, 0, LrSchedule(), {}, self._params())
+        save_checkpoint(path, {}, 0, TrainConfig().schedule(), {}, self._params())
         path.write_text(path.read_text()[:40])
         out = tmp_path / "out.jsonl"
         code = main(["pilot", "--checkpoint", str(path), "--data", str(path), "--out", str(out)])
@@ -357,7 +359,7 @@ class TestCheckpoints:
 
     def test_a_failed_write_leaves_the_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, {}, 0, LrSchedule(), {}, self._params())
+        save_checkpoint(path, {}, 0, TrainConfig().schedule(), {}, self._params())
         before = path.read_bytes()
 
         def crash(doc, fh):
@@ -366,6 +368,6 @@ class TestCheckpoints:
 
         monkeypatch.setattr(json, "dump", crash)
         with pytest.raises(OSError):
-            save_checkpoint(path, {}, 1, LrSchedule(), {}, self._params(1))
+            save_checkpoint(path, {}, 1, TrainConfig().schedule(), {}, self._params(1))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]

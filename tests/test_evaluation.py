@@ -24,10 +24,9 @@ from viewpilot.evaluation import (
     selector_only,
 )
 from viewpilot.geometry import (
-    NFoV,
     ViewingAngle,
     nfov_iou,
-    nfov_iou_array,
+    signed_azimuth_delta,
     signed_azimuth_delta_array,
 )
 from viewpilot.observation import (
@@ -72,13 +71,24 @@ class TestSelectorOnly:
 # ---------------------------------------------------------------------------
 
 
+def _scalar_nfov_iou(a: ViewingAngle, b: ViewingAngle, h_span: float) -> float:
+    """Reference: the IoU of the 4:3 windows of span ``h_span`` centered at
+    two viewing angles, one pair at a time: a wrap-aware azimuth overlap
+    times the overlap of the elevation extents clipped to [-90, 90]."""
+    half = h_span * 3.0 / 4.0 / 2.0
+    d = abs(signed_azimuth_delta(b.azimuth - a.azimuth))
+    ov_az = min(h_span, max(0.0, h_span - d) + max(0.0, h_span - (360.0 - d)))
+    a_low, a_high = max(-90.0, a.elevation - half), min(90.0, a.elevation + half)
+    b_low, b_high = max(-90.0, b.elevation - half), min(90.0, b.elevation + half)
+    inter = ov_az * max(0.0, min(a_high, b_high) - max(a_low, b_low))
+    return inter / (h_span * (a_high - a_low) + h_span * (b_high - b_low) - inter)
+
+
 def _overlap_fold(pred: np.ndarray, gt: np.ndarray, h_span: float) -> float:
-    """Reference: a frame-order fold of the scalar nfov_iou."""
+    """Reference: a frame-order fold of the scalar IoU."""
     total = 0.0
-    for (pa, pe), (ga, ge) in zip(pred, gt):
-        total += nfov_iou(
-            NFoV(ViewingAngle(pa, pe), h_span=h_span), NFoV(ViewingAngle(ga, ge), h_span=h_span)
-        )
+    for p, g in zip(pred, gt):
+        total += _scalar_nfov_iou(ViewingAngle(*p), ViewingAngle(*g), h_span)
     return total / len(pred)
 
 
@@ -111,16 +121,10 @@ class TestMeanOverlap:
     def test_equals_a_frame_order_fold_of_nfov_iou(self, seed, h_span):
         pred, gt = _angle_pairs(seed)
         per_frame = [
-            nfov_iou(NFoV(ViewingAngle(*p), h_span=h_span), NFoV(ViewingAngle(*g), h_span=h_span))
-            for p, g in zip(pred, gt)
+            _scalar_nfov_iou(ViewingAngle(*p), ViewingAngle(*g), h_span) for p, g in zip(pred, gt)
         ]
-        assert nfov_iou_array(pred, gt, h_span).tolist() == per_frame
+        assert nfov_iou(pred, gt, h_span).tolist() == per_frame
         assert mean_overlap(pred, gt, h_span=h_span) == _overlap_fold(pred, gt, h_span)
-
-    def test_takes_viewing_angles_or_arrays(self):
-        pred, gt = _angle_pairs(2)
-        as_angles = [ViewingAngle(*p) for p in pred], [ViewingAngle(*g) for g in gt]
-        assert mean_overlap(*as_angles) == mean_overlap(pred, gt)
 
     def test_rejects_what_the_scalar_path_rejects(self):
         pred, gt = _angle_pairs(3)
@@ -157,9 +161,9 @@ def _unaries_per_frame(episode: Episode, grid_arr: np.ndarray, eta: float) -> np
     return unary
 
 
-def _offline_dp_per_frame(episode: Episode, views, smooth_weight: float, eta: float):
+def _offline_dp_per_frame(episode: Episode, grid_step: float, smooth_weight: float, eta: float):
     """Reference: the per-frame unaries and a (from, to) DP recursion."""
-    grid_arr = np.array([[v.azimuth, v.elevation] for v in views])
+    grid_arr = default_view_grid(grid_step)
     unary = _unaries_per_frame(episode, grid_arr, eta)
     daz = np.abs(signed_azimuth_delta_array(grid_arr[:, None, 0] - grid_arr[None, :, 0]))
     trans = smooth_weight * np.hypot(daz, grid_arr[:, None, 1] - grid_arr[None, :, 1])
@@ -173,7 +177,7 @@ def _offline_dp_per_frame(episode: Episode, views, smooth_weight: float, eta: fl
     path = [int(np.argmax(best))]
     for t in range(t_total - 1, 0, -1):
         path.append(back[t, path[-1]])
-    return [views[g] for g in reversed(path)]
+    return [ViewingAngle(*grid_arr[g]) for g in reversed(path)]
 
 
 def _with_padding(episode: Episode, empty: list[int], single: list[int]) -> Episode:
@@ -198,21 +202,22 @@ def _with_ties(episode: Episode, frames, pairs) -> Episode:
     return Episode(episode.appearance, positions, episode.motions, episode.scores, episode.gt_track)
 
 
-REPEATED_AZIMUTHS = [
-    ViewingAngle(10.0, 0.0), ViewingAngle(200.0, -10.0), ViewingAngle(10.0, 30.0),
-    ViewingAngle(359.5, 0.0), ViewingAngle(0.0, 0.0), ViewingAngle(10.0, -60.0),
-    ViewingAngle(200.0, 45.0), ViewingAngle(0.0, 20.0),
-]
-DP_CASES = {
+DP_CASES = {  # (episode, grid step)
     "padding frames": (
-        _with_padding(synth_scene(SCENE, 3), [0, 1, 2, 17, 58, 59], list(range(20, 50))),
-        None,
-        30.0,
+        _with_padding(synth_scene(SCENE, 3), [0, 1, 2, 17, 58, 59], list(range(20, 50))), 30.0
     ),
-    "grid_step 45": (synth_scene(SCENE, 4), None, 45.0),
-    "repeated grid azimuths": (synth_scene(SCENE, 5), REPEATED_AZIMUTHS, 30.0),
-    "tied detections": (_with_ties(synth_scene(SCENE, 6), slice(5, 45), [(0, 1), (2, 3)]), None, 30.0),
+    "grid_step 45": (synth_scene(SCENE, 4), 45.0),
+    "tied detections": (_with_ties(synth_scene(SCENE, 6), slice(5, 45), [(0, 1), (2, 3)]), 30.0),
 }
+# (episode, grid array): the cases' default grids plus a grid that repeats azimuths
+UNARY_CASES = {name: (ep, default_view_grid(step)) for name, (ep, step) in DP_CASES.items()}
+UNARY_CASES["repeated grid azimuths"] = (
+    synth_scene(SCENE, 5),
+    np.array([
+        (10.0, 0.0), (200.0, -10.0), (10.0, 30.0), (359.5, 0.0),
+        (0.0, 0.0), (10.0, -60.0), (200.0, 45.0), (0.0, 20.0),
+    ]),
+)
 
 
 class TestBenchmark:
@@ -232,19 +237,17 @@ class TestBenchmark:
 
 
 def test_empty_frame_count_counts_frames_without_detections():
-    episode, _, _ = DP_CASES["padding frames"]
+    episode, _ = DP_CASES["padding frames"]
     assert empty_frame_count(episode) == 6
     assert empty_frame_count(synth_scene(SCENE, 3)) == 0
 
 
 class TestOfflineDp:
-    @pytest.mark.parametrize("case", list(DP_CASES))
+    @pytest.mark.parametrize("case", list(UNARY_CASES))
     @pytest.mark.parametrize("block_entries", [evaluation._DP_BLOCK_ENTRIES, 1])
     def test_unaries_equal_the_per_frame_loop(self, monkeypatch, case, block_entries):
         monkeypatch.setattr(evaluation, "_DP_BLOCK_ENTRIES", block_entries)  # 1: a frame per block
-        episode, grid, step = DP_CASES[case]
-        views = grid if grid is not None else default_view_grid(step)
-        grid_arr = np.array([[v.azimuth, v.elevation] for v in views])
+        episode, grid_arr = UNARY_CASES[case]
         expected = _unaries_per_frame(episode, grid_arr, DEFAULT_ETA)
         assert np.any(expected != 0.0)
         azimuths, column = np.unique(grid_arr[:, 0], return_inverse=True)
@@ -254,17 +257,16 @@ class TestOfflineDp:
     @pytest.mark.parametrize("case", list(DP_CASES))
     @pytest.mark.parametrize("smooth_weight", [1.0, 0.05])
     def test_path_equals_the_per_frame_reference(self, case, smooth_weight):
-        episode, grid, step = DP_CASES[case]
-        views = grid if grid is not None else default_view_grid(step)
-        path = offline_dp(episode, grid=grid, grid_step=step, smooth_weight=smooth_weight)
-        assert path == _offline_dp_per_frame(episode, views, smooth_weight, DEFAULT_ETA)
+        episode, step = DP_CASES[case]
+        path = offline_dp(episode, grid_step=step, smooth_weight=smooth_weight)
+        assert path == _offline_dp_per_frame(episode, step, smooth_weight, DEFAULT_ETA)
         if smooth_weight < 1.0:
             assert len(set(path)) > 1  # the path moves between views
 
-    @pytest.mark.parametrize("case", [name for name, (_, grid, _) in DP_CASES.items() if grid is None])
+    @pytest.mark.parametrize("case", list(DP_CASES))
     @pytest.mark.parametrize("eta", [DEFAULT_ETA, 25.0])
     def test_built_method_equals_offline_dp(self, case, eta):
-        episode, _, step = DP_CASES[case]
+        episode, step = DP_CASES[case]
         method = evaluation.build_methods(
             ["offline_dp"], grid_step=step, dp_smooth_weight=0.05, eta=eta
         )["offline_dp"]
@@ -272,7 +274,7 @@ class TestOfflineDp:
             assert method(ep) == offline_dp(ep, grid_step=step, smooth_weight=0.05, eta=eta)
 
     def test_grid_is_prepared_once_and_only_when_offline_dp_runs(self):
-        prepared = evaluation._default_dp_grid
+        prepared = evaluation._dp_grid
         prepared.cache_clear()
         episodes = [synth_scene(SCENE, 1), synth_scene(SCENE, 2), synth_scene(SCENE, 3)]
         evaluation.benchmark(evaluation.build_methods(["center_hold", "gt_replay"]), episodes)
@@ -286,17 +288,17 @@ class TestOfflineDp:
         assert prepared.cache_info()[:2] == (2, 1)  # (hits, misses)
 
     def test_grid_past_the_entry_bound_is_refused(self):
-        episode, side = synth_scene(SCENE, 3), math.isqrt(evaluation.MAX_DP_ENTRIES)
-        evaluation.check_grid_views(side)
-        for views in (0, side + 1):  # refused before any (G, G) array exists
-            with pytest.raises(InvalidInput, match=f"got a {views}-view grid"):
-                offline_dp(episode, grid=[ViewingAngle(0.0, 0.0)] * views)
-        with pytest.raises(InvalidInput, match="got a 4050-view grid"):
+        episode = synth_scene(SCENE, 3)
+        with pytest.raises(InvalidInput, match="got a 4050-view grid"):  # before any (G, G) array
             offline_dp(episode, grid_step=4.0)
+        bound = f"makes more than {evaluation.MAX_DP_ENTRIES} offline_dp grid views"
         for step in (1e-3, 1e-310, 5e-324):  # 1e-310's view counts overflow a float
-            with pytest.raises(InvalidInput, match=f"makes more than {evaluation.MAX_DP_ENTRIES} offline_dp grid views"):
+            with pytest.raises(InvalidInput, match=bound):
                 offline_dp(episode, grid_step=step)
-        assert len(default_view_grid(5.0)) == 2592
+        for step in (0.0, -30.0, 180.5, math.nan):
+            with pytest.raises(InvalidInput, match=r"grid step must be in \(0, 180\]"):
+                default_view_grid(step)
+        assert default_view_grid(5.0).shape == (2592, 2)
 
 
 # ---------------------------------------------------------------------------

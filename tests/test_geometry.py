@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from viewpilot.errors import InvalidInput
-from viewpilot.geometry import NFoV, ViewingAngle, land_angles, nfov_iou, viewing_angles
+from viewpilot.geometry import DEFAULT_H_SPAN, ViewingAngle, land_angles, nfov_iou, viewing_angles
 from viewpilot.observation import OFFSET_SCALE
 from viewpilot.regressor import loss_terms
 from viewpilot.training import _follow_offset
@@ -163,20 +163,27 @@ class TestAngularDistance:
             assert angular_distance(a, c) <= angular_distance(a, b) + angular_distance(b, c) + 1e-9
 
 
-def _points_in_nfov(az: np.ndarray, el: np.ndarray, box: NFoV) -> np.ndarray:
+def iou(a, b, h_span: float = DEFAULT_H_SPAN) -> float:
+    """``nfov_iou`` of the windows centered at two single angles."""
+    return float(nfov_iou(np.array([a], dtype=float), np.array([b], dtype=float), h_span)[0])
+
+
+def _points_in_nfov(az: np.ndarray, el: np.ndarray, center, h_span: float) -> np.ndarray:
     """Membership of each point, used by the Monte-Carlo IoU oracle: a
     wrap-aware azimuth distance within half the span and an elevation within
-    the clipped extent (no use of the IoU formulas under test)."""
-    daz = np.abs(np.mod(az - box.center.azimuth + 180.0, 360.0) - 180.0)
-    low, high = box.elevation_extent()
-    return (daz <= box.h_span / 2.0) & (low <= el) & (el <= high)
+    the window's 4:3 height clipped to [-90, 90] (no use of the IoU formulas
+    under test)."""
+    daz = np.abs(np.mod(az - center[0] + 180.0, 360.0) - 180.0)
+    half_height = h_span * 3.0 / 8.0
+    low, high = max(-90.0, center[1] - half_height), min(90.0, center[1] + half_height)
+    return (daz <= h_span / 2.0) & (low <= el) & (el <= high)
 
 
-def _iou_monte_carlo(a: NFoV, b: NFoV, n: int, seed: int) -> float:
+def _iou_monte_carlo(a, b, n: int, seed: int, h_span: float = DEFAULT_H_SPAN) -> float:
     rng = np.random.default_rng(seed)
     az = rng.uniform(0, 360, n)
     el = rng.uniform(-90, 90, n)
-    in_a, in_b = _points_in_nfov(az, el, a), _points_in_nfov(az, el, b)
+    in_a, in_b = _points_in_nfov(az, el, a, h_span), _points_in_nfov(az, el, b, h_span)
     union = np.count_nonzero(in_a | in_b)
     if union == 0:
         return 0.0
@@ -185,71 +192,52 @@ def _iou_monte_carlo(a: NFoV, b: NFoV, n: int, seed: int) -> float:
 
 class TestNfovIou:
     def test_identical_centers(self):
-        box = NFoV(ViewingAngle(120, 30))
-        assert nfov_iou(box, box) == 1.0
+        assert iou([120, 30], [120, 30]) == 1.0
 
     def test_opposite_centers_disjoint(self):
-        a = NFoV(ViewingAngle(0, 0))
-        b = NFoV(ViewingAngle(180, 0))
-        assert nfov_iou(a, b) == 0.0
+        assert iou([0, 0], [180, 0]) == 0.0
 
     def test_one_third_overlap_at_half_width_offset(self):
-        a = NFoV(ViewingAngle(0, 0))
-        b = NFoV(ViewingAngle(32.75, 0))
-        assert nfov_iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-3)
+        assert iou([0, 0], [32.75, 0]) == pytest.approx(1.0 / 3.0, abs=1e-3)
 
     def test_default_aspect_ratio(self):
-        box = NFoV(ViewingAngle(0, 0))
-        assert box.v_span == pytest.approx(49.125)
-
-    def test_mismatched_spans_rejected(self):
-        a = NFoV(ViewingAngle(0, 0), h_span=65.5)
-        b = NFoV(ViewingAngle(0, 0), h_span=80.0)
-        with pytest.raises(InvalidInput):
-            nfov_iou(a, b)
+        # the default 65.5-degree window is 49.125 degrees tall (4:3), clipped at the poles
+        assert iou([0, 0], [0, 49.125]) == 0.0
+        assert iou([0, 0], [0, 49.125 / 2.0]) == pytest.approx(1.0 / 3.0)
+        assert iou([0, 90], [0, 80]) == pytest.approx(24.5625 / 34.5625)
 
     def test_against_monte_carlo_oracle(self):
         rng = np.random.default_rng(5)
         for trial in range(8):
-            a = NFoV(ViewingAngle(rng.uniform(0, 360), rng.uniform(-70, 70)))
-            b = NFoV(
-                ViewingAngle(
-                    a.center.azimuth + rng.uniform(-70, 70),
-                    a.center.elevation + rng.uniform(-50, 50),
-                )
-            )
+            a = [rng.uniform(0, 360), rng.uniform(-70, 70)]
+            b = land_angles(np.add(a, [rng.uniform(-70, 70), rng.uniform(-50, 50)]))
             expected = _iou_monte_carlo(a, b, 200_000, seed=100 + trial)
-            assert nfov_iou(a, b) == pytest.approx(expected, abs=0.01)
+            assert iou(a, b) == pytest.approx(expected, abs=0.01)
 
     def test_wraparound_intersection(self):
-        # Rectangles straddling the 0/360 seam still overlap correctly.
-        a = NFoV(ViewingAngle(5, 0))
-        b = NFoV(ViewingAngle(355, 0))
-        expected = _iou_monte_carlo(a, b, 200_000, seed=99)
-        assert nfov_iou(a, b) > 0.0
-        assert nfov_iou(a, b) == pytest.approx(expected, abs=0.01)
+        # Windows straddling the 0/360 seam still overlap correctly.
+        expected = _iou_monte_carlo([5, 0], [355, 0], 200_000, seed=99)
+        assert iou([5, 0], [355, 0]) > 0.0
+        assert iou([5, 0], [355, 0]) == pytest.approx(expected, abs=0.01)
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(6)
-        for _ in range(200):
-            a = NFoV(ViewingAngle(rng.uniform(0, 360), rng.uniform(-90, 90)))
-            b = NFoV(ViewingAngle(rng.uniform(0, 360), rng.uniform(-90, 90)))
-            iou = nfov_iou(a, b)
-            assert 0.0 <= iou <= 1.0
-            assert iou == pytest.approx(nfov_iou(b, a), abs=1e-12)
+        a = np.column_stack([rng.uniform(0, 360, 200), rng.uniform(-90, 90, 200)])
+        b = np.column_stack([rng.uniform(0, 360, 200), rng.uniform(-90, 90, 200)])
+        forward, backward = nfov_iou(a, b), nfov_iou(b, a)
+        assert np.all((0.0 <= forward) & (forward <= 1.0))
+        np.testing.assert_allclose(forward, backward, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("axis", ["azimuth", "elevation"])
     def test_monotone_in_center_separation(self, axis):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            a = NFoV(ViewingAngle(rng.uniform(0, 360), rng.uniform(-80, 80)))
+            a = np.array([rng.uniform(0, 360), rng.uniform(-80, 80)])
             steps = np.linspace(0, 180 if axis == "azimuth" else 120, 25)
-            prev = math.inf
-            for s in steps:
-                if axis == "azimuth":
-                    center = ViewingAngle(a.center.azimuth + s, a.center.elevation)
-                else:
-                    center = ViewingAngle(a.center.azimuth, min(90.0, a.center.elevation + s))
-                iou = nfov_iou(a, NFoV(center))
-                assert iou <= prev + 1e-12
-                prev = iou
+            centers = np.tile(a, (len(steps), 1))
+            if axis == "azimuth":
+                centers[:, 0] += steps
+            else:
+                centers[:, 1] = np.minimum(90.0, centers[:, 1] + steps)
+            ious = nfov_iou(np.tile(a, (len(steps), 1)), centers)
+            assert np.all(np.diff(ious) <= 1e-12)

@@ -13,7 +13,7 @@ import pytest
 from viewpilot import gradcheck
 from viewpilot.agent import ModelDims, PilotModel, pilot_episode, save_model_checkpoint
 from viewpilot.diffcore import (
-    CHECKPOINT_FORMAT_VERSION, LrSchedule, ParamTensor, gradient_check, softmax,
+    CHECKPOINT_FORMAT_VERSION, ParamTensor, gradient_check, softmax,
 )
 from viewpilot.errors import ConfigError, ParseError, StateError, VersionError
 from viewpilot.geometry import signed_azimuth_delta_array
@@ -380,7 +380,8 @@ class TestResumeFromADamagedCheckpoint:
         with pytest.raises(VersionError):
             train(self.EPISODES, self.CONFIG, DIMS, tmp_path, resume=True)
         other = PilotModel(dataclasses.replace(DIMS, selector_hidden=5), np.random.default_rng(0))
-        save_model_checkpoint(tmp_path / checkpoint_name(7), other, 7, LrSchedule(), {"seed": 0})
+        schedule = TrainConfig().schedule()
+        save_model_checkpoint(tmp_path / checkpoint_name(7), other, 7, schedule, {"seed": 0})
         with pytest.raises(ConfigError):
             train(self.EPISODES, self.CONFIG, DIMS, tmp_path, resume=True)
 
