@@ -4,6 +4,11 @@ sees only the current observation and the carried state. The selector steps
 with ``diffcore.TanhRnnCell.step``; :func:`steering_step` replicates that
 step inline for :func:`pilot_step` and ``evaluation.agent_pilot``, held by a
 test to the floats of ``training._steer``, which calls the method.
+
+The module also owns the model checkpoint file, one JSON document whose
+floats serialize via repr and so round-trip bit-exactly:
+:func:`save_model_checkpoint` writes it and :func:`load_model_checkpoint`
+reads, validates and verifies it.
 """
 
 from __future__ import annotations
@@ -13,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import (
-    Checkpoint, LrSchedule, ParamTensor, load_checkpoint, params_digest, save_checkpoint, softmax,
-)
-from .errors import ConfigError, InvalidInput, ParseError
+from .diffcore import LrSchedule, ParamTensor, softmax
+from .errors import ConfigError, InvalidInput, NumericsError, ParseError, VersionError
 from .geometry import ViewingAngle, clamp_elevation, signed_azimuth_delta, wrap_azimuth
 from .observation import OFFSET_SCALE, Episode, FrameObservation, _parse_json_line
 from .regressor import RegressorNetwork
@@ -60,40 +63,112 @@ class PilotModel:
         return {p.name: p for p in self.params()}
 
     def digest(self) -> str:
-        return params_digest(self.params())
+        return params_digest({p.name: p.values for p in self.params()})
 
-    def load_param_values(self, values: dict[str, np.ndarray]) -> None:
-        own = self.param_map()
-        if set(values) != set(own):
-            raise ConfigError(
-                f"parameter names {sorted(values)} do not match model {sorted(own)}"
-            )
-        for name, arr in values.items():
-            if arr.shape != own[name].shape:
-                raise ConfigError(f"parameter {name} shape {arr.shape} != {own[name].shape}")
-            own[name].values[...] = arr
 
-    @classmethod
-    def from_checkpoint(cls, ckpt: Checkpoint) -> "PilotModel":
-        try:
-            dims = ModelDims(**ckpt.arch)
-        except (TypeError, InvalidInput) as exc:
-            raise ParseError(f"checkpoint arch {ckpt.arch!r} is malformed: {exc}") from exc
-        model = cls(dims, np.random.default_rng(0))
-        model.load_param_values(ckpt.params)
-        return model
+CHECKPOINT_FORMAT_VERSION = 1
+
+
+def params_digest(arrays: dict[str, np.ndarray]) -> str:
+    """SHA-256 prefix of the name -> array map, in name order."""
+    import hashlib  # only checkpoints need it; kept off the import path
+
+    h = hashlib.sha256()
+    for name in sorted(arrays):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arrays[name]).tobytes())
+    return h.hexdigest()[:12]
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    """What a model checkpoint records besides the weights."""
+
+    epoch: int
+    schedule: LrSchedule
+    rng_record: dict
+    digest: str
 
 
 def save_model_checkpoint(
     path, model: PilotModel, epoch: int, schedule: LrSchedule, rng_record: dict
 ) -> None:
-    save_checkpoint(path, model.dims.as_dict(), epoch, schedule, rng_record, model.params())
+    doc = {
+        "format_version": CHECKPOINT_FORMAT_VERSION,
+        "arch": model.dims.as_dict(),
+        "epoch": epoch,
+        "lr_schedule": {"initial": schedule.initial, "decay": schedule.decay, "period": schedule.period},
+        "rng": rng_record,
+        "digest": model.digest(),
+        "params": {
+            p.name: {"shape": list(p.shape), "values": p.values.reshape(-1).tolist()}
+            for p in model.params()
+        },
+    }
+    import os
+
+    # Write a sibling file and rename it over the target, so a crash
+    # mid-write leaves the previous checkpoint intact.
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
-def load_model_checkpoint(path, expect_dims: ModelDims | None = None):
-    """Returns (model, checkpoint); validates dims when ``expect_dims`` given."""
-    ckpt = load_checkpoint(path, expect_arch=expect_dims.as_dict() if expect_dims else None)
-    return PilotModel.from_checkpoint(ckpt), ckpt
+def load_model_checkpoint(
+    path, expect_dims: ModelDims | None = None
+) -> tuple[PilotModel, Checkpoint]:
+    """Read, validate and verify a checkpoint in one pass. An incomplete
+    file, an epoch that is not a count, or values that do not hash to the
+    stored digest raise ParseError; the format version VersionError; dims
+    other than ``expect_dims``, or foreign parameter names or shapes,
+    ConfigError; a non-finite value NumericsError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    try:
+        if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+            raise VersionError(f"unsupported checkpoint format version {doc.get('format_version')}")
+        arch = doc["arch"]
+        if expect_dims is not None and arch != expect_dims.as_dict():
+            raise ConfigError(
+                f"checkpoint architecture {arch} does not match expected {expect_dims.as_dict()}"
+            )
+        schedule = LrSchedule(**doc["lr_schedule"])
+        values = {}
+        for name, rec in doc["params"].items():
+            values[name] = np.array(rec["values"], dtype=np.float64).reshape(rec["shape"])
+            if not np.all(np.isfinite(values[name])):
+                raise NumericsError(f"checkpoint parameter {name} has non-finite entries")
+        epoch = doc["epoch"]
+        if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
+            raise ParseError(f"checkpoint {path} has epoch {epoch!r}, not a non-negative integer")
+        if not isinstance(doc["rng"], dict):
+            raise ParseError(f"checkpoint {path} has rng {doc['rng']!r}, not an object")
+        found = params_digest(values)
+        if found != doc["digest"]:
+            raise ParseError(
+                f"checkpoint {path} digest {doc['digest']!r} does not match its values ({found!r})"
+            )
+        dims = ModelDims(**arch)
+    except KeyError as exc:
+        raise ParseError(f"checkpoint {path} is missing the key {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(f"checkpoint {path} is malformed: {exc}") from exc
+    model = PilotModel(dims, np.random.default_rng(0))
+    shapes, own = {n: a.shape for n, a in values.items()}, model.param_map()
+    if shapes != {n: p.shape for n, p in own.items()}:
+        raise ConfigError(f"parameter shapes {shapes} do not match the model's {dims}")
+    for name, arr in values.items():
+        own[name].values[...] = arr
+    return model, Checkpoint(epoch, schedule, doc["rng"], found)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Minimal differentiable plumbing: parameters, tanh RNN cell, affine heads,
-softmax, SGD with a step-decay schedule, finite-difference gradient checks,
-and checkpoint files.
+softmax, SGD with a step-decay schedule, and finite-difference gradient
+checks.
 
 Everything is float64 numpy. Backward passes are hand-derived; there is no
 general autodiff. ``TanhRnnCell.step`` and ``backward_step`` are the cells'
@@ -12,15 +12,12 @@ helpers expect 2-D batches.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInput, NumericsError, ParseError, VersionError
-
-CHECKPOINT_FORMAT_VERSION = 1
+from .errors import InvalidInput, NumericsError
 
 
 class ParamTensor:
@@ -282,105 +279,3 @@ def gradient_check(
             worst = np.maximum(worst, (np.abs(ref[idx] - numeric) / denom).max())
         errors[p.name] = float(worst)
     return GradCheckResult(errors, tolerance)
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints: one JSON document per file. Floats serialize via repr and
-# therefore round-trip bit-exactly.
-# ---------------------------------------------------------------------------
-
-
-def params_digest(params: Sequence[ParamTensor]) -> str:
-    import hashlib  # only checkpoints need it; kept off the import path
-
-    h = hashlib.sha256()
-    for p in sorted(params, key=lambda p: p.name):
-        h.update(p.name.encode())
-        h.update(np.ascontiguousarray(p.values).tobytes())
-    return h.hexdigest()[:12]
-
-
-def save_checkpoint(
-    path,
-    arch: dict,
-    epoch: int,
-    schedule: LrSchedule,
-    rng_record: dict,
-    params: Sequence[ParamTensor],
-) -> None:
-    doc = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "arch": arch,
-        "epoch": epoch,
-        "lr_schedule": {"initial": schedule.initial, "decay": schedule.decay, "period": schedule.period},
-        "rng": rng_record,
-        "digest": params_digest(params),
-        "params": {p.name: {"shape": list(p.shape), "values": p.values.reshape(-1).tolist()} for p in params},
-    }
-    import os
-
-    # Write a sibling file and rename it over the target, so a crash
-    # mid-write leaves the previous checkpoint intact.
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-@dataclass
-class Checkpoint:
-    arch: dict
-    epoch: int
-    schedule: LrSchedule
-    rng_record: dict
-    params: dict[str, np.ndarray]
-    digest: str
-
-
-def load_checkpoint(path, expect_arch: dict | None = None) -> Checkpoint:
-    """Load a checkpoint; rejects unknown format versions and, when
-    ``expect_arch`` is given, any architecture mismatch.
-
-    A file that is not a complete checkpoint, whose epoch is not a count
-    (a non-negative integer), or whose parameter values do not hash to its
-    stored digest, raises ``ParseError``.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise ParseError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    try:
-        if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise VersionError(f"unsupported checkpoint format version {doc.get('format_version')}")
-        arch = doc["arch"]
-        if expect_arch is not None and arch != expect_arch:
-            raise ConfigError(
-                f"checkpoint architecture {arch} does not match expected {expect_arch}"
-            )
-        sched = LrSchedule(**doc["lr_schedule"])
-        params = {}
-        for name, rec in doc["params"].items():
-            values = np.array(rec["values"], dtype=np.float64).reshape(rec["shape"])
-            if not np.all(np.isfinite(values)):
-                raise NumericsError(f"checkpoint parameter {name} has non-finite entries")
-            params[name] = values
-        epoch = doc["epoch"]
-        if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
-            raise ParseError(f"checkpoint {path} has epoch {epoch!r}, not a non-negative integer")
-        ckpt = Checkpoint(arch, epoch, sched, doc["rng"], params, doc["digest"])
-    except KeyError as exc:
-        raise ParseError(f"checkpoint {path} is missing the key {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ParseError(f"checkpoint {path} is malformed: {exc}") from exc
-    found = params_digest([ParamTensor(name, values) for name, values in params.items()])
-    if found != ckpt.digest:
-        raise ParseError(
-            f"checkpoint {path} digest {ckpt.digest!r} does not match its values ({found!r})"
-        )
-    return ckpt

@@ -40,8 +40,8 @@ def mean_overlap(pred: np.ndarray, gt: np.ndarray, h_span: float = DEFAULT_H_SPA
     of two (T, 2) angle arrays. The IoUs are summed in frame order (a
     pairwise ``np.sum`` would change the last bits).
     """
-    if pred.shape != gt.shape:
-        raise InvalidInput(f"trajectory lengths differ: {pred.shape} vs {gt.shape}")
+    if pred.shape != gt.shape or pred.shape[0] == 0:
+        raise InvalidInput(f"trajectory shapes {pred.shape} and {gt.shape} differ or are empty")
     iou = nfov_iou(pred, gt, h_span)
     return float(np.add.accumulate(iou)[-1]) / pred.shape[0]
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .agent import ModelDims, PilotModel, save_model_checkpoint, load_model_checkpoint
 from .diffcore import LrSchedule
-from .errors import InvalidInput, NumericsError, ParseError, StateError, VersionError
+from .errors import ConfigError, InvalidInput, NumericsError, ParseError, StateError, VersionError
 from .geometry import land_angles, signed_azimuth_delta_array
 from .observation import OFFSET_SCALE, Episode, episode_arrays
 from .regressor import loss_grad, loss_terms
@@ -447,6 +447,8 @@ def train_step(
     """
     from .diffcore import clip_gradients, sgd_step
 
+    if lr <= 0:
+        raise InvalidInput(f"learning rate must be positive, got {lr}")
     by_len: dict[int, list[Window]] = {}
     for w in windows:
         by_len.setdefault(w.stop - w.start, []).append(w)
@@ -486,17 +488,13 @@ def train_step(
             for q in model.params():
                 q.zero_grad()
             raise NumericsError(f"non-finite gradient in {p.name}; step aborted")
-    if lr > 0.0:
-        if config.grad_clip > 0:
-            # Clip per network: the supervised signal's norm is orders of
-            # magnitude above the policy gradient's early on, and a single
-            # global clip would scale the selector's update to nothing.
-            clip_gradients(model.selector.params(), config.grad_clip)
-            clip_gradients(model.regressor.params(), config.grad_clip)
-        sgd_step(model.params(), lr)
-    else:
-        for p in model.params():
-            p.zero_grad()
+    if config.grad_clip > 0:
+        # Clip per network: the supervised signal's norm is orders of
+        # magnitude above the policy gradient's early on, and a single
+        # global clip would scale the selector's update to nothing.
+        clip_gradients(model.selector.params(), config.grad_clip)
+        clip_gradients(model.regressor.params(), config.grad_clip)
+    sgd_step(model.params(), lr)
     return StepStats(
         regression=reg_sum / frames,
         smoothness=smo_sum / frames,
@@ -515,11 +513,13 @@ def checkpoint_name(epoch: int) -> str:
     return f"checkpoint_epoch{epoch:05d}.json"
 
 
-def _resume_checkpoint(out_dir: Path, dims: ModelDims):
+def _resume_checkpoint(out_dir: Path, dims: ModelDims, config: TrainConfig):
     """(model, checkpoint) from the newest checkpoint in ``out_dir`` that
     loads: a damaged one, or one whose epoch is not its file name's, is
     skipped with a warning on stderr. Version and architecture mismatches
-    raise, and so does the newest error if none loads."""
+    raise, and so does the newest error if none loads. A checkpoint whose
+    learning-rate schedule or seed is not ``config``'s raises ConfigError:
+    the run would not continue the one that wrote it."""
     names = (re.fullmatch(r"checkpoint_epoch(\d+)\.json", p.name) for p in out_dir.iterdir())
     found = sorted((int(m.group(1)), m.string) for m in names if m)
     if not found:
@@ -531,6 +531,13 @@ def _resume_checkpoint(out_dir: Path, dims: ModelDims):
             model, ckpt = load_model_checkpoint(path, expect_dims=dims)
             if ckpt.epoch != number:
                 raise ParseError(f"checkpoint {path} holds epoch {ckpt.epoch}, not {number}")
+            written = (ckpt.schedule, ckpt.rng_record.get("seed"))
+            wanted = (config.schedule(), config.seed)
+            if written != wanted:
+                raise ConfigError(
+                    f"checkpoint {path.name} has schedule {written[0]} and seed {written[1]!r}; "
+                    f"the config has schedule {wanted[0]} and seed {wanted[1]!r}"
+                )
             return model, ckpt
         except VersionError:
             raise
@@ -553,8 +560,10 @@ def train(
     Epoch e shuffles windows with rng (seed, 1, e) and batch j samples with
     rng (seed, 2, e, j); parameters initialize from (seed, 0). Resuming from
     the newest readable checkpoint therefore reproduces an uninterrupted
-    run bit-exactly, and ``metrics.jsonl`` keeps one row per epoch: a resumed
-    run drops the rows after the checkpoint's epoch before writing its own.
+    run bit-exactly. A config whose schedule or seed is not the
+    checkpoint's is refused (``max_epochs`` may change). ``metrics.jsonl``
+    keeps one row per epoch: a resumed run drops the rows after the
+    checkpoint's epoch before writing its own.
     """
     if not episodes:
         raise InvalidInput("training set is empty")
@@ -566,7 +575,7 @@ def train(
 
     start_epoch = 0
     if resume:
-        model, ckpt = _resume_checkpoint(out_dir, dims)
+        model, ckpt = _resume_checkpoint(out_dir, dims, config)
         start_epoch = ckpt.epoch
     else:
         model = PilotModel(dims, np.random.default_rng([config.seed, 0]))

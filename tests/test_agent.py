@@ -1,6 +1,7 @@
 """Tests for the composed online pilot."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -12,13 +13,15 @@ from viewpilot.agent import (
     PilotModel,
     initial_state,
     load_model_checkpoint,
+    params_digest,
     pilot_episode,
     pilot_step,
     read_trajectories,
     save_model_checkpoint,
     write_trajectory,
 )
-from viewpilot.errors import ConfigError, InvalidInput, ParseError
+from viewpilot.cli import EXIT_IO, main
+from viewpilot.errors import ConfigError, InvalidInput, NumericsError, ParseError, VersionError
 from viewpilot.geometry import ViewingAngle
 from viewpilot.observation import Episode, SceneConfig, synth_scene
 from viewpilot.training import TrainConfig
@@ -104,7 +107,26 @@ class TestPilotEpisode:
             assert angle == traj[t] and idx == picks[t]
 
 
-class TestCheckpointGlue:
+class TestCheckpoints:
+    @staticmethod
+    def _saved(path, seed=0, epoch=0) -> PilotModel:
+        model = _model(seed)
+        save_model_checkpoint(path, model, epoch, TrainConfig().schedule(), {"seed": seed})
+        return model
+
+    def test_round_trip_bit_exact(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        model = self._saved(path, seed=1, epoch=7)
+        loaded, ckpt = load_model_checkpoint(path)
+        assert (ckpt.epoch, ckpt.rng_record) == (7, {"seed": 1})
+        assert ckpt.schedule == TrainConfig().schedule()
+        assert ckpt.digest == loaded.digest() == model.digest()
+        for p, q in zip(model.params(), loaded.params()):
+            assert p.name == q.name
+            np.testing.assert_array_equal(q.values, p.values)
+        save_model_checkpoint(tmp_path / "again.json", loaded, 7, ckpt.schedule, ckpt.rng_record)
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
     def test_round_trip_preserves_behavior(self, tmp_path):
         model = _model(7)
         ep = _episode(7)
@@ -115,11 +137,126 @@ class TestCheckpointGlue:
         assert pilot_episode(ep, loaded)[0] == pilot_episode(ep, model)[0]
 
     def test_dims_mismatch_rejected(self, tmp_path):
-        model = _model(8)
         path = tmp_path / "model.json"
-        save_model_checkpoint(path, model, 0, TrainConfig().schedule(), {})
+        self._saved(path, seed=8)
+        load_model_checkpoint(path, expect_dims=DIMS)
         with pytest.raises(ConfigError):
             load_model_checkpoint(path, expect_dims=dataclasses.replace(DIMS, slots=9))
+
+    def test_version_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        self._saved(path)
+        doc = path.read_text().replace('"format_version": 1', '"format_version": 9', 1)
+        path.write_text(doc)
+        with pytest.raises(VersionError):
+            load_model_checkpoint(path)
+
+    def test_truncated_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        self._saved(path)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        with pytest.raises(ParseError):
+            load_model_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["arch", "epoch", "lr_schedule", "rng", "params", "digest"])
+    def test_missing_key_is_a_parse_error(self, tmp_path, key):
+        path = tmp_path / "ckpt.json"
+        self._saved(path)
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=key):
+            load_model_checkpoint(path)
+
+    def test_an_rng_record_that_is_not_an_object_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        self._saved(path)
+        doc = json.loads(path.read_text())
+        doc["rng"] = [7]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="has rng \\[7\\], not an object"):
+            load_model_checkpoint(path)
+
+    def test_digest_mismatch_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        self._saved(path)
+        doc = json.loads(path.read_text())
+        doc["params"]["regressor.cell.b"]["values"][0] += 1e-12
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="digest"):
+            load_model_checkpoint(path)
+
+    def test_a_non_finite_value_is_a_numerics_error(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        self._saved(path)
+        doc = json.loads(path.read_text())
+        doc["params"]["selector.head.w"]["values"][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NumericsError, match="selector.head.w"):
+            load_model_checkpoint(path)
+
+    @pytest.mark.parametrize("rename", [False, True])
+    def test_foreign_parameter_names_or_shapes_are_a_config_error(self, tmp_path, rename):
+        path = tmp_path / "ckpt.json"
+        self._saved(path)
+        doc = json.loads(path.read_text())
+        rec = doc["params"].pop("regressor.head.w")
+        if rename:
+            doc["params"]["regressor.head.v"] = rec
+        else:
+            doc["params"]["regressor.head.w"] = {"shape": [rec["shape"][1], rec["shape"][0]],
+                                                 "values": rec["values"]}
+        values = {k: np.array(v["values"]).reshape(v["shape"]) for k, v in doc["params"].items()}
+        doc["digest"] = params_digest(values)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="regressor.head"):
+            load_model_checkpoint(path)
+
+    def test_cli_exits_3_on_a_truncated_checkpoint(self, tmp_path, capsys):
+        path = tmp_path / "ckpt.json"
+        self._saved(path)
+        path.write_text(path.read_text()[:40])
+        out = tmp_path / "out.jsonl"
+        code = main(["pilot", "--checkpoint", str(path), "--data", str(path), "--out", str(out)])
+        assert code == EXIT_IO
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_a_failed_write_leaves_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.json"
+        self._saved(path)
+        before = path.read_bytes()
+
+        def crash(doc, fh):
+            fh.write('{"format_version": 1, "arch": {}, "ep')
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(json, "dump", crash)
+        with pytest.raises(OSError):
+            self._saved(path, seed=1, epoch=1)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
+    def test_the_file_format_is_pinned(self, tmp_path):
+        # bytes written at the reference dims by the format's first version
+        path = tmp_path / "ckpt.json"
+        model = PilotModel(ModelDims(16, 12, 8, 32, 8), np.random.default_rng([7, 0]))
+        save_model_checkpoint(path, model, 3, TrainConfig().schedule(), {"seed": 7})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "a5d21d3d08dd1c715f825061f06b7ae045cfba9614726e5eb9a9d4c8b277d179"
+        )
+        assert load_model_checkpoint(path)[1].digest == model.digest() == "215e828c739b"
+
+    def test_the_benchmarks_save_and_load_calls(self, tmp_path):
+        # perfbench/workloads.py setup_eval, call for call
+        dims, schedule, model_seed = ModelDims(16, 12, 8, 32, 8), TrainConfig().schedule(), 11
+        initial = PilotModel(dims, np.random.default_rng([model_seed, 0]))
+        checkpoint = tmp_path / "model.json"
+        save_model_checkpoint(checkpoint, initial, 0, schedule, {"seed": model_seed})
+        model, ckpt = load_model_checkpoint(checkpoint, expect_dims=dims)
+        assert ckpt.digest == model.digest() == initial.digest()
+        for p, q in zip(initial.params(), model.params()):
+            np.testing.assert_array_equal(q.values, p.values)
 
 
 HEADER = '{"checkpoint":"abc","episode":0}'

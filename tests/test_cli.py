@@ -327,6 +327,13 @@ class TestResumeEpoch:
         code, err = self._train(tmp_path, capsys, 2, "--resume")
         assert code == EXIT_IO and "holds epoch 5, not 1" in err.splitlines()[-1]
 
+    def test_a_seed_other_than_the_checkpoints_exits_4(self, tmp_path, capsys):
+        assert self._train(tmp_path, capsys, 2)[0] == EXIT_OK
+        code, err = self._train(tmp_path, capsys, 4, "--resume", "--set", "train.seed=8")
+        assert code == EXIT_CONFIG
+        assert "and seed 7; the config has" in err and "and seed 8" in err
+        assert self._train(tmp_path, capsys, 4, "--resume")[0] == EXIT_OK
+
 
 def test_gen_data_writes_the_golden_episode_file(tmp_path, capsys):
     # the digest of tests/test_observation.py::TestGoldenDigests, through the command

@@ -136,6 +136,10 @@ class TestMeanOverlap:
         with pytest.raises(InvalidInput):
             mean_overlap(pred, gt)
 
+    def test_empty_trajectories_are_invalid_input(self):
+        with pytest.raises(InvalidInput, match="empty"):
+            mean_overlap(np.empty((0, 2)), np.empty((0, 2)))
+
 
 # ---------------------------------------------------------------------------
 # offline_dp

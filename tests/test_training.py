@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from viewpilot import gradcheck
-from viewpilot.agent import ModelDims, PilotModel, pilot_episode, save_model_checkpoint
-from viewpilot.diffcore import (
-    CHECKPOINT_FORMAT_VERSION, ParamTensor, gradient_check, softmax,
+from viewpilot.agent import (
+    CHECKPOINT_FORMAT_VERSION, ModelDims, PilotModel, pilot_episode, save_model_checkpoint,
 )
-from viewpilot.errors import ConfigError, ParseError, StateError, VersionError
+from viewpilot.diffcore import ParamTensor, gradient_check, softmax
+from viewpilot.errors import ConfigError, InvalidInput, ParseError, StateError, VersionError
 from viewpilot.geometry import signed_azimuth_delta_array
 from viewpilot.gradcheck import (
     CHECK_LAMBDA, MODES, check_model, check_trajectory_loss, make_check_batch,
@@ -33,6 +33,7 @@ from viewpilot.training import (
     slice_windows,
     surrogate_loss,
     train,
+    train_step,
 )
 
 from test_diffcore import per_entry_gradient_check  # one probe per loss call
@@ -230,6 +231,20 @@ class TestRolloutContracts:
         assert np.max(np.abs(daz)) <= 1e-12
         assert np.max(np.abs(tape.pred[0, :, 1] - online[:, 1])) <= 1e-12
 
+    @pytest.mark.parametrize("lr", [0.0, -1.0])
+    def test_a_non_positive_lr_is_refused_before_the_rollout(self, lr):
+        model, episodes = _model(), generate_dataset(SCENE, 3, 2)
+        arrays = [episode_arrays(ep) for ep in episodes]
+        windows = slice_windows([len(ep) for ep in episodes], 20)
+        for p in model.params():
+            p.grad += 1.0
+        before = [(p.values.copy(), p.grad.copy()) for p in model.params()]
+        with pytest.raises(InvalidInput, match=f"learning rate must be positive, got {lr}"):
+            train_step(model, arrays, windows, TrainConfig(), lr, np.random.default_rng(0))
+        for p, (values, grad) in zip(model.params(), before):
+            np.testing.assert_array_equal(p.values, values)
+            np.testing.assert_array_equal(p.grad, grad)
+
     def test_backward_on_a_consumed_tape_is_a_state_error(self):
         model = _model()
         tape = rollout_window(model, _batch(), rng=np.random.default_rng(0))
@@ -323,6 +338,25 @@ class TestResume:
         resumed, _ = train(episodes, self.CONFIG, DIMS, split, resume=True)
         assert resumed.digest() == straight.digest()
         assert self._rows(split) == self._rows(tmp_path / "straight")
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [({"seed": 99}, "seed 99"), ({"lr_initial": 0.5}, "initial=0.5"),
+         ({"lr_decay": 0.5}, "decay=0.5"), ({"lr_period": 3}, "period=3")],
+    )
+    def test_a_config_other_than_the_checkpoints_is_refused(self, tmp_path, change, named):
+        episodes = generate_dataset(SCENE, 3, 2)
+        train(episodes, dataclasses.replace(self.CONFIG, max_epochs=2), DIMS, tmp_path)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        other = dataclasses.replace(self.CONFIG, **change)
+        with pytest.raises(ConfigError) as info:
+            train(episodes, other, DIMS, tmp_path, resume=True)
+        assert "seed 7" in str(info.value) and named in str(info.value)
+        assert "initial=0.02, decay=0.9, period=50" in str(info.value)
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        longer = dataclasses.replace(self.CONFIG, max_epochs=3)
+        _, history = train(episodes, longer, DIMS, tmp_path, resume=True)
+        assert [row["epoch"] for row in history] == [3]  # max_epochs alone may change
 
 
 def _truncate(doc: str) -> str:
