@@ -48,7 +48,7 @@ class EvalConfig:
     h_span: float = DEFAULT_H_SPAN
 
     def __post_init__(self):
-        if not (0 < self.grid_step <= 180 and 0 < self.h_span <= 360) or self.dp_smooth_weight < 0:
+        if not (0 < self.grid_step <= 180 and 0 < self.h_span <= 360 and self.dp_smooth_weight >= 0):
             raise InvalidInput("grid_step in (0, 180], h_span in (0, 360], dp_smooth_weight >= 0")
 
 

@@ -178,7 +178,7 @@ class LrSchedule:
     period: int
 
     def __post_init__(self):
-        if self.initial <= 0 or self.decay <= 0 or self.period <= 0:
+        if not (self.initial > 0 and self.decay > 0 and self.period > 0):  # NaN fails too
             raise InvalidInput("learning-rate schedule fields must be positive")
 
     def lr(self, epoch: int) -> float:
@@ -205,7 +205,7 @@ def sgd_step(params: Sequence[ParamTensor], lr: float) -> None:
     Raises NumericsError (before touching any values) if any gradient is
     non-finite.
     """
-    if lr <= 0:
+    if not lr > 0:
         raise InvalidInput(f"learning rate must be positive, got {lr}")
     for p in params:
         if not np.all(np.isfinite(p.grad)):

@@ -1,9 +1,11 @@
 """Metrics (mean overlap, mean velocity difference), baseline pilots, the
 offline dynamic-programming view-path optimizer, and benchmark rows.
 
-The metrics take (T, 2) angle arrays: MO averages ``geometry.nfov_iou``
-over the frames, and MVD is reported in degrees per frame. Methods return
-lists of ViewingAngle, which ``benchmark`` turns into one array per episode.
+The metrics take (..., T, 2) angle arrays and reduce the frame axis: MO
+averages ``geometry.nfov_iou`` over the frames, and MVD is reported in
+degrees per frame. Methods return a list of ViewingAngle per episode;
+``benchmark`` stacks them per group of equal-length episodes and calls each
+metric once per (method, length group).
 ``offline_dp`` runs over the step x step view grid of ``default_view_grid``,
 prepared once per (grid_step, smooth_weight). Benchmark rows carry, per
 method, the MO/MVD means over episodes plus per-episode detail records,
@@ -35,28 +37,31 @@ DEFAULT_GRID_STEP = 30.0
 DEFAULT_DP_SMOOTH_WEIGHT = 1.0
 
 
-def mean_overlap(pred: np.ndarray, gt: np.ndarray, h_span: float = DEFAULT_H_SPAN) -> float:
+def mean_overlap(pred: np.ndarray, gt: np.ndarray, h_span: float = DEFAULT_H_SPAN):
     """Mean per-frame IoU between the predicted and ground-truth view windows
-    of two (T, 2) angle arrays. The IoUs are summed in frame order (a
-    pairwise ``np.sum`` would change the last bits).
+    of two (..., T, 2) angle arrays, one per leading index (a float for a
+    (T, 2) pair). The IoUs are summed in frame order (a pairwise ``np.sum``
+    would change the last bits).
     """
-    if pred.shape != gt.shape or pred.shape[0] == 0:
+    if pred.shape != gt.shape or pred.ndim < 2 or pred.shape[-2] == 0:
         raise InvalidInput(f"trajectory shapes {pred.shape} and {gt.shape} differ or are empty")
     iou = nfov_iou(pred, gt, h_span)
-    return float(np.add.accumulate(iou)[-1]) / pred.shape[0]
+    mo = np.add.accumulate(iou, axis=-1)[..., -1] / pred.shape[-2]
+    return float(mo) if pred.ndim == 2 else mo
 
 
-def mean_velocity_difference(pred: np.ndarray) -> float:
-    """Mean norm of consecutive viewing-angle velocity changes of a (T, 2)
-    angle array, deg/frame.
+def mean_velocity_difference(pred: np.ndarray):
+    """Mean norm of consecutive viewing-angle velocity changes of a (..., T, 2)
+    angle array, deg/frame, one per leading index (a float for a (T, 2) one).
 
     Averages over the T-2 well-defined velocity differences, so it needs at
     least 3 frames.
     """
-    if pred.shape[0] < 3:
-        raise InvalidInput(f"MVD needs at least 3 frames, got {pred.shape[0]}")
-    v = velocity_array(pred[None])[0][1:]  # real velocities, t >= 1
-    return float(np.linalg.norm(np.diff(v, axis=0), axis=1).mean())
+    if pred.ndim < 2 or pred.shape[-2] < 3:
+        raise InvalidInput(f"MVD needs at least 3 frames, got shape {pred.shape}")
+    v = velocity_array(pred)[..., 1:, :]  # real velocities, t >= 1
+    mvd = np.linalg.norm(np.diff(v, axis=-2), axis=-1).mean(axis=-1)
+    return float(mvd) if pred.ndim == 2 else mvd
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +168,9 @@ def _dp_unaries(
     ``azimuths`` are the grid's unique azimuths and ``column`` indexes each
     view's among them. A running minimum over the real slots in slot order
     keeps a view's distance and score where a slot is strictly closer, so
-    ties keep the lower slot as argmin does. The reward (``reward_array``'s
-    piecewise form) is taken at the kept distance. Frames go in blocks.
+    ties keep the lower slot as argmin does; a padded slot's distance is inf.
+    The reward (``reward_array``'s piecewise form) is taken at the kept
+    distance. Frames go in blocks.
     """
     (t_total, n), g_total = episode.scores.shape, grid_arr.shape[0]
     unary = np.zeros((t_total, g_total))
@@ -178,10 +184,9 @@ def _dp_unaries(
             pos = positions[:, s, :, None]
             daz = signed_azimuth_delta_array(azimuths - pos[:, 0])[:, column]
             dist = np.hypot(daz, grid_arr[:, 1] - pos[:, 1])  # (block, G)
-            closer = dist < nearest
-            closer &= real[:, s, None]
-            np.copyto(nearest, dist, where=closer)
-            np.copyto(score, scores[:, s, None], where=closer)
+            dist[~real[:, s]] = np.inf
+            score = np.where(dist < nearest, scores[:, s, None], score)
+            nearest = np.minimum(nearest, dist)
         value = score * np.where(nearest <= eta, 1.0 - nearest / eta, -1.0)
         unary[lo : lo + block] = np.where(real.any(axis=1)[:, None], value, 0.0)
     return unary
@@ -206,9 +211,15 @@ def offline_dp(
     (grid_step, smooth_weight) and kept for the next call, so an eval pass
     over many episodes prepares them once. Ties go to the lower slot when
     picking a view's nearest detection and to the lower view index in the
-    recursion. A grid with more than ``MAX_DP_ENTRIES`` view pairs raises
+    recursion. A grid with more than ``MAX_DP_ENTRIES`` view pairs, or an
+    ``eta`` or ``smooth_weight`` that is not finite and > 0 / >= 0, raises
     ``InvalidInput`` before any (G, G) array is allocated.
     """
+    if not (0.0 < eta < math.inf and 0.0 <= smooth_weight < math.inf):
+        raise InvalidInput(
+            "offline_dp needs a finite eta > 0 and smooth_weight >= 0, "
+            f"got {eta} and {smooth_weight}"
+        )
     views, grid_arr, azimuths, column, trans_to = _dp_grid(grid_step, smooth_weight)
     unary = _dp_unaries(episode, grid_arr, azimuths, column, eta)
 
@@ -216,11 +227,12 @@ def offline_dp(
     best = unary[0].copy()
     back = np.zeros((t_total, g_total), dtype=np.int64)
     scores = np.empty((g_total, g_total))
-    to = np.arange(g_total)
+    flat, rows = scores.ravel(), np.arange(0, g_total * g_total, g_total)
     for t in range(1, t_total):
         np.subtract(best, trans_to, out=scores)
         scores.argmax(axis=1, out=back[t])
-        best = scores[to, back[t]] + unary[t]
+        best = flat.take(rows + back[t])  # scores[row, back[t][row]] for every row
+        best += unary[t]
     path = np.empty(t_total, dtype=np.int64)
     path[-1] = int(np.argmax(best))
     for t in range(t_total - 1, 0, -1):
@@ -291,24 +303,40 @@ def benchmark(
     Returns aggregate rows plus per-episode detail records (method, episode
     index, mo, mvd, empty_frames). MVD units are degrees per frame. Episodes
     run one after another: ``jobs`` must be 1. An episode shorter than the
-    3 frames MVD needs is refused, by index, before any method runs.
+    3 frames MVD needs is refused, by index, before any method runs, and a
+    trajectory of the wrong length as soon as it is returned. Each metric
+    runs once per method over the stacked trajectories of each group of
+    equal-length episodes, giving the values of one (T, 2) call per episode.
     """
     if not episodes:
         raise InvalidInput("benchmark needs at least one episode")
     if jobs != 1:
         raise InvalidInput(f"benchmark runs episodes one at a time; jobs must be 1, got {jobs}")
+    groups: dict[int, list[int]] = {}
     for i, ep in enumerate(episodes):
         if len(ep) < 3:
             raise InvalidInput(f"episode {i} has {len(ep)} frames; MVD needs at least 3")
+        groups.setdefault(len(ep), []).append(i)
     rows, details = [], []
     empties = [empty_frame_count(ep) for ep in episodes]
-    gts = [ep.gt_track for ep in episodes]
+    gts = {t: np.stack([episodes[i].gt_track for i in group]) for t, group in groups.items()}
     for name, fn in methods.items():
-        mos, mvds = [], []
-        for ep, gt in zip(episodes, gts):
-            traj = np.array([[p.azimuth, p.elevation] for p in fn(ep)])
-            mos.append(mean_overlap(traj, gt, h_span=h_span))
-            mvds.append(mean_velocity_difference(traj))
+        columns = []  # per episode, its azimuths and its elevations
+        for i, ep in enumerate(episodes):
+            traj = fn(ep)
+            if len(traj) != len(ep):
+                raise InvalidInput(
+                    f"{name} returned {len(traj)} angles for episode {i} of {len(ep)} frames"
+                )
+            columns.append(([p.azimuth for p in traj], [p.elevation for p in traj]))
+        mos, mvds = [0.0] * len(episodes), [0.0] * len(episodes)
+        for t, group in groups.items():
+            pred = np.array([columns[i] for i in group], dtype=np.float64)
+            pred = pred.transpose(0, 2, 1).copy()  # (n, T, 2) in C order, as the metrics reduce it
+            group_mo = mean_overlap(pred, gts[t], h_span=h_span).tolist()
+            group_mvd = mean_velocity_difference(pred).tolist()
+            for i, mo, mvd in zip(group, group_mo, group_mvd):
+                mos[i], mvds[i] = mo, mvd
         rows.append(BenchmarkRow(name, float(np.mean(mos)), float(np.mean(mvds)), len(episodes)))
         details.extend(
             {"method": name, "episode": i, "mo": mo, "mvd": mvd, "empty_frames": empties[i]}

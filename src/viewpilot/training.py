@@ -81,9 +81,10 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.batch_size, self.q_samples, self.checkpoint_interval) < 1 or self.seq_len < 2:
             raise InvalidInput("batch_size, q_samples, checkpoint_interval must be >= 1, seq_len >= 2")
-        if self.max_epochs < 0 or self.smooth_lambda < 0 or self.eta <= 0 or self.grad_clip < 0:
-            raise InvalidInput("bad training config: check max_epochs, lambda, eta, grad_clip")
-        self.schedule()  # refuses a non-positive lr_initial, lr_decay or lr_period
+        ok = self.smooth_lambda >= 0 and self.eta > 0 and self.grad_clip >= 0 and self.pg_weight >= 0
+        if self.max_epochs < 0 or not ok:  # written so that NaN fails each comparison
+            raise InvalidInput("bad training config: check max_epochs, lambda, eta, grad_clip, pg_weight")
+        self.schedule()  # refuses a non-positive or NaN lr_initial, lr_decay or lr_period
 
     def schedule(self) -> LrSchedule:
         return LrSchedule(self.lr_initial, self.lr_decay, self.lr_period)
@@ -447,7 +448,7 @@ def train_step(
     """
     from .diffcore import clip_gradients, sgd_step
 
-    if lr <= 0:
+    if not lr > 0:
         raise InvalidInput(f"learning rate must be positive, got {lr}")
     by_len: dict[int, list[Window]] = {}
     for w in windows:
@@ -501,12 +502,6 @@ def train_step(
         mean_reward=rew_sum / frames,
         frames=frames,
     )
-
-
-def _rng_record(seed: int, next_epoch: int) -> dict:
-    # Epoch rngs derive from (seed, stream, epoch [, batch]) so training is
-    # resumable bit-exactly from any checkpoint.
-    return {"scheme": "per-epoch-derived", "seed": seed, "next_epoch": next_epoch}
 
 
 def checkpoint_name(epoch: int) -> str:
@@ -579,9 +574,7 @@ def train(
         start_epoch = ckpt.epoch
     else:
         model = PilotModel(dims, np.random.default_rng([config.seed, 0]))
-        save_model_checkpoint(
-            out_dir / checkpoint_name(0), model, 0, schedule, _rng_record(config.seed, 0)
-        )
+        save_model_checkpoint(out_dir / checkpoint_name(0), model, 0, schedule, {"seed": config.seed})
 
     history: list[dict] = []
     metrics_path = out_dir / "metrics.jsonl"
@@ -624,10 +617,6 @@ def train(
             done = epoch + 1
             if done % config.checkpoint_interval == 0 or done == config.max_epochs:
                 save_model_checkpoint(
-                    out_dir / checkpoint_name(done),
-                    model,
-                    done,
-                    schedule,
-                    _rng_record(config.seed, done),
+                    out_dir / checkpoint_name(done), model, done, schedule, {"seed": config.seed}
                 )
     return model, history

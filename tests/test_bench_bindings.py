@@ -4,6 +4,7 @@ binding that moves or goes away leaves its metric at zero and fails a traced
 check, so every one it expects must be in place, and ``restore`` must put
 each original back."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -71,14 +72,19 @@ def test_traced_cell_steps_count_every_kernel_step(monkeypatch):
 
 def test_traced_benchmark_counts_one_iou_call_per_mean_overlap(monkeypatch):
     """``mean_overlap`` reaches the IoU through ``evaluation.nfov_iou``, the
-    binding the tracer counts, once per method and episode."""
+    binding the tracer counts, once per method and episode length: each
+    metric runs once over a length group's stacked trajectories."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracer
 
-    episodes = observation.generate_dataset(RunConfig().scene, 3, 3)
+    scene = RunConfig().scene
+    episodes = observation.generate_dataset(scene, 3, 3)
+    episodes[1:1] = observation.generate_dataset(dataclasses.replace(scene, frames=120), 4, 2)
     with tracer.Tracer() as traced:
         assert traced.missing == []
         methods = evaluation.build_methods(["center_hold", "gt_replay"])
         evaluation.benchmark(methods, episodes)
-    assert traced.stats["geometry.nfov_iou.calls"] == 6
-    assert traced.stats["evaluation.mean_overlap.calls"] == 6
+    # 2 methods x 2 lengths
+    assert traced.stats["geometry.nfov_iou.calls"] == 4
+    assert traced.stats["evaluation.mean_overlap.calls"] == 4
+    assert traced.stats["evaluation.mean_velocity_difference.calls"] == 4

@@ -16,7 +16,8 @@ from viewpilot.agent import ModelDims, PilotModel, save_model_checkpoint
 from viewpilot.cli import (
     EXIT_CONFIG, EXIT_GRADCHECK_FAILED, EXIT_IO, EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, main,
 )
-from viewpilot.config import RunConfig, load_run_config
+from viewpilot.config import EvalConfig, RunConfig, load_run_config
+from viewpilot.errors import InvalidInput
 from viewpilot.observation import SceneConfig, generate_dataset, save_episodes
 from viewpilot.training import TrainConfig
 
@@ -52,6 +53,16 @@ def _small_config(tmp_path) -> Path:
 
 def test_reference_config_is_the_default():
     assert load_run_config(REFERENCE) == RunConfig()
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"dp_smooth_weight": -1.0}, {"dp_smooth_weight": float("nan")},
+     {"grid_step": float("nan")}, {"h_span": float("nan")}],
+)
+def test_eval_config_refuses_an_out_of_range_or_nan_field(fields):
+    with pytest.raises(InvalidInput):
+        EvalConfig(**fields)
 
 
 @pytest.mark.parametrize(

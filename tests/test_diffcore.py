@@ -170,6 +170,13 @@ class TestLrSchedule:
         with pytest.raises(InvalidInput):
             LrSchedule(-1.0, 0.9, 50)
 
+    @pytest.mark.parametrize(
+        "fields", [(float("nan"), 0.9, 50), (0.02, float("nan"), 50), (0.02, 0.9, float("nan"))]
+    )
+    def test_a_nan_field_is_refused(self, fields):
+        with pytest.raises(InvalidInput):
+            LrSchedule(*fields)
+
 
 class TestSgdStep:
     def test_zero_grad_is_fixed_point(self):
@@ -190,6 +197,14 @@ class TestSgdStep:
         with pytest.raises(NumericsError):
             sgd_step([p], 0.1)
         assert p.values[0] == 1.0
+
+    @pytest.mark.parametrize("lr", [0.0, -0.1, float("nan")])
+    def test_a_non_positive_or_nan_lr_is_refused_before_the_update(self, lr):
+        p = ParamTensor("p", np.array([1.0]))
+        p.grad[...] = 2.0
+        with pytest.raises(InvalidInput, match="learning rate must be positive"):
+            sgd_step([p], lr)
+        assert p.values[0] == 1.0 and p.grad[0] == 2.0
 
     def test_clipping_bounds_global_norm(self):
         p = ParamTensor("p", np.zeros(4))

@@ -5,6 +5,8 @@ references, and the array code must equal them exactly.
 """
 
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -15,11 +17,14 @@ from viewpilot.agent import ModelDims, PilotModel, initial_state, pilot_episode,
 from viewpilot.diffcore import softmax
 from viewpilot.errors import InvalidInput
 from viewpilot.evaluation import (
+    BenchmarkRow,
     _dp_unaries,
     agent_pilot,
     default_view_grid,
     empty_frame_count,
+    gt_replay,
     mean_overlap,
+    mean_velocity_difference,
     offline_dp,
     selector_only,
 )
@@ -139,6 +144,11 @@ class TestMeanOverlap:
     def test_empty_trajectories_are_invalid_input(self):
         with pytest.raises(InvalidInput, match="empty"):
             mean_overlap(np.empty((0, 2)), np.empty((0, 2)))
+        with pytest.raises(InvalidInput, match="empty"):
+            mean_overlap(np.zeros(4), np.zeros(4))
+        for short in (np.zeros((2, 2)), np.zeros((5, 2, 2)), np.zeros(6)):
+            with pytest.raises(InvalidInput, match="MVD needs at least 3 frames"):
+                mean_velocity_difference(short)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +243,35 @@ class TestBenchmark:
             evaluation.benchmark({"center_hold": lambda ep: calls.append(ep)}, episodes)
         assert calls == []
 
+    def test_two_episode_lengths_equal_a_per_episode_fold(self):
+        """One metric call per method and length group gives the rows and
+        detail records of one (T, 2) call per episode, byte for byte."""
+        lengths = (200, 120, 200, 120, 200)
+        episodes = [
+            synth_scene(dataclasses.replace(SCENE, frames=frames), seed)
+            for seed, frames in enumerate(lengths)
+        ]
+        methods = evaluation.build_methods(evaluation.METHOD_NAMES, model=_model(0, 0.5))
+        rows, details = evaluation.benchmark(methods, episodes)
+        expected_rows, expected_details = [], []
+        for name, fn in methods.items():
+            mos, mvds = [], []
+            for ep in episodes:
+                traj = np.array([[a.azimuth, a.elevation] for a in fn(ep)])
+                mos.append(mean_overlap(traj, ep.gt_track))
+                mvds.append(mean_velocity_difference(traj))
+            assert {type(value) for value in mos + mvds} == {float}
+            expected_rows.append(BenchmarkRow(name, float(np.mean(mos)), float(np.mean(mvds)), 5))
+            expected_details.extend(
+                {"method": name, "episode": i, "mo": mo, "mvd": mvd, "empty_frames": 0}
+                for i, (mo, mvd) in enumerate(zip(mos, mvds))
+            )
+        assert repr(rows) == repr(expected_rows)
+        assert repr(details) == repr(expected_details)
+        short = {"gt_replay": lambda ep: gt_replay(ep)[:-1] if len(ep) == 120 else gt_replay(ep)}
+        with pytest.raises(InvalidInput, match="gt_replay returned 119 angles for episode 1 of 120"):
+            evaluation.benchmark(short, episodes)
+
     @pytest.mark.parametrize("jobs", [0, 2])
     def test_jobs_other_than_one_is_refused(self, jobs):
         methods = evaluation.build_methods(["center_hold"])
@@ -290,6 +329,19 @@ class TestOfflineDp:
         methods = evaluation.build_methods(["offline_dp"], grid_step=45.0, dp_smooth_weight=0.05)
         evaluation.benchmark(methods, episodes)
         assert prepared.cache_info()[:2] == (2, 1)  # (hits, misses)
+
+    @pytest.mark.parametrize(
+        "eta, smooth_weight",
+        [(0.0, 1.0), (-5.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+         (DEFAULT_ETA, -5.0), (DEFAULT_ETA, math.nan), (DEFAULT_ETA, math.inf)],
+    )
+    def test_bad_eta_or_smooth_weight_is_refused_before_the_grid(self, eta, smooth_weight):
+        episode = synth_scene(SCENE, 3)
+        evaluation._dp_grid.cache_clear()
+        with pytest.raises(InvalidInput, match="offline_dp needs a finite eta > 0 and smooth_weight >= 0"):
+            offline_dp(episode, eta=eta, smooth_weight=smooth_weight)
+        assert evaluation._dp_grid.cache_info().misses == 0
+        assert len(offline_dp(episode, smooth_weight=0.0)) == len(episode)
 
     def test_grid_past_the_entry_bound_is_refused(self):
         episode = synth_scene(SCENE, 3)
@@ -379,3 +431,21 @@ class TestAgentPilot:
             pilot_step(other.frames[0], initial_state(model, other.gt[0]), model)
         with pytest.raises(InvalidInput):
             agent_pilot(other, model)
+
+
+# SHA-256 of the six-method benchmark rows and detail records at the
+# reference dims and eval settings, over test splits 99 and 5 and the
+# initial models of seeds 7 and 8. A change to any method's or metric's
+# arithmetic that moves a last bit changes it.
+GOLDEN_EVAL_DIGEST = "9a1f34a23f60db6e5a4a04505c9567287ea36c3db513d2fdae8b9d817847ef81"
+
+
+def test_benchmark_rows_and_details_match_the_golden_digest(reference_test_split):
+    digest = hashlib.sha256()
+    for episodes in (reference_test_split, generate_dataset(REFERENCE_SCENE, 5, 10)):
+        for model_seed in (7, 8):
+            model = PilotModel(REFERENCE_DIMS, np.random.default_rng([model_seed, 0]))
+            methods = evaluation.build_methods(evaluation.METHOD_NAMES, model=model)
+            rows, details = evaluation.benchmark(methods, episodes)
+            digest.update(json.dumps([[dataclasses.astuple(r) for r in rows], details]).encode())
+    assert digest.hexdigest() == GOLDEN_EVAL_DIGEST

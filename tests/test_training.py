@@ -231,7 +231,7 @@ class TestRolloutContracts:
         assert np.max(np.abs(daz)) <= 1e-12
         assert np.max(np.abs(tape.pred[0, :, 1] - online[:, 1])) <= 1e-12
 
-    @pytest.mark.parametrize("lr", [0.0, -1.0])
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan")])
     def test_a_non_positive_lr_is_refused_before_the_rollout(self, lr):
         model, episodes = _model(), generate_dataset(SCENE, 3, 2)
         arrays = [episode_arrays(ep) for ep in episodes]
@@ -305,6 +305,17 @@ class TestPolicyUpstreamExpectation:
         np.testing.assert_allclose(expected[False][:, 0], exact, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("eta", 0.0), ("max_epochs", -1), ("smooth_lambda", -1.0), ("grad_clip", -1.0), ("pg_weight", -1.0)]
+    + [(field, float("nan")) for field in
+       ("eta", "smooth_lambda", "grad_clip", "pg_weight", "lr_initial", "lr_decay")],
+)
+def test_train_config_refuses_an_out_of_range_or_nan_field(field, value):
+    with pytest.raises(InvalidInput):
+        TrainConfig(**{field: value})
+
+
 class TestResume:
     CONFIG = TrainConfig(batch_size=2, seq_len=20, max_epochs=4, checkpoint_interval=2)
 
@@ -338,6 +349,25 @@ class TestResume:
         resumed, _ = train(episodes, self.CONFIG, DIMS, split, resume=True)
         assert resumed.digest() == straight.digest()
         assert self._rows(split) == self._rows(tmp_path / "straight")
+
+    def test_a_checkpoint_records_only_the_seed(self, tmp_path):
+        train(generate_dataset(SCENE, 3, 2), self.CONFIG, DIMS, tmp_path)
+        for epoch in (0, 2, 4):
+            assert json.loads((tmp_path / checkpoint_name(epoch)).read_text())["rng"] == {"seed": 7}
+
+    def test_a_checkpoint_with_the_former_rng_keys_resumes_alike(self, tmp_path):
+        """Checkpoints used to carry a "scheme" and a "next_epoch" beside the
+        seed; resuming from one reads only the seed."""
+        episodes = generate_dataset(SCENE, 3, 2)
+        straight, _ = train(episodes, self.CONFIG, DIMS, tmp_path / "straight")
+        split = tmp_path / "split"
+        train(episodes, dataclasses.replace(self.CONFIG, max_epochs=2), DIMS, split)
+        path = split / checkpoint_name(2)
+        doc = json.loads(path.read_text())
+        doc["rng"] = {"scheme": "per-epoch-derived", "seed": 7, "next_epoch": 2}
+        path.write_text(json.dumps(doc))
+        resumed, _ = train(episodes, self.CONFIG, DIMS, split, resume=True)
+        assert resumed.digest() == straight.digest()
 
     @pytest.mark.parametrize(
         "change, named",
