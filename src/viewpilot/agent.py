@@ -3,7 +3,12 @@ recurrent refinement, and viewing-angle update. Strictly causal — each step
 sees only the current observation and the carried state. The selector steps
 with ``diffcore.TanhRnnCell.step``; :func:`steering_step` replicates that
 step inline for :func:`pilot_step` and ``evaluation.agent_pilot``, held by a
-test to the floats of ``training._steer``, which calls the method.
+test to the floats of ``training._steer``, which calls the method. Every
+per-frame product here has 1-D or 2-D operands and goes through
+``ndarray.dot``: it calls the same BLAS routine as ``@`` and so gives the
+same floats, at about half the per-call dispatch cost; ``np.matmul`` is
+left to weights with stacked probe axes, which only the gradient check
+builds.
 
 The module also owns the model checkpoint file, one JSON document whose
 floats serialize via repr and so round-trip bit-exactly:
@@ -190,7 +195,8 @@ def steering_step(model: PilotModel):
     (k+2,) holds the slot's motions; the step writes the follow offset into
     its last two entries. It is ``TanhRnnCell.step`` inlined (a call would add
     a third to its time), then ``training._steer``'s head and landing at B=1,
-    in their order, so the landed views are the same floats (NaN stays NaN)."""
+    in their order, so the landed views are the same floats (NaN stays NaN).
+    Its three products are ``ndarray.dot`` calls, as in the cell."""
     cell, k = model.regressor.cell, model.dims.motion_bins
     w_xh, w_hh, bias = cell.w_xh.values.T, cell.w_hh.values.T, cell.b.values
     w_r = model.regressor.head.w.values.T
@@ -198,11 +204,11 @@ def steering_step(model: PilotModel):
     def step(x, target_az, target_el, az, el, mu):
         x[k] = signed_azimuth_delta(target_az - az) / OFFSET_SCALE
         x[k + 1] = (target_el - el) / OFFSET_SCALE
-        pre = x @ w_xh
-        pre += mu @ w_hh
+        pre = x.dot(w_xh)
+        pre += mu.dot(w_hh)
         pre += bias
         mu = np.tanh(pre, out=pre)
-        d_az, d_el = (mu @ w_r).tolist()
+        d_az, d_el = mu.dot(w_r).tolist()
         return wrap_azimuth(az + d_az), clamp_elevation(el + d_el), mu
 
     return step
@@ -218,10 +224,12 @@ def pilot_step(
             f"observation dim {obs.flat.shape[-1]} != model dim {model.dims.flat_dim}"
         )
     h = model.selector.cell.step(obs.flat, state.selector_h)
-    index = int(np.argmax(softmax(h @ model.selector.head.w.values.T)))  # ties: lowest slot
+    index = int(np.argmax(softmax(h.dot(model.selector.head.w.values.T))))  # ties: lowest slot
     if not 0 <= index < len(obs.scores):
         raise InvalidInput(f"selection index {index} out of range")
-    x = np.append(obs.motions[index], (0.0, 0.0))
+    k = model.dims.motion_bins
+    x = np.empty(k + 2)  # steering_step writes the follow offset into x[k:]
+    x[:k] = obs.motions[index]
     target, view = obs.positions[index].tolist(), (state.angle.azimuth, state.angle.elevation)
     az, el, mu = steering_step(model)(x, *target, *view, state.regressor_mu)
     angle = ViewingAngle(az, el)

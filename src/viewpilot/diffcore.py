@@ -8,6 +8,13 @@ one forward and one reverse step; ``unroll`` and ``agent.steering_step``
 replicate ``step`` inline. Forward functions accept a single vector or a
 batch-first array (``step`` and ``unroll`` also stacked weights); backward
 helpers expect 2-D batches.
+
+Per-step products of 1-D and 2-D operands go through ``ndarray.dot``: it
+calls the same BLAS routine as ``@`` and so gives the same floats, at about
+half the per-call dispatch cost of the ``np.matmul`` gufunc;
+``tests/test_diffcore.py`` guards that equality for every operand form the
+loops use. Only weights that carry stacked probe axes take ``np.matmul``,
+since ``dot`` contracts N-D operands differently.
 """
 
 from __future__ import annotations
@@ -71,17 +78,25 @@ class TanhRnnCell:
         return [self.w_xh, self.w_hh, self.b]
 
     def step(self, x: np.ndarray, h_prev: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``tanh(x @ W_xh^T + h_prev @ W_hh^T + b)``, summed in that order, in
-        place in ``out`` when given. Weights may carry leading probe axes as in
-        :meth:`unroll`; when ``w_hh`` or ``b`` does, ``x`` or ``out`` must too."""
+        """``tanh(x.dot(W_xh^T) + h_prev.dot(W_hh^T) + b)``, summed in that
+        order, in place in ``out`` when given (C-contiguous, as ``dot`` needs).
+        Weights may carry leading probe axes as in :meth:`unroll`; when
+        ``w_hh`` or ``b`` does, ``x`` or ``out`` must too, and a product with
+        an operand over 2-D runs through ``np.matmul``."""
         if x.shape[-1] != self.input_dim or h_prev.shape[-1] != self.hidden_dim:
             raise InvalidInput(
                 f"cell expects input {self.input_dim} / hidden {self.hidden_dim}, "
                 f"got {x.shape[-1]} / {h_prev.shape[-1]}"
             )
-        bias = self.b.values
-        pre = np.matmul(x, self.w_xh.values.swapaxes(-1, -2), out=out)
-        pre += h_prev @ self.w_hh.values.swapaxes(-1, -2)
+        w_xh, w_hh, bias = self.w_xh.values, self.w_hh.values, self.b.values
+        if w_xh.ndim == 2 and x.ndim <= 2 and (out is None or out.ndim <= 2):
+            pre = x.dot(w_xh.T, out=out)
+        else:
+            pre = np.matmul(x, w_xh.swapaxes(-1, -2), out=out)
+        if w_hh.ndim == 2 and h_prev.ndim <= 2:
+            pre += h_prev.dot(w_hh.T)
+        else:
+            pre += h_prev @ w_hh.swapaxes(-1, -2)
         pre += bias if bias.ndim == 1 else bias[..., None, :]
         return np.tanh(pre, out=pre)
 
@@ -89,7 +104,7 @@ class TanhRnnCell:
         """Pre-activation grads, in place, of the post-activation grads ``d``
         (B, H) (``d *= deriv``, the saved 1 - h^2); returns the previous state's."""
         d *= deriv
-        return d @ self.w_hh.values
+        return d.dot(self.w_hh.values)
 
     def unroll(self, xs: np.ndarray) -> np.ndarray:
         """Hidden states (..., B, T+1, H) over a (B, T, D) input sequence,
@@ -99,7 +114,9 @@ class TanhRnnCell:
         into one GEMM ahead of the recurrence, inline because a call per step
         would add about a third to a B=1 step. Weights may carry leading
         probe axes (..., H, ·), which the states then lead with; each slice
-        is the 2-D computation. The states are a view of a time-major array.
+        is the 2-D computation, and only then does the recurrent product
+        take ``np.matmul`` instead of ``dot``. The states are a view of a
+        time-major array.
         """
         b, t_total, d = xs.shape
         if d != self.input_dim:
@@ -111,8 +128,9 @@ class TanhRnnCell:
         hs = np.empty((t_total + 1,) + lead + (b, self.hidden_dim))
         h = hs[0]
         h[...] = 0.0
-        for t in range(t_total):
-            h = np.add(xproj[..., t, :], h @ w_hh, out=hs[t + 1])
+        product = np.matmul if lead else np.ndarray.dot
+        for x_t, h_next in zip(np.moveaxis(xproj, -2, 0), hs[1:]):
+            h = np.add(x_t, product(h, w_hh), out=h_next)
             h += bias
             np.tanh(h, out=h)
         return hs.transpose(tuple(range(1, hs.ndim - 1)) + (0, hs.ndim - 1))
@@ -169,6 +187,15 @@ class Linear:
         return dy @ self.w.values
 
 
+def require_positive(name: str, value: float, allow_zero: bool = False) -> None:
+    """Raise InvalidInput naming ``name`` unless ``value`` is finite and
+    positive (or zero, with ``allow_zero``). Written so that NaN fails."""
+    if not (value >= 0 if allow_zero else value > 0):
+        raise InvalidInput(f"{name} must be {'>= 0' if allow_zero else 'positive'}, got {value}")
+    if value == np.inf:
+        raise InvalidInput(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LrSchedule:
     """Step-decay learning rate: initial * decay^(epoch // period)."""
@@ -178,8 +205,8 @@ class LrSchedule:
     period: int
 
     def __post_init__(self):
-        if not (self.initial > 0 and self.decay > 0 and self.period > 0):  # NaN fails too
-            raise InvalidInput("learning-rate schedule fields must be positive")
+        for name in ("initial", "decay", "period"):
+            require_positive(f"learning-rate schedule {name}", getattr(self, name))
 
     def lr(self, epoch: int) -> float:
         return self.initial * self.decay ** (epoch // self.period)
@@ -205,8 +232,7 @@ def sgd_step(params: Sequence[ParamTensor], lr: float) -> None:
     Raises NumericsError (before touching any values) if any gradient is
     non-finite.
     """
-    if not lr > 0:
-        raise InvalidInput(f"learning rate must be positive, got {lr}")
+    require_positive("learning rate", lr)
     for p in params:
         if not np.all(np.isfinite(p.grad)):
             raise NumericsError(f"non-finite gradient in {p.name}")

@@ -21,6 +21,12 @@ and selector chains as two reverse loops that carry only their recurrences
 through ``TanhRnnCell.backward_step``, and accumulates weight gradients with
 one GEMM over all B*T steps. The ``RolloutTape`` stores the forward as
 batch-major (B, T[+1], .) arrays.
+
+The per-step products of both loops take ``ndarray.dot`` on 1-D and 2-D
+operands: it reaches the same BLAS routine as ``@``, so the floats are the
+same, at about half the per-call dispatch cost. ``np.matmul`` remains where
+the gradient check stacks probe axes on the weights, and for one strided
+weight slice whose single-row ``@`` product ``dot`` does not reproduce.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .agent import ModelDims, PilotModel, save_model_checkpoint, load_model_checkpoint
-from .diffcore import LrSchedule
+from .diffcore import LrSchedule, require_positive
 from .errors import ConfigError, InvalidInput, NumericsError, ParseError, StateError, VersionError
 from .geometry import land_angles, signed_azimuth_delta_array
 from .observation import OFFSET_SCALE, Episode, episode_arrays
@@ -81,10 +87,12 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.batch_size, self.q_samples, self.checkpoint_interval) < 1 or self.seq_len < 2:
             raise InvalidInput("batch_size, q_samples, checkpoint_interval must be >= 1, seq_len >= 2")
-        ok = self.smooth_lambda >= 0 and self.eta > 0 and self.grad_clip >= 0 and self.pg_weight >= 0
-        if self.max_epochs < 0 or not ok:  # written so that NaN fails each comparison
-            raise InvalidInput("bad training config: check max_epochs, lambda, eta, grad_clip, pg_weight")
-        self.schedule()  # refuses a non-positive or NaN lr_initial, lr_decay or lr_period
+        if self.max_epochs < 0:
+            raise InvalidInput(f"max_epochs must be >= 0, got {self.max_epochs}")
+        for name in ("smooth_lambda", "grad_clip", "pg_weight"):
+            require_positive(name, getattr(self, name), allow_zero=True)
+        for name in ("eta", "lr_initial", "lr_decay", "lr_period"):
+            require_positive(name, getattr(self, name))
 
     def schedule(self) -> LrSchedule:
         return LrSchedule(self.lr_initial, self.lr_decay, self.lr_period)
@@ -154,8 +162,8 @@ def _steer(model: PilotModel, batch: WindowBatch, selected: np.ndarray):
     """Roll the steering regressor over the selections ``selected`` (B, T).
 
     Each step is ``TanhRnnCell.step`` into preallocated buffers, then the
-    head and landing in ``agent.steering_step``'s order; at B=1 the angles
-    are that step's floats.
+    head (``dot``, or ``np.matmul`` under probe axes) and landing in
+    ``agent.steering_step``'s order; at B=1 the angles are that step's floats.
     Returns time-major arrays: regressor inputs (T, ..., B, k+2), hidden
     states (T+1, ..., B, R), unclamped angles (T, ..., B, 2) and viewing
     angles (T+1, ..., B, 2), state arrays with the initial state first and
@@ -174,10 +182,11 @@ def _steer(model: PilotModel, batch: WindowBatch, selected: np.ndarray):
     raw = np.empty(xr.shape[:-1] + (2,))
     angles = np.empty(mus.shape[:-1] + (2,))
     angles[0] = batch.gt[:, 0]
+    head = np.matmul if lead else np.ndarray.dot
     for t in range(t_total):
         _follow_offset(pos[t], angles[t], xr[t, ..., k:])
         mu = cell.step(xr[t], mus[t], mus[t + 1])
-        np.add(angles[t], mu @ w_r, out=raw[t])
+        np.add(angles[t], head(mu, w_r), out=raw[t])
         land_angles(raw[t], angles[t + 1])
     return xr, mus, raw, angles
 
@@ -325,9 +334,12 @@ def backward_window(
     for t in reversed(range(t_total)):
         g = np.add(dl_loss[t], carry_l, out=ddelta[t])
         g *= gate[t]
-        d = np.add(g @ w_r, carry_mu, out=dpre[t])
+        d = np.add(g.dot(w_r), carry_mu, out=dpre[t])
         carry_mu = reg.cell.backward_step(d, deriv[t])  # d is now dLoss/dpre
-        carry_l = g - (d @ w_off) / OFFSET_SCALE  # through the half-turn input scaling
+        # Through the half-turn input scaling. At B=1, ``@`` on the strided
+        # slice w_off runs numpy's own loop, which ``dot`` (BLAS) does not
+        # reproduce bit for bit, so this product stays on ``@``.
+        carry_l = g - (d @ w_off) / OFFSET_SCALE
     reg.head.w.grad += ddelta.reshape(-1, 2).T @ mus[1:].reshape(-1, reg.hidden_dim)
     reg.cell.accumulate_grads(dpre, tape.xrs.transpose(1, 0, 2), mus[:-1])
 
@@ -448,8 +460,7 @@ def train_step(
     """
     from .diffcore import clip_gradients, sgd_step
 
-    if not lr > 0:
-        raise InvalidInput(f"learning rate must be positive, got {lr}")
+    require_positive("learning rate", lr)
     by_len: dict[int, list[Window]] = {}
     for w in windows:
         by_len.setdefault(w.stop - w.start, []).append(w)

@@ -121,6 +121,60 @@ class TestTanhRnnCell:
             np.testing.assert_array_equal(out[i], cell.step(x[i], h))
 
 
+class TestDotIsMatmul:
+    """The recurrent loops and the online pilot call ``ndarray.dot`` where
+    they once used ``@``, because both reach the same BLAS routine for 1-D
+    and 2-D operands. A numpy or BLAS build that routes one of these forms
+    differently fails here, rather than silently moving the golden digests."""
+
+    DRAWS = 50
+    SHAPES = [(14, 8), (8, 8), (8, 2), (240, 32), (32, 32), (32, 8)]  # the reference (K, H)
+
+    @pytest.mark.parametrize("k, h", SHAPES)
+    def test_vector_times_transposed_matrix(self, k, h):
+        rng = np.random.default_rng(k * h)
+        out = np.empty(h)
+        for _ in range(self.DRAWS):
+            x, w = rng.normal(size=k), rng.normal(size=(h, k))
+            want = x @ w.T
+            np.testing.assert_array_equal(x.dot(w.T), want)
+            assert x.dot(w.T, out=out) is out
+            np.testing.assert_array_equal(out, want)
+
+    @pytest.mark.parametrize("b", [1, 2, 10, 50])
+    @pytest.mark.parametrize("k, h", SHAPES)
+    def test_batch_times_transposed_matrix(self, b, k, h):
+        rng = np.random.default_rng([b, k, h])
+        out, want = np.empty((b, h)), np.empty((b, h))
+        for _ in range(self.DRAWS):
+            x, w = rng.normal(size=(b, k)), rng.normal(size=(h, k))
+            np.matmul(x, w.T, out=want)
+            np.testing.assert_array_equal(x.dot(w.T), want)
+            assert x.dot(w.T, out=out) is out
+            np.testing.assert_array_equal(out, want)
+
+    @pytest.mark.parametrize("b", [1, 2, 10, 50])
+    def test_backward_products(self, b):
+        # backward_window's g.dot(w_r) and backward_step's d.dot(w_hh)
+        rng = np.random.default_rng(b)
+        for _ in range(self.DRAWS):
+            w_hh, w_r = rng.normal(size=(8, 8)), rng.normal(size=(2, 8))
+            g, d = rng.normal(size=(b, 2)), rng.normal(size=(b, 8))
+            np.testing.assert_array_equal(g.dot(w_r), g @ w_r)
+            np.testing.assert_array_equal(d.dot(w_hh), d @ w_hh)
+
+    @pytest.mark.parametrize("b", [2, 10, 50])
+    def test_strided_weight_slice_from_two_rows(self, b):
+        # backward_window's d @ w_xh[:, k:] stays on ``@``: at B=1, ``@`` runs
+        # numpy's own loop over the strided slice and ``dot`` a BLAS gemv,
+        # 1 ulp apart; from two rows on they agree.
+        rng = np.random.default_rng(b)
+        for _ in range(self.DRAWS):
+            w_off, d = rng.normal(size=(8, 14))[:, 12:], rng.normal(size=(b, 8))
+            assert not w_off.flags.c_contiguous
+            np.testing.assert_array_equal(d.dot(w_off), d @ w_off)
+
+
 class TestBpttBackward:
     def test_zero_upstream_gives_zero_grads(self):
         cell = TanhRnnCell("c", 3, 4, np.random.default_rng(2))
@@ -177,6 +231,13 @@ class TestLrSchedule:
         with pytest.raises(InvalidInput):
             LrSchedule(*fields)
 
+    @pytest.mark.parametrize("index, name", enumerate(["initial", "decay", "period"]))
+    def test_an_infinite_field_is_refused_by_name(self, index, name):
+        fields = [0.02, 0.9, 50]
+        fields[index] = float("inf")
+        with pytest.raises(InvalidInput, match=f"schedule {name} must be finite"):
+            LrSchedule(*fields)
+
 
 class TestSgdStep:
     def test_zero_grad_is_fixed_point(self):
@@ -205,6 +266,15 @@ class TestSgdStep:
         with pytest.raises(InvalidInput, match="learning rate must be positive"):
             sgd_step([p], lr)
         assert p.values[0] == 1.0 and p.grad[0] == 2.0
+
+    def test_an_infinite_lr_is_refused_before_the_update(self):
+        # inf * [0, 1] would leave [nan, -inf]
+        p = ParamTensor("p", np.array([1.0, 1.0]))
+        p.grad[...] = [0.0, 1.0]
+        with pytest.raises(InvalidInput, match="learning rate must be finite, got inf"):
+            sgd_step([p], float("inf"))
+        np.testing.assert_array_equal(p.values, [1.0, 1.0])
+        np.testing.assert_array_equal(p.grad, [0.0, 1.0])
 
     def test_clipping_bounds_global_norm(self):
         p = ParamTensor("p", np.zeros(4))

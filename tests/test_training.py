@@ -245,6 +245,26 @@ class TestRolloutContracts:
             np.testing.assert_array_equal(p.values, values)
             np.testing.assert_array_equal(p.grad, grad)
 
+    def test_steps_over_one_and_two_window_groups_match_the_golden_digest(self):
+        # Pins the training arithmetic bit for bit, including a one-window
+        # (B=1) group, where ``@`` on a strided weight slice runs numpy's own
+        # loop rather than BLAS.
+        model, episodes = _model(), generate_dataset(SCENE, 3, 3)
+        arrays = [episode_arrays(ep) for ep in episodes]
+        windows = slice_windows([len(ep) for ep in episodes], 30)[:3]  # lengths 30, 10, 30
+        for step in range(3):
+            train_step(model, arrays, windows, TrainConfig(), 0.02, np.random.default_rng(step))
+        assert model.digest() == "617ec5947fa5"
+
+    def test_an_infinite_lr_is_refused_before_the_rollout(self):
+        model, episodes = _model(), generate_dataset(SCENE, 3, 2)
+        arrays = [episode_arrays(ep) for ep in episodes]
+        windows = slice_windows([len(ep) for ep in episodes], 20)
+        digest = model.digest()
+        with pytest.raises(InvalidInput, match="learning rate must be finite, got inf"):
+            train_step(model, arrays, windows, TrainConfig(), float("inf"), np.random.default_rng(0))
+        assert model.digest() == digest
+
     def test_backward_on_a_consumed_tape_is_a_state_error(self):
         model = _model()
         tape = rollout_window(model, _batch(), rng=np.random.default_rng(0))
@@ -314,6 +334,14 @@ class TestPolicyUpstreamExpectation:
 def test_train_config_refuses_an_out_of_range_or_nan_field(field, value):
     with pytest.raises(InvalidInput):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field", ["lr_initial", "lr_decay", "eta", "smooth_lambda", "grad_clip", "pg_weight"]
+)
+def test_train_config_refuses_an_infinite_field_by_name(field):
+    with pytest.raises(InvalidInput, match=f"{field} must be finite, got inf"):
+        TrainConfig(**{field: float("inf")})
 
 
 class TestResume:
