@@ -2,8 +2,9 @@
 recurrent refinement, and viewing-angle update. Strictly causal — each step
 sees only the current observation and the carried state. The selector steps
 with ``diffcore.TanhRnnCell.step``; :func:`steering_step` replicates that
-step inline for :func:`pilot_step` and ``evaluation.agent_pilot``, held by a
-test to the floats of ``training._steer``, which calls the method. Every
+step inline for :func:`pilot_step` (built once per model) and
+``evaluation.agent_pilot``, held by a test to the floats of
+``training._steer``, which calls the method. Every
 per-frame product here has 1-D or 2-D operands and goes through
 ``ndarray.dot``: it calls the same BLAS routine as ``@`` and so gives the
 same floats, at about half the per-call dispatch cost; ``np.matmul`` is
@@ -60,6 +61,7 @@ class PilotModel:
         self.dims = dims
         self.selector = SelectorNetwork(dims.flat_dim, dims.selector_hidden, dims.slots, rng)
         self.regressor = RegressorNetwork(dims.motion_bins, dims.regressor_hidden, rng)
+        self._steering = None  # pilot_step's steering step and the weight arrays it views
 
     def params(self) -> list[ParamTensor]:
         return self.selector.params() + self.regressor.params()
@@ -214,6 +216,21 @@ def steering_step(model: PilotModel):
     return step
 
 
+def _model_steering_step(model: PilotModel):
+    """``steering_step(model)``, built once per model and again only when one
+    of the weight arrays it views is rebound (``gradient_check`` rebinds
+    ``ParamTensor.values`` while probing); in-place updates show through."""
+    cell, head = model.regressor.cell, model.regressor.head
+    cached = model._steering  # (w_xh, w_hh, b, head w, step)
+    if cached is None or not (
+        cached[0] is cell.w_xh.values and cached[1] is cell.w_hh.values
+        and cached[2] is cell.b.values and cached[3] is head.w.values
+    ):
+        views = (cell.w_xh.values, cell.w_hh.values, cell.b.values, head.w.values)
+        cached = model._steering = (*views, steering_step(model))
+    return cached[4]
+
+
 def pilot_step(
     obs: FrameObservation, state: AgentState, model: PilotModel
 ) -> tuple[ViewingAngle, int, AgentState]:
@@ -231,7 +248,7 @@ def pilot_step(
     x = np.empty(k + 2)  # steering_step writes the follow offset into x[k:]
     x[:k] = obs.motions[index]
     target, view = obs.positions[index].tolist(), (state.angle.azimuth, state.angle.elevation)
-    az, el, mu = steering_step(model)(x, *target, *view, state.regressor_mu)
+    az, el, mu = _model_steering_step(model)(x, *target, *view, state.regressor_mu)
     angle = ViewingAngle(az, el)
     return angle, index, AgentState(h, mu, angle)
 

@@ -3,9 +3,13 @@ offline dynamic-programming view-path optimizer, and benchmark rows.
 
 The metrics take (..., T, 2) angle arrays and reduce the frame axis: MO
 averages ``geometry.nfov_iou`` over the frames, and MVD is reported in
-degrees per frame. Methods return a list of ViewingAngle per episode;
-``benchmark`` stacks them per group of equal-length episodes and calls each
-metric once per (method, length group).
+degrees per frame. A method maps an episode to a ``geometry.Trajectory`` of
+its length, built from arrays the method already holds; ``benchmark`` also
+takes any other sequence of ViewingAngles, converted once on return. It
+runs every method on one episode before the next, stacks each method's
+``Trajectory.array`` per group of equal-length episodes and calls each
+metric once per (method, length group). ``agent`` and ``selector_only``
+built together share one greedy selector pass per episode.
 ``offline_dp`` runs over the step x step view grid of ``default_view_grid``,
 prepared once per (grid_step, smooth_weight). Benchmark rows carry, per
 method, the MO/MVD means over episodes plus per-episode detail records,
@@ -23,9 +27,7 @@ import numpy as np
 
 from .agent import PilotModel, steering_step
 from .errors import InvalidInput
-from .geometry import (
-    DEFAULT_H_SPAN, ViewingAngle, land_angles, nfov_iou, signed_azimuth_delta_array, viewing_angles,
-)
+from .geometry import DEFAULT_H_SPAN, Trajectory, land_angles, nfov_iou, signed_azimuth_delta_array
 from .observation import Episode
 # Unused here; perfbench's tracer swaps these bindings and fails a check if one is missing.
 from .agent import pilot_episode  # noqa: F401
@@ -69,43 +71,65 @@ def mean_velocity_difference(pred: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def center_hold(episode: Episode) -> list[ViewingAngle]:
+def center_hold(episode: Episode) -> Trajectory:
     """Never steer: hold the first frame's ground-truth angle."""
-    return [ViewingAngle(*episode.gt_track[0].tolist())] * len(episode)
+    return Trajectory(np.repeat(episode.gt_track[:1], len(episode), axis=0))
 
 
-def greedy_salient(episode: Episode) -> list[ViewingAngle]:
+def greedy_salient(episode: Episode) -> Trajectory:
     """Jump to the highest-scoring detection every frame (slot 0 by the
     score ordering)."""
-    return viewing_angles(episode.positions[:, 0])
+    return Trajectory(episode.positions[:, 0])
 
 
-def selector_only(episode: Episode, model: PilotModel) -> list[ViewingAngle]:
-    """Run the trained selector greedily and emit the chosen object's
-    position directly, skipping the refinement network."""
+def greedy_picks(episode: Episode, model: PilotModel) -> np.ndarray:
+    """Each frame's slot by the argmax of the selector run over the episode."""
     _, probs = model.selector.unroll(episode.flat[None])
-    picks = np.argmax(probs[0], axis=-1)
-    return viewing_angles(episode.positions[np.arange(len(picks)), picks])
+    return np.argmax(probs[0], axis=-1)
 
 
-def gt_replay(episode: Episode) -> list[ViewingAngle]:
+def selector_only(episode: Episode, model: PilotModel, picks: np.ndarray | None = None) -> Trajectory:
+    """Run the trained selector greedily and emit the chosen object's
+    position directly, skipping the refinement network. ``picks`` are
+    :func:`greedy_picks`, computed when not given."""
+    picks = greedy_picks(episode, model) if picks is None else picks
+    return Trajectory(episode.positions[np.arange(len(picks)), picks])
+
+
+def gt_replay(episode: Episode) -> Trajectory:
     """Replay the ground-truth track (upper bound / metric sanity method)."""
     return episode.gt
 
 
-def agent_pilot(episode: Episode, model: PilotModel) -> list[ViewingAngle]:
+def agent_pilot(episode: Episode, model: PilotModel, picks: np.ndarray | None = None) -> Trajectory:
     """The full online agent, ``pilot_step`` folded over the episode from its
-    first ground-truth angle: the selector runs once, its argmax picks each
-    frame's slot, then ``agent.steering_step`` moves the view frame by frame."""
-    _, probs = model.selector.unroll(episode.flat[None])
-    frames, picks = np.arange(len(episode)), np.argmax(probs[0], axis=-1)
+    first ground-truth angle: the selector runs once and its argmax picks
+    each frame's slot (``picks``, as :func:`selector_only` takes them), then
+    ``agent.steering_step`` moves the view frame by frame."""
+    picks = greedy_picks(episode, model) if picks is None else picks
+    frames = np.arange(len(episode))
     xs = np.append(episode.motions[frames, picks], np.zeros((len(episode), 2)), axis=1)
     step, mu, views = steering_step(model), model.regressor.initial_state(), []
     az, el = episode.gt_track[0].tolist()
     for x, target in zip(xs, episode.positions[frames, picks].tolist()):
         az, el, mu = step(x, *target, az, el, mu)
         views.append((az, el))
-    return viewing_angles(views)
+    return Trajectory(views)
+
+
+def _shared_picks(model: PilotModel) -> Callable[[Episode], np.ndarray]:
+    """:func:`greedy_picks` for ``agent`` and ``selector_only`` built together:
+    a call for the Episode object of the call before reuses its picks while
+    that episode's ``flat`` and the selector weights equal what they were."""
+    last = [None, [], None]  # the episode, copies of its flat and the weights, the picks
+
+    def picks(episode: Episode) -> np.ndarray:
+        inputs = [episode.flat] + [p.values for p in model.selector.params()]
+        if last[0] is not episode or not all(map(np.array_equal, last[1], inputs)):
+            last[:] = episode, [a.copy() for a in inputs], greedy_picks(episode, model)
+        return last[2]
+
+    return picks
 
 
 # The DP's dense (G, G) float64 arrays may hold at most this many entries
@@ -141,8 +165,8 @@ def default_view_grid(step: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _dp_grid(grid_step: float, smooth_weight: float):
-    """The grid's views, their (G, 2) array, the unique azimuths with each
-    view's column among them, and the contiguous (to, from) transition
+    """The grid's (G, 2) view array, the unique azimuths with each view's
+    column among them, and the contiguous (to, from) transition
     matrix. Kept for the next call, so an eval pass prepares it once and
     only if offline_dp runs."""
     grid_arr = default_view_grid(grid_step)
@@ -150,7 +174,7 @@ def _dp_grid(grid_step: float, smooth_weight: float):
     daz = np.abs(signed_azimuth_delta_array(grid_arr[:, None, 0] - grid_arr[None, :, 0]))
     trans = smooth_weight * np.hypot(daz, grid_arr[:, None, 1] - grid_arr[None, :, 1])
     trans_to = np.ascontiguousarray(trans.T)  # (to, from): each argmax reads one row
-    return viewing_angles(grid_arr), grid_arr, azimuths, column, trans_to
+    return grid_arr, azimuths, column, trans_to
 
 
 # Frames per block of _dp_unaries: block * G * N stays near this many entries,
@@ -198,7 +222,7 @@ def offline_dp(
     smooth_weight: float = DEFAULT_DP_SMOOTH_WEIGHT,
     grid_step: float = DEFAULT_GRID_STEP,
     eta: float = DEFAULT_ETA,
-) -> list[ViewingAngle]:
+) -> Trajectory:
     """Whole-episode view-path optimization over a discrete grid.
 
     Maximizes sum_t unary(view_t) - smooth_weight * dist(view_t, view_{t-1})
@@ -220,7 +244,7 @@ def offline_dp(
             "offline_dp needs a finite eta > 0 and smooth_weight >= 0, "
             f"got {eta} and {smooth_weight}"
         )
-    views, grid_arr, azimuths, column, trans_to = _dp_grid(grid_step, smooth_weight)
+    grid_arr, azimuths, column, trans_to = _dp_grid(grid_step, smooth_weight)
     unary = _dp_unaries(episode, grid_arr, azimuths, column, eta)
 
     t_total, g_total = unary.shape
@@ -237,7 +261,7 @@ def offline_dp(
     path[-1] = int(np.argmax(best))
     for t in range(t_total - 1, 0, -1):
         path[t - 1] = back[t, path[t]]
-    return [views[g] for g in path]
+    return Trajectory(grid_arr[path])
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +290,20 @@ def build_methods(
     grid_step: float = DEFAULT_GRID_STEP,
     dp_smooth_weight: float = DEFAULT_DP_SMOOTH_WEIGHT,
     eta: float = DEFAULT_ETA,
-) -> dict[str, Callable[[Episode], list[ViewingAngle]]]:
-    """Resolve method names to episode -> trajectory callables."""
+) -> dict[str, Callable[[Episode], Trajectory]]:
+    """Resolve method names to episode -> trajectory callables. ``agent``
+    and ``selector_only`` built together share one selector pass per episode
+    (see :func:`benchmark`)."""
     unknown = [n for n in names if n not in METHOD_NAMES]
     if unknown:
         raise InvalidInput(f"unknown methods {unknown}; valid: {list(METHOD_NAMES)}")
     needs_model = {"agent", "selector_only"}
     if needs_model & set(names) and model is None:
         raise InvalidInput("agent and selector_only methods need a model checkpoint")
+    picks = _shared_picks(model) if needs_model <= set(names) else lambda ep: None
     table: dict[str, Callable] = {
-        "agent": lambda ep: agent_pilot(ep, model),
-        "selector_only": lambda ep: selector_only(ep, model),
+        "agent": lambda ep: agent_pilot(ep, model, picks(ep)),
+        "selector_only": lambda ep: selector_only(ep, model, picks(ep)),
         "center_hold": center_hold,
         "greedy_salient": greedy_salient,
         "offline_dp": lambda ep: offline_dp(
@@ -293,7 +320,7 @@ def empty_frame_count(episode: Episode) -> int:
 
 
 def benchmark(
-    methods: dict[str, Callable[[Episode], list[ViewingAngle]]],
+    methods: dict[str, Callable[[Episode], Sequence]],
     episodes: Sequence[Episode],
     h_span: float = DEFAULT_H_SPAN,
     jobs: int = 1,
@@ -301,12 +328,14 @@ def benchmark(
     """Evaluate each method on each episode.
 
     Returns aggregate rows plus per-episode detail records (method, episode
-    index, mo, mvd, empty_frames). MVD units are degrees per frame. Episodes
-    run one after another: ``jobs`` must be 1. An episode shorter than the
-    3 frames MVD needs is refused, by index, before any method runs, and a
-    trajectory of the wrong length as soon as it is returned. Each metric
-    runs once per method over the stacked trajectories of each group of
-    equal-length episodes, giving the values of one (T, 2) call per episode.
+    index, mo, mvd, empty_frames), both in method order. MVD units are
+    degrees per frame. Episodes run one after another, each through every
+    method in turn: ``jobs`` must be 1. An episode shorter than the 3 frames
+    MVD needs is refused, by index, before any method runs, and a trajectory
+    of the wrong length as soon as it is returned. A returned sequence that
+    is not a Trajectory is converted to one there. Each metric runs once per
+    method over the stacked trajectories of each group of equal-length
+    episodes, giving the values of one (T, 2) call per episode.
     """
     if not episodes:
         raise InvalidInput("benchmark needs at least one episode")
@@ -317,22 +346,24 @@ def benchmark(
         if len(ep) < 3:
             raise InvalidInput(f"episode {i} has {len(ep)} frames; MVD needs at least 3")
         groups.setdefault(len(ep), []).append(i)
-    rows, details = [], []
-    empties = [empty_frame_count(ep) for ep in episodes]
-    gts = {t: np.stack([episodes[i].gt_track for i in group]) for t, group in groups.items()}
-    for name, fn in methods.items():
-        columns = []  # per episode, its azimuths and its elevations
-        for i, ep in enumerate(episodes):
+    arrays = {name: [] for name in methods}  # per method, each episode's (T, 2) array
+    for i, ep in enumerate(episodes):
+        for name, fn in methods.items():
             traj = fn(ep)
             if len(traj) != len(ep):
                 raise InvalidInput(
                     f"{name} returned {len(traj)} angles for episode {i} of {len(ep)} frames"
                 )
-            columns.append(([p.azimuth for p in traj], [p.elevation for p in traj]))
+            if not isinstance(traj, Trajectory):
+                traj = Trajectory([(p.azimuth, p.elevation) for p in traj])
+            arrays[name].append(traj.array)
+    rows, details = [], []
+    empties = [empty_frame_count(ep) for ep in episodes]
+    gts = {t: np.stack([episodes[i].gt_track for i in group]) for t, group in groups.items()}
+    for name, trajs in arrays.items():
         mos, mvds = [0.0] * len(episodes), [0.0] * len(episodes)
         for t, group in groups.items():
-            pred = np.array([columns[i] for i in group], dtype=np.float64)
-            pred = pred.transpose(0, 2, 1).copy()  # (n, T, 2) in C order, as the metrics reduce it
+            pred = np.stack([trajs[i] for i in group])  # (n, T, 2) in C order, as the metrics reduce it
             group_mo = mean_overlap(pred, gts[t], h_span=h_span).tolist()
             group_mvd = mean_velocity_difference(pred).tolist()
             for i, mo, mvd in zip(group, group_mo, group_mvd):

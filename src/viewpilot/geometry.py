@@ -4,12 +4,15 @@ Azimuth lives in [0, 360) and wraps; elevation lives in [-90, 90] and
 clamps (no pole crossing). Distances and the NFoV window overlap
 (:func:`nfov_iou`, the per-frame term of mean overlap) are computed on the
 angle plane with wrap-aware azimuth differences, not on the true sphere.
-The IoU takes (..., 2) angle arrays; there is no per-window object.
+The IoU takes (..., 2) angle arrays; there is no per-window object. A
+:class:`Trajectory` is a sequence of ViewingAngles held as one landed
+(T, 2) array, its items built only when read.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,21 +76,62 @@ class ViewingAngle:
         object.__setattr__(self, "elevation", clamp_elevation(float(self.elevation)))
 
 
-def viewing_angles(rows) -> list[ViewingAngle]:
-    """``[ViewingAngle(az, el) for az, el in rows]`` for a (T, 2) array, with
-    the finiteness check, wrap and clamp run once over the whole array."""
-    rows = np.asarray(rows, dtype=np.float64)
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        az, el = rows[np.argmin(finite)].tolist()
-        raise InvalidInput(f"non-finite viewing angle ({az}, {el})")
-    new, put, angles = object.__new__, object.__setattr__, []
-    for az, el in land_angles(rows).tolist():
-        angle = new(ViewingAngle)
-        put(angle, "azimuth", az)
-        put(angle, "elevation", el)
-        angles.append(angle)
-    return angles
+class Trajectory(Sequence):
+    """An immutable sequence of ViewingAngles over ``array``, one read-only,
+    landed (T, 2) float64 copy of ``rows``. The rows are checked once (the
+    first non-finite one raises ViewingAngle's InvalidInput) and landed as
+    ViewingAngle lands them; items are built on access, a slice is a
+    Trajectory. Equal to a Trajectory over an equal array and to a list or
+    tuple of equal ViewingAngles.
+    """
+
+    __slots__ = ("_array",)
+
+    def __init__(self, rows):
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != 2:
+            raise InvalidInput(f"a trajectory takes (T, 2) angle rows, got shape {rows.shape}")
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            az, el = rows[np.argmin(finite)].tolist()
+            raise InvalidInput(f"non-finite viewing angle ({az}, {el})")
+        self._array = land_angles(rows)
+        self._array.flags.writeable = False
+
+    @property
+    def array(self) -> np.ndarray:
+        return self._array
+
+    def __len__(self) -> int:
+        return len(self._array)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trajectory(self._array[index])
+        return _landed_angle(*self._array[index].tolist())
+
+    def __iter__(self):
+        return map(_landed_angle, *self._array.T.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, Trajectory):
+            return bool(np.array_equal(self._array, other._array))
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Trajectory({self._array.tolist()!r})"
+
+
+def _landed_angle(az: float, el: float) -> ViewingAngle:
+    """A ViewingAngle of floats already checked and landed."""
+    angle = object.__new__(ViewingAngle)
+    object.__setattr__(angle, "azimuth", az)
+    object.__setattr__(angle, "elevation", el)
+    return angle
 
 
 def nfov_iou(a: np.ndarray, b: np.ndarray, h_span: float = DEFAULT_H_SPAN) -> np.ndarray:

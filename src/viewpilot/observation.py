@@ -13,8 +13,10 @@ An episode stores its T frames once, as whole-episode arrays. ``flat``
 (T, N, d) and ``motions`` (T, N, k) are reshaped views of its first and last
 blocks. ``positions`` (T, N, 2) in degrees (the half-turn block of ``flat``
 does not invert to degrees bit-exactly), ``scores`` (T, N) and the
-ground-truth track ``gt_track`` (T, 2) are stored beside it. ``frames`` and
-``gt`` build FrameObservation row views and ViewingAngles on access.
+ground-truth track ``gt_track`` (T, 2) are stored beside it. ``frames``
+builds FrameObservation row views on access; ``gt`` is a
+``geometry.Trajectory`` over ``gt_track``, as the evaluation methods
+return theirs, whose ViewingAngles are built only when read.
 
 The synthetic generator stands in for a detector/tracker pipeline: it
 moves K objects on the angle plane, designates one as the main object,
@@ -38,8 +40,7 @@ import numpy as np
 
 from .errors import InvalidInput, ParseError, VersionError
 from .geometry import (
-    ViewingAngle, clamp_elevation, land_angles, signed_azimuth_delta_array, viewing_angles,
-    wrap_azimuth,
+    Trajectory, ViewingAngle, clamp_elevation, land_angles, signed_azimuth_delta_array, wrap_azimuth,
 )
 
 EPISODE_FORMAT_VERSION = 1
@@ -185,9 +186,10 @@ class Episode:
         return list(map(FrameObservation, *rows))
 
     @property
-    def gt(self) -> list[ViewingAngle]:
-        """The ground-truth track as ViewingAngles, built on each access."""
-        return viewing_angles(self.gt_track)
+    def gt(self) -> Trajectory:
+        """The ground-truth track as a Trajectory over a landed copy of
+        ``gt_track``, built on each access."""
+        return Trajectory(self.gt_track)
 
 
 def episode_arrays(episode: Episode) -> Episode:
@@ -584,7 +586,7 @@ def stream_episodes(path) -> Iterator[tuple[dict, Iterator]]:
 def _block_frames(blocks: Iterator[tuple]) -> Iterator[tuple]:
     for *slots, gt, idxs in blocks:
         frames = map(FrameObservation, *slots, _pack_flat(*slots[:3]))
-        yield from zip(frames, viewing_angles(gt), idxs)
+        yield from zip(frames, Trajectory(gt), idxs)
 
 
 def load_episodes(path) -> list[Episode]:

@@ -57,6 +57,29 @@ class TestPilotStep:
         out2 = pilot_step(ep.frames[0], state, model)
         assert out1[0] == out2[0] and out1[1] == out2[1]
 
+    @pytest.mark.parametrize("edit", ["in place", "rebound"])
+    def test_steps_after_a_weight_edit_equal_a_fresh_model(self, edit):
+        """The steering step is built once per model; an in-place update or a
+        rebound ``ParamTensor.values`` (as the gradient check probes) must
+        not leave it reading stale weights."""
+        model, ep = _model(1), _episode(1)
+        state = initial_state(model, ep.gt[0])
+        first = pilot_step(ep.frames[0], state, model)
+        rng = np.random.default_rng(2)
+        for p in model.regressor.params():
+            if edit == "in place":
+                p.values += rng.normal(size=p.shape)
+            else:
+                p.values = p.values + rng.normal(size=p.shape)
+        fresh = _model(1)
+        for mine, theirs in zip(model.params(), fresh.params()):
+            theirs.values[...] = mine.values
+        got = pilot_step(ep.frames[0], state, model)
+        want = pilot_step(ep.frames[0], initial_state(fresh, ep.gt[0]), fresh)
+        assert got[0] != first[0]
+        assert (got[0], got[1]) == (want[0], want[1])
+        assert got[2].regressor_mu.tolist() == want[2].regressor_mu.tolist()
+
     def test_dimension_mismatch_rejected(self):
         other = synth_scene(dataclasses.replace(SCENE, slots=5), 0)
         model = _model()

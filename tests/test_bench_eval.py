@@ -7,11 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tiny_eval_workload_passes_its_checks():
-    argv = ["--workload", "eval", "--size", "tiny", "--seconds", "0.3", "--trace", "0"]
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_tiny_eval_workload_passes_its_checks(trace):
+    """Traced, the run also fails on a binding the tracer cannot swap and on
+    quality figures that differ from the untraced run's."""
+    argv = ["--workload", "eval", "--size", "tiny", "--seconds", "0.3", "--trace", trace]
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), *argv],
         cwd=ROOT, capture_output=True, text=True, timeout=300,

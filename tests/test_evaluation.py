@@ -14,7 +14,7 @@ import pytest
 
 from viewpilot import evaluation
 from viewpilot.agent import ModelDims, PilotModel, initial_state, pilot_episode, pilot_step
-from viewpilot.diffcore import softmax
+from viewpilot.diffcore import sgd_step, softmax
 from viewpilot.errors import InvalidInput
 from viewpilot.evaluation import (
     BenchmarkRow,
@@ -29,6 +29,7 @@ from viewpilot.evaluation import (
     selector_only,
 )
 from viewpilot.geometry import (
+    Trajectory,
     ViewingAngle,
     nfov_iou,
     signed_azimuth_delta,
@@ -271,6 +272,59 @@ class TestBenchmark:
         short = {"gt_replay": lambda ep: gt_replay(ep)[:-1] if len(ep) == 120 else gt_replay(ep)}
         with pytest.raises(InvalidInput, match="gt_replay returned 119 angles for episode 1 of 120"):
             evaluation.benchmark(short, episodes)
+
+    def test_a_list_of_the_angles_gives_what_the_trajectory_gives(self):
+        episodes = [synth_scene(SCENE, 1), synth_scene(dataclasses.replace(SCENE, frames=40), 2)]
+        methods = evaluation.build_methods(evaluation.METHOD_NAMES, model=_model(0, 0.5))
+        assert all(type(fn(ep)) is Trajectory for fn in methods.values() for ep in episodes)
+        as_lists = {name: lambda ep, fn=fn: list(fn(ep)) for name, fn in methods.items()}
+        as_tuples = {name: lambda ep, fn=fn: tuple(fn(ep)) for name, fn in methods.items()}
+        expected = repr(evaluation.benchmark(methods, episodes))
+        assert repr(evaluation.benchmark(as_lists, episodes)) == expected
+        assert repr(evaluation.benchmark(as_tuples, episodes)) == expected
+        bad = {"gt_replay": lambda ep: [*gt_replay(ep)[:-1], ViewingAngle(1.0, 2.0), "x"][1:]}
+        with pytest.raises(AttributeError):  # an item that is no angle fails the conversion
+            evaluation.benchmark(bad, episodes)
+
+    def test_agent_and_selector_only_share_one_selector_pass(self, monkeypatch):
+        model = _model(0, 0.5)
+        unroll, calls = model.selector.unroll, []
+        monkeypatch.setattr(model.selector, "unroll", lambda flat: calls.append(1) or unroll(flat))
+        episodes = [synth_scene(SCENE, seed) for seed in (1, 2, 3)]
+        pair = evaluation.benchmark(evaluation.build_methods(["agent", "selector_only"], model), episodes)
+        assert len(calls) == 3  # one pass per episode for both methods
+        singles = [
+            evaluation.benchmark(evaluation.build_methods([name], model), episodes)
+            for name in ("agent", "selector_only")
+        ]
+        assert len(calls) == 9
+        assert repr(pair) == repr(([*singles[0][0], *singles[1][0]], [*singles[0][1], *singles[1][1]]))
+        methods = evaluation.build_methods(["selector_only", "agent"], model)
+        twin = dataclasses.replace(episodes[0])  # equal arrays, another object
+        for ep in (episodes[0], episodes[1], episodes[0], twin):  # each new object runs a pass
+            methods["selector_only"](ep)
+            methods["agent"](ep)
+        assert len(calls) == 13
+
+    @pytest.mark.parametrize("edit", ["sgd_step", "flat", "rebound weights"])
+    def test_an_edit_between_passes_gives_a_fresh_pass(self, edit):
+        model, episodes = _model(0, 0.5), [synth_scene(SCENE, 4)]
+        names = ["agent", "selector_only"]
+        methods = evaluation.build_methods(names, model)
+        before = evaluation.benchmark(methods, episodes)
+        rng = np.random.default_rng(5)
+        if edit == "sgd_step":
+            for p in model.params():
+                p.grad[...] = rng.normal(size=p.shape)
+            sgd_step(model.params(), 0.5)
+        elif edit == "flat":
+            episodes[0].flat[...] += rng.normal(scale=2.0, size=episodes[0].flat.shape)
+        else:
+            for p in model.selector.params():
+                p.values = p.values[::-1].copy()
+        after = evaluation.benchmark(methods, episodes)
+        assert after[0][1] != before[0][1]  # selector_only moved
+        assert repr(after) == repr(evaluation.benchmark(evaluation.build_methods(names, model), episodes))
 
     @pytest.mark.parametrize("jobs", [0, 2])
     def test_jobs_other_than_one_is_refused(self, jobs):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from viewpilot.errors import InvalidInput
-from viewpilot.geometry import DEFAULT_H_SPAN, ViewingAngle, land_angles, nfov_iou, viewing_angles
+from viewpilot.geometry import DEFAULT_H_SPAN, Trajectory, ViewingAngle, land_angles, nfov_iou
 from viewpilot.observation import OFFSET_SCALE
 from viewpilot.regressor import loss_terms
 from viewpilot.training import _follow_offset
@@ -59,13 +59,13 @@ class TestApplyAction:
 
 
 class TestViewingAngles:
-    """The list builder equals one constructor call per row."""
+    """A Trajectory's items equal one ViewingAngle constructor call per row."""
 
     def test_equals_the_constructor_per_row(self):
         rng = np.random.default_rng(4)
         rows = [*zip(rng.uniform(-800, 800, 500), rng.uniform(-200, 200, 500)),
                 (-1e-320, -0.0), (360.0, 90.0), (-360.0, -90.0), (0.0, 1e-300)]
-        built = viewing_angles(np.array(rows))
+        built = list(Trajectory(np.array(rows)))
         expected = [ViewingAngle(az, el) for az, el in np.array(rows).tolist()]
         assert [(a.azimuth, a.elevation) for a in built] == [
             (a.azimuth, a.elevation) for a in expected
@@ -81,8 +81,71 @@ class TestViewingAngles:
         with pytest.raises(InvalidInput) as expected:
             ViewingAngle(*bad)
         with pytest.raises(InvalidInput) as err:
-            viewing_angles(rows)
+            Trajectory(rows)
         assert str(err.value) == str(expected.value)
+
+
+class TestTrajectory:
+    """The contract of the evaluation methods' return type: an immutable
+    sequence of ViewingAngles over one landed (T, 2) array."""
+
+    ROWS = [(370.0, 12.5), (-30.0, 95.0), (0.0, 0.0), (359.5, -91.0)]
+
+    def _angles(self):
+        return [ViewingAngle(az, el) for az, el in self.ROWS]
+
+    def test_equals_a_list_or_tuple_of_its_angles_both_ways(self):
+        traj, angles = Trajectory(self.ROWS), self._angles()
+        assert traj == angles and angles == traj
+        assert traj == tuple(angles) and tuple(angles) == traj
+        assert traj == Trajectory(np.array(self.ROWS)) and traj == Trajectory(traj.array)
+        assert [traj, traj] == [angles, angles]  # as lists of trajectories compare
+        assert traj != angles[:-1] and angles[:-1] != traj
+        assert traj != angles[::-1] and traj != Trajectory(self.ROWS[::-1])
+        assert traj != [(a.azimuth, a.elevation) for a in angles]  # tuples are not angles
+        assert traj != "angles" and traj != {0: angles[0]}
+
+    def test_iteration_indexing_and_slicing(self):
+        traj, angles = Trajectory(self.ROWS), self._angles()
+        assert len(traj) == 4 and list(traj) == angles and list(reversed(traj)) == angles[::-1]
+        assert [traj[i] for i in range(-4, 4)] == angles + angles
+        assert all(type(a) is ViewingAngle and type(a.azimuth) is float for a in traj)
+        for part in (slice(1, 3), slice(None, None, -2), slice(5, 9)):
+            assert type(traj[part]) is Trajectory and traj[part] == angles[part]
+        assert traj[np.int64(1)] == angles[1] and angles[2] in traj and traj.index(angles[3]) == 3
+        with pytest.raises(IndexError):
+            traj[4]
+        assert list(Trajectory(np.empty((0, 2)))) == [] and Trajectory(np.empty((0, 2))) == []
+
+    def test_is_immutable(self):
+        rows = np.array(self.ROWS)
+        traj = Trajectory(rows)
+        rows[0] = (1.0, 1.0)  # the trajectory holds its own landed copy
+        assert traj[0] == ViewingAngle(10.0, 12.5)
+        with pytest.raises(ValueError):
+            traj.array[0, 0] = 5.0
+        with pytest.raises(AttributeError):
+            traj.array = np.zeros((4, 2))
+        with pytest.raises(TypeError):
+            hash(traj)
+
+    @pytest.mark.parametrize(
+        "row",
+        [(360.0, 0.0), (720.0, 90.0), (-0.0, -0.0), (0.0, -0.0), (-1e-300, 90.0), (5.0, -90.0),
+         (-360.0, 90.0 + 1e-13), (1e-320, -90.0 - 1e-13), (359.99999999999994, 89.99999999999999)],
+    )
+    def test_lands_as_the_constructor(self, row):
+        expected = ViewingAngle(*row)
+        (landed,) = Trajectory([row])
+        assert (landed.azimuth, landed.elevation) == (expected.azimuth, expected.elevation)
+        for got, want in ((landed.azimuth, expected.azimuth), (landed.elevation, expected.elevation)):
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)  # -0.0 stays -0.0
+        assert Trajectory([row]).array.tolist() == [[expected.azimuth, expected.elevation]]
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 3), (2, 2, 2), (0,)])
+    def test_refuses_what_is_not_angle_rows(self, shape):
+        with pytest.raises(InvalidInput, match="a trajectory takes \\(T, 2\\) angle rows"):
+            Trajectory(np.zeros(shape))
 
 
 class TestAngularOffset:
