@@ -1,10 +1,10 @@
 """The composed online pilot: per-frame selection, naive follow offset,
 recurrent refinement, and viewing-angle update. Strictly causal — each step
-sees only the current observation and the carried state. The selector steps
-with ``diffcore.TanhRnnCell.step``; :func:`steering_step` replicates that
-step inline for :func:`pilot_step` (built once per model) and
-``evaluation.agent_pilot``, held by a test to the floats of
-``training._steer``, which calls the method. Every
+sees only the current observation and the carried state. :func:`pilot_step`
+steps the selector with ``diffcore.TanhRnnCell.step``; :func:`pilot_episode`,
+the benchmark's ``agent`` method, runs the selector once over the episode.
+Both steer with :func:`steering_step`, built once per model, which inlines
+that step and is held by a test to the floats of ``training._steer``. Every
 per-frame product here has 1-D or 2-D operands and goes through
 ``ndarray.dot``: it calls the same BLAS routine as ``@`` and so gives the
 same floats, at about half the per-call dispatch cost; ``np.matmul`` is
@@ -26,7 +26,7 @@ import numpy as np
 
 from .diffcore import LrSchedule, ParamTensor, softmax
 from .errors import ConfigError, InvalidInput, NumericsError, ParseError, VersionError
-from .geometry import ViewingAngle, clamp_elevation, signed_azimuth_delta, wrap_azimuth
+from .geometry import Trajectory, ViewingAngle, clamp_elevation, signed_azimuth_delta, wrap_azimuth
 from .observation import OFFSET_SCALE, Episode, FrameObservation, _parse_json_line
 from .regressor import RegressorNetwork
 from .selector import SelectorNetwork
@@ -253,24 +253,29 @@ def pilot_step(
     return angle, index, AgentState(h, mu, angle)
 
 
-def pilot_episode(
-    episode: Episode, model: PilotModel, init: ViewingAngle | None = None
-) -> tuple[list[ViewingAngle], list[int]]:
-    """Fold :func:`pilot_step` over an episode.
+def greedy_picks(episode: Episode, model: PilotModel) -> np.ndarray:
+    """Each frame's slot by the argmax of the selector run over the episode."""
+    _, probs = model.selector.unroll(episode.flat[None])
+    return np.argmax(probs[0], axis=-1)
 
-    ``init`` defaults to the episode's first ground-truth angle, the
-    convention used uniformly by training and every benchmark method.
-    """
-    if init is None:
-        init = ViewingAngle(*episode.gt_track[0].tolist())
-    state = initial_state(model, init)
-    trajectory: list[ViewingAngle] = []
-    selections: list[int] = []
-    for frame in episode.frames:
-        angle, index, state = pilot_step(frame, state, model)
-        trajectory.append(angle)
-        selections.append(index)
-    return trajectory, selections
+
+def pilot_episode(
+    episode: Episode, model: PilotModel, picks: np.ndarray | None = None
+) -> tuple[Trajectory, np.ndarray]:
+    """The floats of :func:`pilot_step` folded over an episode from its first
+    ground-truth angle, as (trajectory, picks): the selector runs once and
+    its argmax picks each frame's slot (``picks``, from :func:`greedy_picks`
+    when not given), then :func:`steering_step` moves the view frame by
+    frame."""
+    picks = greedy_picks(episode, model) if picks is None else picks
+    frames = np.arange(len(episode))
+    xs = np.append(episode.motions[frames, picks], np.zeros((len(episode), 2)), axis=1)
+    step, mu, views = _model_steering_step(model), model.regressor.initial_state(), []
+    az, el = episode.gt_track[0].tolist()
+    for x, target in zip(xs, episode.positions[frames, picks].tolist()):
+        az, el, mu = step(x, *target, az, el, mu)
+        views.append((az, el))
+    return Trajectory(views), picks
 
 
 def write_trajectory(path, records, checkpoint_id: str, episode_index: int = 0, fh=None) -> None:

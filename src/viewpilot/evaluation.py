@@ -4,12 +4,12 @@ offline dynamic-programming view-path optimizer, and benchmark rows.
 The metrics take (..., T, 2) angle arrays and reduce the frame axis: MO
 averages ``geometry.nfov_iou`` over the frames, and MVD is reported in
 degrees per frame. A method maps an episode to a ``geometry.Trajectory`` of
-its length, built from arrays the method already holds; ``benchmark`` also
-takes any other sequence of ViewingAngles, converted once on return. It
-runs every method on one episode before the next, stacks each method's
-``Trajectory.array`` per group of equal-length episodes and calls each
-metric once per (method, length group). ``agent`` and ``selector_only``
-built together share one greedy selector pass per episode.
+its length, built from arrays the method already holds; the ``agent``
+method is ``agent.pilot_episode``. ``benchmark`` runs every method on one
+episode before the next, stacks each method's ``Trajectory.array`` per
+group of equal-length episodes and calls each metric once per (method,
+length group). ``agent`` and ``selector_only`` built together share one
+greedy selector pass per episode.
 ``offline_dp`` runs over the step x step view grid of ``default_view_grid``,
 prepared once per (grid_step, smooth_weight). Benchmark rows carry, per
 method, the MO/MVD means over episodes plus per-episode detail records,
@@ -25,12 +25,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .agent import PilotModel, steering_step
+from .agent import PilotModel, greedy_picks, pilot_episode
 from .errors import InvalidInput
 from .geometry import DEFAULT_H_SPAN, Trajectory, land_angles, nfov_iou, signed_azimuth_delta_array
 from .observation import Episode
 # Unused here; perfbench's tracer swaps these bindings and fails a check if one is missing.
-from .agent import pilot_episode  # noqa: F401
 from .observation import episode_arrays, synth_scene  # noqa: F401
 from .regressor import velocity_array
 from .training import DEFAULT_ETA
@@ -82,16 +81,10 @@ def greedy_salient(episode: Episode) -> Trajectory:
     return Trajectory(episode.positions[:, 0])
 
 
-def greedy_picks(episode: Episode, model: PilotModel) -> np.ndarray:
-    """Each frame's slot by the argmax of the selector run over the episode."""
-    _, probs = model.selector.unroll(episode.flat[None])
-    return np.argmax(probs[0], axis=-1)
-
-
 def selector_only(episode: Episode, model: PilotModel, picks: np.ndarray | None = None) -> Trajectory:
     """Run the trained selector greedily and emit the chosen object's
     position directly, skipping the refinement network. ``picks`` are
-    :func:`greedy_picks`, computed when not given."""
+    ``agent.greedy_picks``, computed when not given."""
     picks = greedy_picks(episode, model) if picks is None else picks
     return Trajectory(episode.positions[np.arange(len(picks)), picks])
 
@@ -101,24 +94,8 @@ def gt_replay(episode: Episode) -> Trajectory:
     return episode.gt
 
 
-def agent_pilot(episode: Episode, model: PilotModel, picks: np.ndarray | None = None) -> Trajectory:
-    """The full online agent, ``pilot_step`` folded over the episode from its
-    first ground-truth angle: the selector runs once and its argmax picks
-    each frame's slot (``picks``, as :func:`selector_only` takes them), then
-    ``agent.steering_step`` moves the view frame by frame."""
-    picks = greedy_picks(episode, model) if picks is None else picks
-    frames = np.arange(len(episode))
-    xs = np.append(episode.motions[frames, picks], np.zeros((len(episode), 2)), axis=1)
-    step, mu, views = steering_step(model), model.regressor.initial_state(), []
-    az, el = episode.gt_track[0].tolist()
-    for x, target in zip(xs, episode.positions[frames, picks].tolist()):
-        az, el, mu = step(x, *target, az, el, mu)
-        views.append((az, el))
-    return Trajectory(views)
-
-
 def _shared_picks(model: PilotModel) -> Callable[[Episode], np.ndarray]:
-    """:func:`greedy_picks` for ``agent`` and ``selector_only`` built together:
+    """``agent.greedy_picks`` for ``agent`` and ``selector_only`` built together:
     a call for the Episode object of the call before reuses its picks while
     that episode's ``flat`` and the selector weights equal what they were."""
     last = [None, [], None]  # the episode, copies of its flat and the weights, the picks
@@ -302,7 +279,7 @@ def build_methods(
         raise InvalidInput("agent and selector_only methods need a model checkpoint")
     picks = _shared_picks(model) if needs_model <= set(names) else lambda ep: None
     table: dict[str, Callable] = {
-        "agent": lambda ep: agent_pilot(ep, model, picks(ep)),
+        "agent": lambda ep: pilot_episode(ep, model, picks(ep))[0],
         "selector_only": lambda ep: selector_only(ep, model, picks(ep)),
         "center_hold": center_hold,
         "greedy_salient": greedy_salient,
@@ -320,7 +297,7 @@ def empty_frame_count(episode: Episode) -> int:
 
 
 def benchmark(
-    methods: dict[str, Callable[[Episode], Sequence]],
+    methods: dict[str, Callable[[Episode], Trajectory]],
     episodes: Sequence[Episode],
     h_span: float = DEFAULT_H_SPAN,
     jobs: int = 1,
@@ -331,9 +308,9 @@ def benchmark(
     index, mo, mvd, empty_frames), both in method order. MVD units are
     degrees per frame. Episodes run one after another, each through every
     method in turn: ``jobs`` must be 1. An episode shorter than the 3 frames
-    MVD needs is refused, by index, before any method runs, and a trajectory
-    of the wrong length as soon as it is returned. A returned sequence that
-    is not a Trajectory is converted to one there. Each metric runs once per
+    MVD needs is refused, by index, before any method runs, and a return
+    that is not a Trajectory of the episode's length as soon as it is
+    returned. Each metric runs once per
     method over the stacked trajectories of each group of equal-length
     episodes, giving the values of one (T, 2) call per episode.
     """
@@ -350,12 +327,12 @@ def benchmark(
     for i, ep in enumerate(episodes):
         for name, fn in methods.items():
             traj = fn(ep)
-            if len(traj) != len(ep):
+            if not isinstance(traj, Trajectory) or len(traj) != len(ep):
+                got = f"{len(traj)} angles" if isinstance(traj, Trajectory) else type(traj).__name__
                 raise InvalidInput(
-                    f"{name} returned {len(traj)} angles for episode {i} of {len(ep)} frames"
+                    f"{name} returned {got} for episode {i} of {len(ep)} frames, "
+                    "not a Trajectory of that length"
                 )
-            if not isinstance(traj, Trajectory):
-                traj = Trajectory([(p.azimuth, p.elevation) for p in traj])
             arrays[name].append(traj.array)
     rows, details = [], []
     empties = [empty_frame_count(ep) for ep in episodes]

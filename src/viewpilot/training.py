@@ -89,6 +89,8 @@ class TrainConfig:
             raise InvalidInput("batch_size, q_samples, checkpoint_interval must be >= 1, seq_len >= 2")
         if self.max_epochs < 0:
             raise InvalidInput(f"max_epochs must be >= 0, got {self.max_epochs}")
+        if self.q_samples == 1 and self.baseline:  # r - mean(r) is 0 for a single sample
+            raise InvalidInput("the mean reward baseline needs q_samples >= 2, got 1")
         for name in ("smooth_lambda", "grad_clip", "pg_weight"):
             require_positive(name, getattr(self, name), allow_zero=True)
         for name in ("eta", "lr_initial", "lr_decay", "lr_period"):
@@ -272,7 +274,7 @@ def rollout_window(
     )
 
 
-def rollout_loss(tape: RolloutTape, lam: float) -> tuple[float, float]:
+def rollout_loss(tape: RolloutTape) -> tuple[float, float]:
     """Mean-over-windows (regression, smoothness) sums for a tape."""
     reg, smo = loss_terms(tape.pred, tape.batch.gt)
     return float(reg.mean()), float(smo.mean())
@@ -474,7 +476,7 @@ def train_step(
             model, batch, rng=rng, q_samples=config.q_samples, eta=config.eta
         )
         group_share = len(group) / total_windows
-        reg_term, smo_term = rollout_loss(tape, config.smooth_lambda)
+        reg_term, smo_term = rollout_loss(tape)
         if not (np.isfinite(reg_term) and np.isfinite(smo_term)):
             for p in model.params():
                 p.zero_grad()

@@ -11,6 +11,7 @@ from viewpilot.agent import (
     AgentState,
     ModelDims,
     PilotModel,
+    greedy_picks,
     initial_state,
     load_model_checkpoint,
     params_digest,
@@ -22,7 +23,7 @@ from viewpilot.agent import (
 )
 from viewpilot.cli import EXIT_IO, main
 from viewpilot.errors import ConfigError, InvalidInput, NumericsError, ParseError, VersionError
-from viewpilot.geometry import ViewingAngle
+from viewpilot.geometry import Trajectory, ViewingAngle
 from viewpilot.observation import Episode, SceneConfig, synth_scene
 from viewpilot.training import TrainConfig
 
@@ -97,8 +98,8 @@ class TestPilotStep:
             ep.appearance[order], ep.positions[order], ep.motions[order], ep.scores[order],
             ep.gt_track[order],
         )
-        assert mutated.frames[cut:] != ep.frames[cut:]
-        partial, _ = pilot_episode(mutated, model, init=ep.gt[0])
+        assert mutated.frames[cut:] != ep.frames[cut:] and mutated.gt[0] == ep.gt[0]
+        partial, _ = pilot_episode(mutated, model)
         assert full[:cut] == partial[:cut]
 
 
@@ -128,6 +129,7 @@ class TestPilotEpisode:
         for t, frame in enumerate(ep.frames):
             angle, idx, state = pilot_step(frame, state, model)
             assert angle == traj[t] and idx == picks[t]
+        assert type(traj) is Trajectory and picks.tolist() == greedy_picks(ep, model).tolist()
 
 
 class TestCheckpoints:
@@ -303,7 +305,7 @@ class TestTrajectoryFiles:
         assert len(loaded) == 1
         header, angles, selections = loaded[0]
         assert header["checkpoint"] == "abc123"
-        assert angles == traj and selections == picks
+        assert angles == traj and selections == picks.tolist()
 
     def test_frame_records_are_the_json_dumps_bytes(self, tmp_path):
         rng = np.random.default_rng(3)

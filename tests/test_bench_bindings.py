@@ -88,3 +88,20 @@ def test_traced_benchmark_counts_one_iou_call_per_mean_overlap(monkeypatch):
     assert traced.stats["geometry.nfov_iou.calls"] == 4
     assert traced.stats["evaluation.mean_overlap.calls"] == 4
     assert traced.stats["evaluation.mean_velocity_difference.calls"] == 4
+
+
+def test_traced_benchmark_times_the_agent_method_as_pilot_episode(monkeypatch):
+    """The ``agent`` method is ``agent.pilot_episode`` reached through the
+    ``evaluation.pilot_episode`` binding, so the tracer counts one call per
+    episode; ``selector_only`` does not call it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    config = RunConfig()
+    episodes = observation.generate_dataset(config.scene, 3, 3)
+    model = agent.PilotModel(config.dims(), np.random.default_rng(0))
+    with tracer.Tracer() as traced:
+        assert traced.missing == []
+        methods = evaluation.build_methods(["agent", "selector_only"], model)
+        evaluation.benchmark(methods, episodes)
+    assert traced.stats["agent.pilot_episode.calls"] == 3

@@ -131,7 +131,10 @@ def test_bad_override_exits_4(tmp_path, capsys, override):
 
 @pytest.mark.parametrize(
     "override",
-    ["train.lr_initial=NaN", "train.seq_len=1", "model.selector_hidden=0", "train.lr_decay=0"],
+    [
+        "train.lr_initial=NaN", "train.seq_len=1", "model.selector_hidden=0", "train.lr_decay=0",
+        "train.q_samples=1",  # with the default mean baseline
+    ],
 )
 def test_bad_training_setting_exits_4(tmp_path, capsys, override):
     run = tmp_path / "run"

@@ -19,7 +19,6 @@ from viewpilot.errors import InvalidInput
 from viewpilot.evaluation import (
     BenchmarkRow,
     _dp_unaries,
-    agent_pilot,
     default_view_grid,
     empty_frame_count,
     gt_replay,
@@ -273,18 +272,19 @@ class TestBenchmark:
         with pytest.raises(InvalidInput, match="gt_replay returned 119 angles for episode 1 of 120"):
             evaluation.benchmark(short, episodes)
 
-    def test_a_list_of_the_angles_gives_what_the_trajectory_gives(self):
+    def test_a_return_other_than_a_trajectory_is_refused(self):
         episodes = [synth_scene(SCENE, 1), synth_scene(dataclasses.replace(SCENE, frames=40), 2)]
         methods = evaluation.build_methods(evaluation.METHOD_NAMES, model=_model(0, 0.5))
         assert all(type(fn(ep)) is Trajectory for fn in methods.values() for ep in episodes)
-        as_lists = {name: lambda ep, fn=fn: list(fn(ep)) for name, fn in methods.items()}
-        as_tuples = {name: lambda ep, fn=fn: tuple(fn(ep)) for name, fn in methods.items()}
-        expected = repr(evaluation.benchmark(methods, episodes))
-        assert repr(evaluation.benchmark(as_lists, episodes)) == expected
-        assert repr(evaluation.benchmark(as_tuples, episodes)) == expected
-        bad = {"gt_replay": lambda ep: [*gt_replay(ep)[:-1], ViewingAngle(1.0, 2.0), "x"][1:]}
-        with pytest.raises(AttributeError):  # an item that is no angle fails the conversion
-            evaluation.benchmark(bad, episodes)
+        for wrap, got in ((list, "list"), (tuple, "tuple"), (lambda t: t.array, "ndarray")):
+            bad = {**methods, "gt_replay": lambda ep, wrap=wrap: wrap(gt_replay(ep))}
+            message = f"gt_replay returned {got} for episode 0 of 60 frames, not a Trajectory"
+            with pytest.raises(InvalidInput, match=message):
+                evaluation.benchmark(bad, episodes)
+        agent = methods["agent"]
+        short = {"agent": lambda ep: agent(ep)[1:] if len(ep) == 40 else agent(ep)}
+        with pytest.raises(InvalidInput, match="agent returned 39 angles for episode 1 of 40 frames"):
+            evaluation.benchmark(short, episodes)
 
     def test_agent_and_selector_only_share_one_selector_pass(self, monkeypatch):
         model = _model(0, 0.5)
@@ -439,7 +439,18 @@ def _forced_rollout(model, episode):
     return picks[0], rollout_window(model, batch, forced_indices=picks).pred[0]
 
 
-class TestAgentPilot:
+def _pilot_step_fold(episode, model):
+    """``pilot_step`` folded frame by frame from the first ground-truth
+    angle: (angles, picks)."""
+    state, angles, picks = initial_state(model, episode.gt[0]), [], []
+    for frame in episode.frames:
+        angle, index, state = pilot_step(frame, state, model)
+        angles.append(angle)
+        picks.append(index)
+    return angles, picks
+
+
+class TestPilotEpisode:
     @pytest.mark.parametrize("model_seed", [7, 8, 9])
     @pytest.mark.parametrize("scale", [0.0, 0.3])
     def test_training_kernel_and_online_fold_equal_the_agent(
@@ -449,11 +460,14 @@ class TestAgentPilot:
         rng = np.random.default_rng([model_seed, 1])
         for p in model.params():  # nonzero biases put their sums' order to the test
             p.values += scale * rng.normal(size=p.shape)
+        method = evaluation.build_methods(["agent"], model)["agent"]
         for episode in reference_test_split:
-            agent = agent_pilot(episode, model)
+            agent, agent_picks = pilot_episode(episode, model)
             picks, pred = _forced_rollout(model, episode)
             assert pred.tolist() == [[a.azimuth, a.elevation] for a in agent]
-            assert pilot_episode(episode, model) == (agent, picks.tolist())
+            assert agent_picks.tolist() == picks.tolist()
+            assert _pilot_step_fold(episode, model) == (agent, picks.tolist())
+            assert method(episode) == agent
 
     @pytest.mark.parametrize(
         "weight, index", [("regressor.head.w", (1, 0)), ("regressor.cell.w_hh", (0, 0))]
@@ -466,17 +480,19 @@ class TestAgentPilot:
         az, el = pred[np.argmin(np.isfinite(pred).all(axis=1))].tolist()
         message = f"non-finite viewing angle ({az}, {el})"
         assert np.isnan(el)  # a NaN elevation is not clamped away
-        for pilot in (agent_pilot, lambda ep, m: pilot_episode(ep, m)[0]):
+        for pilot in (pilot_episode, _pilot_step_fold):
             with pytest.raises(InvalidInput) as err:
                 pilot(episode, model)
             assert str(err.value) == message
 
     @pytest.mark.parametrize("seed, scale", [(0, 0.0), (1, 0.5), (2, 2.0)])
-    def test_equals_pilot_episode(self, seed, scale):
+    def test_equals_the_pilot_step_fold(self, seed, scale):
         model, episode = _model(seed, scale), synth_scene(SCENE, 10 + seed)
-        trajectory, selections = pilot_episode(episode, model)
+        trajectory, selections = _pilot_step_fold(episode, model)
         assert len(set(selections)) > 1
-        assert agent_pilot(episode, model) == trajectory
+        agent, picks = pilot_episode(episode, model)
+        assert agent == trajectory and picks.tolist() == selections
+        assert pilot_episode(episode, model, picks)[0] == trajectory
 
     def test_mismatched_dims_are_invalid_input(self):
         model = _model()
@@ -484,7 +500,7 @@ class TestAgentPilot:
         with pytest.raises(InvalidInput):
             pilot_step(other.frames[0], initial_state(model, other.gt[0]), model)
         with pytest.raises(InvalidInput):
-            agent_pilot(other, model)
+            pilot_episode(other, model)
 
 
 # SHA-256 of the six-method benchmark rows and detail records at the

@@ -225,7 +225,7 @@ class TestRolloutContracts:
         picks = np.argmax(model.selector.unroll(batch.flat)[1], axis=-1)
         tape = rollout_window(model, batch, forced_indices=picks)
         trajectory, selections = pilot_episode(episode, model)
-        assert tape.indices[0, :, 0].tolist() == selections
+        assert tape.indices[0, :, 0].tolist() == selections.tolist()
         online = np.array([[a.azimuth, a.elevation] for a in trajectory])
         daz = signed_azimuth_delta_array(tape.pred[0, :, 0] - online[:, 0])
         assert np.max(np.abs(daz)) <= 1e-12
@@ -334,6 +334,25 @@ class TestPolicyUpstreamExpectation:
 def test_train_config_refuses_an_out_of_range_or_nan_field(field, value):
     with pytest.raises(InvalidInput):
         TrainConfig(**{field: value})
+
+
+def test_train_config_refuses_one_sample_with_the_mean_baseline():
+    with pytest.raises(InvalidInput, match="baseline needs q_samples >= 2, got 1"):
+        TrainConfig(q_samples=1)
+    assert TrainConfig(q_samples=1, baseline=False).q_samples == 1
+
+
+def test_a_step_with_one_unbaselined_sample_moves_the_selector():
+    """With the mean baseline a single sample's policy-gradient terms are all
+    zero, so Q=1 trains the selector only without it."""
+    model, episodes = _model(), generate_dataset(SCENE, 3, 2)
+    arrays = [episode_arrays(ep) for ep in episodes]
+    windows = slice_windows([len(ep) for ep in episodes], 20)
+    config = TrainConfig(q_samples=1, baseline=False)
+    before = [p.values.copy() for p in model.selector.params()]
+    train_step(model, arrays, windows, config, 0.02, np.random.default_rng(0))
+    moved = max(np.abs(p.values - b).max() for p, b in zip(model.selector.params(), before))
+    assert moved > 1e-4
 
 
 @pytest.mark.parametrize(
