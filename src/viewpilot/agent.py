@@ -19,6 +19,7 @@ reads, validates and verifies it.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 
@@ -266,8 +267,14 @@ def pilot_episode(
     ground-truth angle, as (trajectory, picks): the selector runs once and
     its argmax picks each frame's slot (``picks``, from :func:`greedy_picks`
     when not given), then :func:`steering_step` moves the view frame by
-    frame."""
-    picks = greedy_picks(episode, model) if picks is None else picks
+    frame. Given ``picks`` must be an integer array of the episode's length
+    with every value in [0, N), else InvalidInput."""
+    picks = greedy_picks(episode, model) if picks is None else np.asarray(picks)
+    t_total, n = episode.scores.shape
+    if picks.dtype.kind not in "iu" or picks.shape != (t_total,) or np.any((picks < 0) | (picks >= n)):
+        raise InvalidInput(
+            f"picks must be {t_total} integers in [0, {n}), got {picks.dtype} {picks.shape}"
+        )
     frames = np.arange(len(episode))
     xs = np.append(episode.motions[frames, picks], np.zeros((len(episode), 2)), axis=1)
     step, mu, views = _model_steering_step(model), model.regressor.initial_state(), []
@@ -279,48 +286,54 @@ def pilot_episode(
 
 
 def write_trajectory(path, records, checkpoint_id: str, episode_index: int = 0, fh=None) -> None:
-    """Write one episode's piloted trajectory as JSON lines.
+    """Write one episode's piloted trajectory as JSON lines to the open file
+    ``fh`` (left open), or else to a new file at ``path``.
 
     ``records`` yields (frame_index, ViewingAngle, selected_index). A header
     line carrying the checkpoint identifier precedes the frame records.
     """
-    own = fh is None
-    if own:
-        fh = open(path, "w", encoding="utf-8")
-    try:
+    with open(path, "w", encoding="utf-8") if fh is None else contextlib.nullcontext(fh) as fh:
         fh.write(json.dumps({"checkpoint": checkpoint_id, "episode": episode_index}) + "\n")
         for t, angle, selected in records:  # as json.dumps(rec, separators=(",", ":")) writes it
             az, el = angle.azimuth, angle.elevation
             fh.write(f'{{"frame":{t:d},"azimuth":{az!r},"elevation":{el!r},"selected":{selected:d}}}\n')
-    finally:
-        if own:
-            fh.close()
 
 
-def read_trajectories(path) -> list[tuple[dict, list[ViewingAngle], list[int]]]:
-    """Read a trajectory file back as (header, angles, selections) per episode.
-    Frames must count up from 0, selections be integers >= 0, and no value a boolean."""
-    out = []
+def read_trajectories(path) -> list[tuple[dict, Trajectory, list[int]]]:
+    """Read a trajectory file back as (header, angles, selections) per
+    episode, the angles one Trajectory. A header holds only ``checkpoint``,
+    a string, and ``episode``, counting up from 0 in the file; frames must
+    count up from 0, selections be integers >= 0, and no value a boolean."""
+    episodes = []  # (header, landed angle rows, selections)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             rec = _parse_json_line(line, lineno)
             if "checkpoint" in rec:
-                out.append((rec, [], []))
+                header = {"checkpoint": rec["checkpoint"], "episode": len(episodes)}
+                if rec != header or type(rec["checkpoint"]) is not str or type(rec["episode"]) is not int:
+                    raise ParseError(
+                        f"header {rec!r} is not {{checkpoint: <a string>, episode: {len(episodes)}}}",
+                        line=lineno,
+                    )
+                episodes.append((rec, [], []))
                 continue
-            if not out:
+            if not episodes:
                 raise ParseError("frame record before any header", line=lineno)
-            _, angles, selections = out[-1]
+            _, rows, selections = episodes[-1]
             try:
                 if bool in map(type, rec.values()):
                     raise ValueError("a value is a boolean")
                 frame, selected = rec["frame"], rec["selected"]
-                if type(frame) is not int or frame != len(angles):
-                    raise ValueError(f"frame {frame!r} should be {len(angles)}")
+                if type(frame) is not int or frame != len(rows):
+                    raise ValueError(f"frame {frame!r} should be {len(rows)}")
                 if type(selected) is not int or selected < 0:
                     raise ValueError(f"selected {selected!r} is not a non-negative integer")
                 angle = ViewingAngle(rec["azimuth"], rec["elevation"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"bad frame record: {exc!r}", line=lineno) from exc
-            angles.append(angle)
+            rows.append((angle.azimuth, angle.elevation))
             selections.append(selected)
-    return out
+    return [
+        (header, Trajectory(np.reshape(rows, (-1, 2))), selections)
+        for header, rows, selections in episodes
+    ]

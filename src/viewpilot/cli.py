@@ -22,6 +22,7 @@ import numpy as np
 from . import evaluation
 from .agent import ModelDims, initial_state, load_model_checkpoint, pilot_step, write_trajectory
 from .config import RunConfig, apply_overrides, load_run_config
+from .diffcore import require_positive
 from .errors import ConfigError, InvalidInput, NumericsError, ParseError, PilotError
 from .gradcheck import MODES, check_model, check_trajectory_loss
 from .observation import generate_dataset, load_episodes, save_episodes, stream_episodes
@@ -132,33 +133,26 @@ def format_benchmark(rows: list[evaluation.BenchmarkRow]) -> str:
 def cmd_eval(args) -> int:
     config = _load_config(args)
     names = [m.strip() for m in args.methods.split(",") if m.strip()]
-    unknown = [n for n in names if n not in evaluation.METHOD_NAMES]
-    if unknown or not names:
-        problem = f"unknown methods {unknown}" if unknown else "no methods given"
-        print(f"{problem}; valid methods: {', '.join(evaluation.METHOD_NAMES)}", file=sys.stderr)
-        return EXIT_USAGE
     if "offline_dp" in names:
         try:
             evaluation.check_grid_step(config.eval.grid_step)
         except InvalidInput as exc:
             raise ConfigError(exc) from None
-    episodes = load_episodes(args.data)
     model = None
     checkpoint_id = "none"
-    if {"agent", "selector_only"} & set(names):
-        if not args.checkpoint:
-            print("--checkpoint is required for agent/selector_only methods", file=sys.stderr)
-            return EXIT_USAGE
+    if args.checkpoint and set(evaluation.MODEL_METHODS) & set(names):
         model, ckpt = load_model_checkpoint(args.checkpoint, expect_dims=config.dims())
-        _check_episode_dims(_slot_dims(episodes), model.dims, "the checkpoint's")
         checkpoint_id = ckpt.digest
-    methods = evaluation.build_methods(
+    methods = evaluation.build_methods(  # refuses bad method names before the data is read
         names,
         model=model,
         grid_step=config.eval.grid_step,
         dp_smooth_weight=config.eval.dp_smooth_weight,
         eta=config.train.eta,
     )
+    episodes = load_episodes(args.data)
+    if model is not None:
+        _check_episode_dims(_slot_dims(episodes), model.dims, "the checkpoint's")
     rows, details = evaluation.benchmark(methods, episodes, h_span=config.eval.h_span)
     print(f"checkpoint: {checkpoint_id}")
     print(format_benchmark(rows))
@@ -193,24 +187,19 @@ def cmd_gradcheck(args) -> int:
     tolerance = args.tolerance
     failures = []
     for seed in range(args.seeds):
-        for mode in MODES:
-            result = check_model(
-                mode,
-                seed,
-                tolerance=tolerance,
-                corrupt=args.corrupt if mode == args.corrupt_mode else None,
+        results = {  # --corrupt applies to the joint check, which covers every parameter
+            mode: check_model(
+                mode, seed, tolerance=tolerance, corrupt=args.corrupt if mode == "joint" else None
             )
+            for mode in MODES
+        }
+        results["trajectory_loss"] = check_trajectory_loss(seed, tolerance=tolerance)
+        for label, result in results.items():
             name, err = result.worst
             status = "pass" if result.passed else "FAIL"
-            print(f"{mode}@seed{seed}: {status} (worst {name} rel err {err:.3g})")
+            print(f"{label}@seed{seed}: {status} (worst {name} rel err {err:.3g})")
             if not result.passed:
-                failures.append(f"{mode}@seed{seed}:{name}")
-        result = check_trajectory_loss(seed, tolerance=tolerance)
-        name, err = result.worst
-        status = "pass" if result.passed else "FAIL"
-        print(f"trajectory_loss@seed{seed}: {status} (worst {name} rel err {err:.3g})")
-        if not result.passed:
-            failures.append(f"trajectory_loss@seed{seed}")
+                failures.append(f"{label}@seed{seed}:{name}")
     if failures:
         print(f"gradient check FAILED: {failures}", file=sys.stderr)
         return EXIT_GRADCHECK_FAILED
@@ -218,16 +207,16 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def _positive(kind):
-    """An argparse type: a finite value of ``kind`` above zero."""
+def _positive(kind, allow_zero=False):
+    """An argparse type: a value of ``kind`` that ``diffcore.require_positive``
+    takes."""
 
     def parse(text: str):
         try:
             value = kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-        if not 0 < value < float("inf"):
-            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+            require_positive("the value", value, allow_zero)
+        except ValueError as exc:  # InvalidInput is a ValueError
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
 
     return parse
@@ -252,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic episode dataset")
     common(p)
-    p.add_argument("--seed", type=int, help="dataset seed (default from config)")
+    p.add_argument("--seed", type=_positive(int, allow_zero=True), help="dataset seed (default: config)")
     p.add_argument("--count", type=_positive(int), help="number of episodes (default from config)")
     p.add_argument("--out", required=True, help="output episode file")
     p.set_defaults(func=cmd_gen_data)
@@ -269,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="benchmark methods on a test set")
     common(p)
     p.add_argument("--data", required=True, help="test episode file")
-    p.add_argument("--checkpoint", help="model checkpoint (needed for agent/selector_only)")
+    p.add_argument("--checkpoint", help=f"model checkpoint, for {'/'.join(evaluation.MODEL_METHODS)}")
     p.add_argument(
         "--methods",
         default="agent,selector_only,center_hold,greedy_salient,offline_dp",
@@ -288,13 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seeds", type=_positive(int), default=10, help="number of random seeds")
     p.add_argument("--tolerance", type=_positive(float), default=1e-4)
-    p.add_argument("--corrupt", help="perturb this parameter's gradient (negative control)")
-    p.add_argument(
-        "--corrupt-mode",
-        default="joint",
-        choices=MODES,
-        help="which check the corruption applies to",
-    )
+    p.add_argument("--corrupt", help="perturb this parameter's joint-check gradient (negative control)")
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .agent import ModelDims
+from .diffcore import require_positive
 from .errors import ConfigError, InvalidInput
 from .evaluation import DEFAULT_DP_SMOOTH_WEIGHT, DEFAULT_GRID_STEP
 from .geometry import DEFAULT_H_SPAN
@@ -39,6 +40,7 @@ class DataConfig:
     def __post_init__(self):
         if min(self.train_count, self.test_count) < 1:
             raise InvalidInput("train_count and test_count must be >= 1")
+        require_positive("seed", self.seed, allow_zero=True)  # numpy refuses a negative seed
 
 
 @dataclass(frozen=True)

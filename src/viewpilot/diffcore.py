@@ -20,7 +20,7 @@ since ``dot`` contracts N-D operands differently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -212,13 +212,10 @@ class LrSchedule:
         return self.initial * self.decay ** (epoch // self.period)
 
 
-def global_grad_norm(params: Iterable[ParamTensor]) -> float:
-    return float(np.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params)))
-
-
 def clip_gradients(params: Sequence[ParamTensor], max_norm: float) -> float:
-    """Scale all gradients down to a global norm of ``max_norm`` if exceeded."""
-    norm = global_grad_norm(params)
+    """Scale all gradients down to a global norm of ``max_norm`` if exceeded;
+    returns the norm before scaling."""
+    norm = float(np.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params)))
     if norm > max_norm:
         scale = max_norm / norm
         for p in params:

@@ -259,6 +259,7 @@ class BenchmarkRow:
 
 
 METHOD_NAMES = ("agent", "selector_only", "center_hold", "greedy_salient", "offline_dp", "gt_replay")
+MODEL_METHODS = ("agent", "selector_only")  # the methods that run a model
 
 
 def build_methods(
@@ -268,16 +269,17 @@ def build_methods(
     dp_smooth_weight: float = DEFAULT_DP_SMOOTH_WEIGHT,
     eta: float = DEFAULT_ETA,
 ) -> dict[str, Callable[[Episode], Trajectory]]:
-    """Resolve method names to episode -> trajectory callables. ``agent``
-    and ``selector_only`` built together share one selector pass per episode
-    (see :func:`benchmark`)."""
+    """Resolve method names to episode -> trajectory callables. An empty
+    list, an unknown name, or a method of ``MODEL_METHODS`` without a model
+    raises InvalidInput. ``agent`` and ``selector_only`` built together share
+    one selector pass per episode (see :func:`benchmark`)."""
     unknown = [n for n in names if n not in METHOD_NAMES]
-    if unknown:
-        raise InvalidInput(f"unknown methods {unknown}; valid: {list(METHOD_NAMES)}")
-    needs_model = {"agent", "selector_only"}
-    if needs_model & set(names) and model is None:
-        raise InvalidInput("agent and selector_only methods need a model checkpoint")
-    picks = _shared_picks(model) if needs_model <= set(names) else lambda ep: None
+    if unknown or not names:
+        problem = f"unknown methods {unknown}" if unknown else "no methods given"
+        raise InvalidInput(f"{problem}; valid methods: {', '.join(METHOD_NAMES)}")
+    if set(MODEL_METHODS) & set(names) and model is None:
+        raise InvalidInput(f"the methods {'/'.join(MODEL_METHODS)} need a model checkpoint")
+    picks = _shared_picks(model) if set(MODEL_METHODS) <= set(names) else lambda ep: None
     table: dict[str, Callable] = {
         "agent": lambda ep: pilot_episode(ep, model, picks(ep))[0],
         "selector_only": lambda ep: selector_only(ep, model, picks(ep)),

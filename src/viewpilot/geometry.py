@@ -40,10 +40,22 @@ def signed_azimuth_delta(delta: float) -> float:
     return 180.0 if reduced == -180.0 else reduced
 
 
-def signed_azimuth_delta_array(delta: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`signed_azimuth_delta`."""
-    reduced = np.mod(delta + 180.0, 360.0) - 180.0
-    return np.where(reduced == -180.0, 180.0, reduced)
+def signed_azimuth_delta_array(delta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized :func:`signed_azimuth_delta`, into ``out`` (a new float64
+    array by default; ``delta`` itself works)."""
+    out = np.add(delta, 180.0, out=np.empty(np.shape(delta)) if out is None else out)
+    np.remainder(out, 360.0, out=out)
+    out -= 180.0
+    out[out == -180.0] = 180.0
+    return out
+
+
+def angle_offsets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Wrap-aware a - b of (..., 2) angle arrays: the azimuth difference
+    reduced in place by :func:`signed_azimuth_delta_array`."""
+    out = np.subtract(a, b)
+    signed_azimuth_delta_array(out[..., 0], out=out[..., 0])
+    return out
 
 
 def land_angles(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -44,13 +44,12 @@ CHECK_DIMS = ModelDims(
 )
 CHECK_FRAMES = 10
 CHECK_LAMBDA = 10.0  # smoothness weight of the trajectory loss in every check
-MODES = ("selector", "regressor", "joint")
-
 _MODE_WEIGHTS = {
     "selector": (0.0, 1.0),  # (supervised weight, policy-gradient weight)
     "regressor": (1.0, 0.0),
     "joint": (1.0, 1.0),
 }
+MODES = tuple(_MODE_WEIGHTS)
 
 
 def make_check_batch(

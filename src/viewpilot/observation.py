@@ -254,10 +254,6 @@ class SceneConfig:
         if broken:
             raise InvalidInput(f"scene config needs {'; '.join(broken)}")
 
-    @property
-    def flat_dim(self) -> int:
-        return (self.appearance_dim + 2 + self.motion_bins) * self.slots
-
 
 def _step(speed: float, heading: float) -> tuple[float, float]:
     """(x, y) step of ``speed`` along ``heading`` degrees by numpy's cos, sin."""

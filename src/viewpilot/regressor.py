@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .diffcore import Linear, TanhRnnCell
-from .geometry import signed_azimuth_delta_array
+from .geometry import angle_offsets
 
 
 ACTION_GAIN = 8.0  # init scale of the steering head; outputs are degrees/frame
@@ -40,12 +40,6 @@ class RegressorNetwork:
         return np.zeros(self.hidden_dim)
 
 
-def _offsets(pred: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Wrap-aware (pred - ref) offsets for (..., 2) angle arrays."""
-    out = pred - ref
-    return np.stack([signed_azimuth_delta_array(out[..., 0]), out[..., 1]], axis=-1)
-
-
 def _unit(vec: np.ndarray) -> np.ndarray:
     """vec / ||vec|| rows, with zero rows kept zero (subgradient choice)."""
     norm = np.linalg.norm(vec, axis=-1, keepdims=True)
@@ -59,13 +53,13 @@ def velocity_array(pred: np.ndarray) -> np.ndarray:
     angle precedes the first frame.
     """
     v = np.zeros_like(pred)
-    v[..., 1:, :] = _offsets(pred[..., 1:, :], pred[..., :-1, :])
+    v[..., 1:, :] = angle_offsets(pred[..., 1:, :], pred[..., :-1, :])
     return v
 
 
 def loss_terms(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(regression, smoothness) sums for (B, T, 2) batches; returns (B,) arrays."""
-    reg = np.linalg.norm(_offsets(pred, gt), axis=-1).sum(axis=-1)
+    reg = np.linalg.norm(angle_offsets(pred, gt), axis=-1).sum(axis=-1)
     v = velocity_array(pred)
     smo = np.linalg.norm(np.diff(v, axis=-2), axis=-1).sum(axis=-1)
     return reg, smo
@@ -77,7 +71,7 @@ def loss_grad(pred: np.ndarray, gt: np.ndarray, lam: float) -> np.ndarray:
     Uses the zero subgradient at the norms' kinks. Wrapping reduces
     offsets by constants, so its derivative is 1 almost everywhere.
     """
-    grad = _unit(_offsets(pred, gt))
+    grad = _unit(angle_offsets(pred, gt))
     w_hat = _unit(np.diff(velocity_array(pred), axis=-2))  # (B, T-1, 2)
     dv = np.zeros_like(pred)  # dLoss/dv_t
     dv[..., 1:, :] += w_hat

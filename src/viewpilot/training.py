@@ -42,7 +42,7 @@ import numpy as np
 from .agent import ModelDims, PilotModel, save_model_checkpoint, load_model_checkpoint
 from .diffcore import LrSchedule, require_positive
 from .errors import ConfigError, InvalidInput, NumericsError, ParseError, StateError, VersionError
-from .geometry import land_angles, signed_azimuth_delta_array
+from .geometry import angle_offsets, land_angles
 from .observation import OFFSET_SCALE, Episode, episode_arrays
 from .regressor import loss_grad, loss_terms
 
@@ -55,8 +55,8 @@ def reward_array(pred: np.ndarray, gt: np.ndarray, eta: float) -> np.ndarray:
     1 at zero distance, falling linearly to 0 at ``eta`` degrees, and -1
     beyond ``eta`` (the predicted view no longer covers the target).
     """
-    daz = signed_azimuth_delta_array(pred[..., 0] - gt[..., 0])
-    dist = np.hypot(daz, pred[..., 1] - gt[..., 1])
+    off = angle_offsets(pred, gt)
+    dist = np.hypot(off[..., 0], off[..., 1])
     return np.where(dist <= eta, 1.0 - dist / eta, -1.0)
 
 
@@ -95,6 +95,7 @@ class TrainConfig:
             require_positive(name, getattr(self, name), allow_zero=True)
         for name in ("eta", "lr_initial", "lr_decay", "lr_period"):
             require_positive(name, getattr(self, name))
+        require_positive("seed", self.seed, allow_zero=True)  # numpy refuses a negative seed
 
     def schedule(self) -> LrSchedule:
         return LrSchedule(self.lr_initial, self.lr_decay, self.lr_period)
@@ -107,7 +108,9 @@ class TrainConfig:
 
 @dataclass
 class WindowBatch:
-    """A batch of same-length episode windows packed into arrays."""
+    """A batch of same-length episode windows packed into arrays;
+    :func:`pack_windows` makes ``motions`` a view of ``flat``'s motion
+    block, as ``Episode.motions`` is of the episode's."""
 
     flat: np.ndarray  # (B, T, D)
     positions: np.ndarray  # (B, T, N, 2)
@@ -124,15 +127,9 @@ class WindowBatch:
 
 
 def _follow_offset(pos: np.ndarray, angle: np.ndarray, out: np.ndarray) -> None:
-    """The regressor's offset input into ``out``: wrap-aware pos - angle
-    (signed_azimuth_delta_array, in place) over OFFSET_SCALE."""
-    off = pos - angle
-    az = off[..., 0]
-    az += 180.0
-    az %= 360.0
-    az -= 180.0
-    az[az == -180.0] = 180.0
-    np.divide(off, OFFSET_SCALE, out=out)
+    """The regressor's offset input into ``out``: ``geometry.angle_offsets``
+    (pos - angle, azimuth reduced in place) over OFFSET_SCALE."""
+    np.divide(angle_offsets(pos, angle), OFFSET_SCALE, out=out)
 
 
 @dataclass
@@ -434,15 +431,17 @@ def slice_windows(lengths, seq_len: int) -> list[Window]:
 
 
 def pack_windows(arrays, windows: list[Window]) -> WindowBatch:
-    """Stack same-length windows of the episodes ``arrays`` into one batch."""
+    """Stack same-length windows of the episodes ``arrays`` into one batch.
+    Only ``flat``, ``positions`` and ``gt_track`` are stacked: the batch's
+    ``motions`` (B, T, N, k) is a view of the stacked ``flat``'s last block."""
     spans = {w.stop - w.start for w in windows}
     if len(spans) != 1:
         raise InvalidInput(f"windows in one batch must share a length, got {sorted(spans)}")
     flat = np.stack([arrays[w.episode].flat[w.start : w.stop] for w in windows])
     pos = np.stack([arrays[w.episode].positions[w.start : w.stop] for w in windows])
-    mot = np.stack([arrays[w.episode].motions[w.start : w.stop] for w in windows])
     gt = np.stack([arrays[w.episode].gt_track[w.start : w.stop] for w in windows])
-    return WindowBatch(flat, pos, mot, gt)
+    n, k = arrays[windows[0].episode].motions.shape[1:]
+    return WindowBatch(flat, pos, flat[..., -n * k :].reshape(*pos.shape[:3], k), gt)
 
 
 def train_step(

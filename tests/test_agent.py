@@ -131,6 +131,31 @@ class TestPilotEpisode:
             assert angle == traj[t] and idx == picks[t]
         assert type(traj) is Trajectory and picks.tolist() == greedy_picks(ep, model).tolist()
 
+    def test_given_picks_steer_as_the_greedy_ones(self):
+        model, ep = _model(6), _episode(6)
+        traj, picks = pilot_episode(ep, model)
+        for given in (picks, picks.tolist(), picks.astype(np.uint8)):
+            assert pilot_episode(ep, model, given)[0] == traj
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: np.where(np.arange(len(p)) == 3, -1, p),
+            lambda p: np.where(np.arange(len(p)) == 3, DIMS.slots, p),
+            lambda p: p[:-1],
+            lambda p: np.append(p, 0),
+            lambda p: p.astype(float),
+            lambda p: p > 0,
+            lambda p: p[None],
+        ],
+        ids=["negative", "N", "short", "long", "float", "boolean", "2-D"],
+    )
+    def test_bad_picks_are_refused(self, edit):
+        model, ep = _model(6), _episode(6)
+        _, picks = pilot_episode(ep, model)
+        with pytest.raises(InvalidInput, match="picks must be 30 integers in \\[0, 4\\)"):
+            pilot_episode(ep, model, edit(picks))
+
 
 class TestCheckpoints:
     @staticmethod
@@ -285,6 +310,7 @@ class TestCheckpoints:
 
 
 HEADER = '{"checkpoint":"abc","episode":0}'
+SECOND_HEADER = '{"checkpoint":"abc","episode":1}'
 
 
 def _record(frame="0", azimuth="1.0", elevation="2.0", selected="0") -> str:
@@ -304,8 +330,35 @@ class TestTrajectoryFiles:
         loaded = read_trajectories(path)
         assert len(loaded) == 1
         header, angles, selections = loaded[0]
-        assert header["checkpoint"] == "abc123"
-        assert angles == traj and selections == picks.tolist()
+        assert header == {"checkpoint": "abc123", "episode": 0}
+        assert type(angles) is Trajectory and angles == traj and selections == picks.tolist()
+
+    def test_reads_back_the_pilot_step_angles(self, tmp_path):
+        # the comparison of the benchmark's eval workload: a list of read
+        # Trajectories equals the lists of online pilot_step angles
+        model, path = _model(9), tmp_path / "traj.jsonl"
+        online = []
+        with open(path, "w", encoding="utf-8") as fh:
+            for index, ep in enumerate([_episode(9), _episode(10)]):
+                state, records = initial_state(model, ep.gt[0]), []
+                for t, frame in enumerate(ep.frames):
+                    angle, selected, state = pilot_step(frame, state, model)
+                    records.append((t, angle, selected))
+                write_trajectory(None, records, "abc", episode_index=index, fh=fh)
+                online.append([angle for _, angle, _ in records])
+        streamed = [angles for _, angles, _ in read_trajectories(path)]
+        assert all(type(angles) is Trajectory for angles in streamed)
+        assert streamed == online and online == streamed
+        assert [a.array.tolist() for a in streamed] == [
+            [[v.azimuth, v.elevation] for v in angles] for angles in online
+        ]
+
+    def test_an_episode_without_frames_reads_as_an_empty_trajectory(self, tmp_path):
+        path = tmp_path / "traj.jsonl"
+        path.write_text("\n".join([HEADER, SECOND_HEADER, _record()]) + "\n")
+        (_, empty, none), (_, one, sel) = read_trajectories(path)
+        assert type(empty) is Trajectory and empty.array.shape == (0, 2) and none == []
+        assert one == [ViewingAngle(1.0, 2.0)] and sel == [0]
 
     def test_frame_records_are_the_json_dumps_bytes(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -338,18 +391,32 @@ class TestTrajectoryFiles:
             ([HEADER, _record(), _record()], 3),
             ([HEADER, _record(frame="0.0")], 2),
             ([HEADER, _record(frame="false")], 2),
-            ([HEADER, _record(), HEADER, _record(frame="1")], 4),
+            ([HEADER, _record(), SECOND_HEADER, _record(frame="1")], 4),
             ([HEADER, _record(azimuth="true")], 2),
             ([HEADER, _record(elevation="false")], 2),
             ([HEADER, _record()[:-1] + ',"note":true}'], 2),
             ([HEADER, _record(azimuth="NaN")], 2),
+            ([HEADER, _record(elevation='"2.0"')], 2),
+            ([HEADER, _record(azimuth="1" + "0" * 400)], 2),
+            (['{"checkpoint": true, "episode": "zero", "frame": 3}', _record()], 1),
+            (['{"checkpoint": "abc"}', _record()], 1),
+            (['{"checkpoint": "abc", "episode": 0, "frame": 0}'], 1),
+            (['{"checkpoint": 7, "episode": 0}'], 1),
+            (['{"checkpoint": "abc", "episode": false}'], 1),
+            (['{"checkpoint": "abc", "episode": 0.0}'], 1),
+            ([SECOND_HEADER], 1),
+            ([HEADER, _record(), HEADER], 3),
+            ([HEADER, '{"checkpoint":"abc","episode":2}'], 2),
         ],
         ids=[
             "no header", "truncated record", "missing field", "selected string",
             "selected negative", "selected float", "selected boolean", "frame not from zero",
             "frame skips", "frame repeats", "frame float", "frame boolean",
             "frame not restarted", "azimuth boolean", "elevation boolean", "extra boolean",
-            "non-finite angle",
+            "non-finite angle", "angle string", "angle past the float range",
+            "header with other types and keys", "header without episode", "header with a frame",
+            "checkpoint not a string", "episode boolean", "episode float",
+            "episode not from zero", "episode repeats", "episode skips",
         ],
     )
     def test_malformed_file_is_a_parse_error_naming_the_line(self, tmp_path, lines, bad_line):
@@ -373,7 +440,7 @@ class TestTrajectoryFiles:
 
     def test_frames_count_from_zero_in_each_episode(self, tmp_path):
         path = tmp_path / "traj.jsonl"
-        lines = [HEADER, _record(), _record(frame="1", selected="3"), HEADER, _record()]
+        lines = [HEADER, _record(), _record(frame="1", selected="3"), SECOND_HEADER, _record()]
         path.write_text("\n".join(lines) + "\n")
         loaded = read_trajectories(path)
         assert [sel for _, _, sel in loaded] == [[0, 3], [0]]

@@ -74,6 +74,7 @@ def test_eval_config_refuses_an_out_of_range_or_nan_field(fields):
         '{"scene": {"slots": 2.5}}',
         '{"train": {"baseline": 1}}',
         '{"train": {"batch_size": 0}}',
+        '{"train": {"seed": -3}}',
         '{"train": []}',
         "[]",
         '{"train": {',
@@ -120,6 +121,7 @@ def test_bad_config_file_exits_4(tmp_path, capsys, text):
         "train.lr_initial=0",
         "train.lr_decay=-0.5",
         "train.lr_period=0",
+        "data.seed=-5",  # numpy refuses a negative seed
     ],
 )
 def test_bad_override_exits_4(tmp_path, capsys, override):
@@ -189,6 +191,8 @@ def test_bad_eval_setting_exits_4(tmp_path, capsys, override):
         ("gradcheck", "--tolerance", "nan"),  # failed every check
         ("eval", "--jobs", "0"),  # the --jobs flag is gone: an unknown flag
         ("eval", "--jobs", "-3"),
+        ("gradcheck", "--corrupt-mode", "selector"),  # gone: --corrupt applies to the joint check
+        ("gen-data", "--seed", "-1"),  # numpy refuses a negative seed
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -294,7 +298,28 @@ def test_unknown_method_exits_2(tmp_path, capsys):
 def test_empty_method_list_exits_2_before_reading_data(tmp_path, capsys, methods):
     code = main(["eval", "--data", str(tmp_path / "missing.jsonl"), "--methods", methods])
     assert code == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("no methods given; valid methods: agent,")
+    assert capsys.readouterr().err.startswith("error: no methods given; valid methods: agent,")
+
+
+def test_eval_of_a_model_method_without_a_checkpoint_exits_2_before_reading_data(tmp_path, capsys):
+    argv = ("eval", "--data", tmp_path / "missing.jsonl", "--methods", "center_hold,selector_only")
+    assert _run(capsys, *argv) == EXIT_USAGE
+
+
+INT_FIELDS = [
+    f"{section.name}.{f.name}"
+    for section in dataclasses.fields(RunConfig)
+    for f in dataclasses.fields(section.default_factory)
+    if f.type in ("int", int)
+]
+
+
+@pytest.mark.parametrize("field", INT_FIELDS)
+def test_each_integer_config_field_at_minus_one_exits_4(tmp_path, capsys, field):
+    out = tmp_path / "episodes.jsonl"
+    code = _run(capsys, "gen-data", "--set", f"{field}=-1", "--count", 1, "--out", out)
+    assert code == EXIT_CONFIG
+    assert not out.exists()
 
 
 class TestResumeEpoch:

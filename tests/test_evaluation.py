@@ -326,6 +326,16 @@ class TestBenchmark:
         assert after[0][1] != before[0][1]  # selector_only moved
         assert repr(after) == repr(evaluation.benchmark(evaluation.build_methods(names, model), episodes))
 
+    @pytest.mark.parametrize(
+        "names, message",
+        [([], "no methods given; valid methods: agent, selector_only, center_hold,"),
+         (["center_hold", "bogus"], r"unknown methods \['bogus'\]; valid methods: agent,"),
+         (["center_hold", "selector_only"], "the methods agent/selector_only need a model")],
+    )
+    def test_build_methods_refuses_what_it_cannot_build(self, names, message):
+        with pytest.raises(InvalidInput, match=message):
+            evaluation.build_methods(names)
+
     @pytest.mark.parametrize("jobs", [0, 2])
     def test_jobs_other_than_one_is_refused(self, jobs):
         methods = evaluation.build_methods(["center_hold"])

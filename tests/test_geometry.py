@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from viewpilot.errors import InvalidInput
-from viewpilot.geometry import DEFAULT_H_SPAN, Trajectory, ViewingAngle, land_angles, nfov_iou
+from viewpilot.geometry import (
+    DEFAULT_H_SPAN, Trajectory, ViewingAngle, land_angles, nfov_iou, signed_azimuth_delta,
+    signed_azimuth_delta_array,
+)
 from viewpilot.observation import OFFSET_SCALE
 from viewpilot.regressor import loss_terms
 from viewpilot.training import _follow_offset
@@ -85,6 +88,34 @@ class TestViewingAngles:
         assert str(err.value) == str(expected.value)
 
 
+SEAM_ROWS = [
+    (360.0, 0.0), (720.0, 90.0), (-0.0, -0.0), (0.0, -0.0), (-1e-300, 90.0), (5.0, -90.0),
+    (-360.0, 90.0 + 1e-13), (1e-320, -90.0 - 1e-13), (359.99999999999994, 89.99999999999999),
+]
+
+
+class TestSignedAzimuthDelta:
+    """One array form of the delta rule, allocating or in place."""
+
+    DELTAS = [v for row in SEAM_ROWS for v in row] + [
+        180.0, -180.0, 540.0, -540.0, -1e-14, 180.0 + 1e-13, -180.0 - 1e-13, 179.99999999999997,
+        -179.99999999999997, 350.0 - 10.0, 10.0 - 350.0,
+    ]
+
+    def test_in_place_equals_the_allocating_form_and_the_scalar_rule(self):
+        rng = np.random.default_rng(8)
+        x = np.concatenate([self.DELTAS, rng.uniform(-1000, 1000, 500)])
+        want = signed_azimuth_delta_array(x)
+        assert want.tolist() == [signed_azimuth_delta(v) for v in x.tolist()]
+        assert np.all((-180.0 < want) & (want <= 180.0))
+        y = x.copy()
+        assert signed_azimuth_delta_array(y, out=y) is y
+        assert y.tolist() == want.tolist() and np.array_equal(np.signbit(y), np.signbit(want))
+        off = np.column_stack([x, -x])  # a strided column, as the follow offset reduces it
+        signed_azimuth_delta_array(off[:, 0], out=off[:, 0])
+        assert off[:, 0].tolist() == want.tolist() and off[:, 1].tolist() == (-x).tolist()
+
+
 class TestTrajectory:
     """The contract of the evaluation methods' return type: an immutable
     sequence of ViewingAngles over one landed (T, 2) array."""
@@ -129,11 +160,7 @@ class TestTrajectory:
         with pytest.raises(TypeError):
             hash(traj)
 
-    @pytest.mark.parametrize(
-        "row",
-        [(360.0, 0.0), (720.0, 90.0), (-0.0, -0.0), (0.0, -0.0), (-1e-300, 90.0), (5.0, -90.0),
-         (-360.0, 90.0 + 1e-13), (1e-320, -90.0 - 1e-13), (359.99999999999994, 89.99999999999999)],
-    )
+    @pytest.mark.parametrize("row", SEAM_ROWS)
     def test_lands_as_the_constructor(self, row):
         expected = ViewingAngle(*row)
         (landed,) = Trajectory([row])

@@ -379,7 +379,7 @@ class TestEpisodeLayout:
     def test_appearance_and_motions_are_views_of_flat(self):
         ep = synth_scene(SMALL, 3)
         d, n = SMALL.appearance_dim, SMALL.slots
-        assert ep.flat.shape == (SMALL.frames, SMALL.flat_dim)
+        assert ep.flat.shape == (SMALL.frames, (d + 2 + SMALL.motion_bins) * n)
         assert ep.appearance.base is ep.flat and ep.motions.base is ep.flat
         assert np.array_equal(ep.appearance.reshape(SMALL.frames, -1), ep.flat[:, : d * n])
         assert np.array_equal(ep.motions.reshape(SMALL.frames, -1), ep.flat[:, (d + 2) * n :])

@@ -205,6 +205,16 @@ class TestSplitGradientCheck:
 
 
 class TestRolloutContracts:
+    def test_packed_motions_are_a_view_of_the_packed_flat(self):
+        episodes = generate_dataset(SCENE, 3, 3)
+        windows = slice_windows([len(ep) for ep in episodes], 15)  # 0-15, 15-30, 30-40 each
+        windows = [w for w in windows if w.stop - w.start == 15]
+        batch = pack_windows(episodes, windows)
+        want = np.stack([episodes[w.episode].motions[w.start : w.stop] for w in windows])
+        assert np.shares_memory(batch.motions, batch.flat)
+        assert batch.motions.shape == want.shape == (6, 15, SCENE.slots, SCENE.motion_bins)
+        assert np.array_equal(batch.motions, want)
+
     def test_samples_follow_the_per_frame_draw_order(self):
         batch, drawn = _batch(), np.random.default_rng(11)
         tape = rollout_window(_model(), batch, rng=drawn, q_samples=2)
@@ -328,6 +338,7 @@ class TestPolicyUpstreamExpectation:
 @pytest.mark.parametrize(
     "field, value",
     [("eta", 0.0), ("max_epochs", -1), ("smooth_lambda", -1.0), ("grad_clip", -1.0), ("pg_weight", -1.0)]
+    + [("seed", -1), ("seed", float("nan"))]
     + [(field, float("nan")) for field in
        ("eta", "smooth_lambda", "grad_clip", "pg_weight", "lr_initial", "lr_decay")],
 )
