@@ -4,12 +4,7 @@ sees only the current observation and the carried state. :func:`pilot_step`
 steps the selector with ``diffcore.TanhRnnCell.step``; :func:`pilot_episode`,
 the benchmark's ``agent`` method, runs the selector once over the episode.
 Both steer with :func:`steering_step`, built once per model, which inlines
-that step and is held by a test to the floats of ``training._steer``. Every
-per-frame product here has 1-D or 2-D operands and goes through
-``ndarray.dot``: it calls the same BLAS routine as ``@`` and so gives the
-same floats, at about half the per-call dispatch cost; ``np.matmul`` is
-left to weights with stacked probe axes, which only the gradient check
-builds.
+that step and is held by a test to the floats of ``training._steer``.
 
 The module also owns the model checkpoint file, one JSON document whose
 floats serialize via repr and so round-trip bit-exactly:
@@ -25,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import LrSchedule, ParamTensor, softmax
+from .diffcore import LrSchedule, ParamTensor, check_field_types, softmax
 from .errors import ConfigError, InvalidInput, NumericsError, ParseError, VersionError
 from .geometry import Trajectory, ViewingAngle, clamp_elevation, signed_azimuth_delta, wrap_azimuth
 from .observation import OFFSET_SCALE, Episode, FrameObservation, _parse_json_line
@@ -44,7 +39,8 @@ class ModelDims:
     regressor_hidden: int
 
     def __post_init__(self):
-        if any(type(v) is not int or v < 1 for v in vars(self).values()):
+        check_field_types(self)
+        if min(vars(self).values()) < 1:
             raise InvalidInput(f"model dimensions must be positive integers, got {vars(self)}")
 
     @property

@@ -1,9 +1,12 @@
 """Declarative run configuration: one JSON file covering scene generation,
 model dimensions, training, data splits, and evaluation.
 
-Parsing is strict: unknown keys anywhere are rejected, every field has a
-default, and dotted-path overrides (``train.lr_initial=0.01``) are
-type-checked against the target field. Numbers must be finite.
+Each section is a frozen settings dataclass that checks its own fields on
+construction: their types, by ``diffcore.check_field_types``, and their
+ranges. The parser only maps JSON onto them. It refuses unknown sections
+and keys, leaves every field it is not given at its default, and applies
+dotted-path overrides (``train.lr_initial=0.01``) to a given config. Every
+refusal is a ConfigError.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 from .agent import ModelDims
-from .diffcore import require_positive
+from .diffcore import check_field_types, require_positive
 from .errors import ConfigError, InvalidInput
 from .evaluation import DEFAULT_DP_SMOOTH_WEIGHT, DEFAULT_GRID_STEP
 from .geometry import DEFAULT_H_SPAN
@@ -27,6 +30,7 @@ class ModelConfig:
     regressor_hidden: int = 8
 
     def __post_init__(self):
+        check_field_types(self)
         if min(self.selector_hidden, self.regressor_hidden) < 1:
             raise InvalidInput("selector_hidden and regressor_hidden must be >= 1")
 
@@ -38,6 +42,7 @@ class DataConfig:
     test_count: int = 10
 
     def __post_init__(self):
+        check_field_types(self)
         if min(self.train_count, self.test_count) < 1:
             raise InvalidInput("train_count and test_count must be >= 1")
         require_positive("seed", self.seed, allow_zero=True)  # numpy refuses a negative seed
@@ -50,6 +55,7 @@ class EvalConfig:
     h_span: float = DEFAULT_H_SPAN
 
     def __post_init__(self):
+        check_field_types(self)
         if not (0 < self.grid_step <= 180 and 0 < self.h_span <= 360 and self.dp_smooth_weight >= 0):
             raise InvalidInput("grid_step in (0, 180], h_span in (0, 360], dp_smooth_weight >= 0")
 
@@ -57,6 +63,9 @@ class EvalConfig:
 @dataclass(frozen=True)
 class PathsConfig:
     out_dir: str = "runs"
+
+    def __post_init__(self):
+        check_field_types(self)
 
 
 @dataclass(frozen=True)
@@ -78,71 +87,35 @@ class RunConfig:
         )
 
 
-_SECTIONS = {f.name: f for f in dataclasses.fields(RunConfig)}
-
-
-def _coerce(value, target_type, path: str):
-    if target_type is float:
-        try:  # NaN, the infinities and integers past the float range are rejected
-            if type(value) in (int, float) and abs(float(value)) < float("inf"):
-                return float(value)
-        except OverflowError:
-            pass
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    if target_type is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
-        return value
-    if target_type is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean, got {value!r}")
-        return value
-    if target_type is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
-        return value
-    raise ConfigError(f"{path}: unsupported field type {target_type}")
-
-
-def _parse_section(cls, mapping: dict, section: str):
+def _parse_section(base, mapping: dict, section: str):
     if not isinstance(mapping, dict):
         raise ConfigError(f"section {section!r} must be an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(mapping) - set(fields)
+    unknown = set(mapping) - {f.name for f in dataclasses.fields(base)}
     if unknown:
         raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in mapping.items():
-        target = fields[key].type
-        if isinstance(target, str):  # dataclass fields carry annotation strings
-            target = {"int": int, "float": float, "bool": bool, "str": str}[target]
-        kwargs[key] = _coerce(value, target, f"{section}.{key}")
     try:
-        return cls(**kwargs)
-    except Exception as exc:
+        return dataclasses.replace(base, **mapping)
+    except InvalidInput as exc:
         raise ConfigError(f"invalid {section!r} section: {exc}") from exc
 
 
-def parse_run_config(doc: dict) -> RunConfig:
+def parse_run_config(doc: dict, base: RunConfig = RunConfig()) -> RunConfig:
+    """``base`` with the sections of the JSON object ``doc`` mapped onto it."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be an object")
-    unknown = set(doc) - set(_SECTIONS)
+    unknown = set(doc) - {f.name for f in dataclasses.fields(base)}
     if unknown:
         raise ConfigError(f"unknown configuration sections: {sorted(unknown)}")
-    kwargs = {}
-    for name, f in _SECTIONS.items():
-        cls = f.default_factory
-        if name in doc:
-            kwargs[name] = _parse_section(cls, doc[name], name)
-    return RunConfig(**kwargs)
+    sections = {name: _parse_section(getattr(base, name), doc[name], name) for name in doc}
+    return dataclasses.replace(base, **sections)
 
 
 def load_run_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc.msg} at line {exc.lineno})") from exc
+    except ValueError as exc:  # also a byte that is not UTF-8, or an integer of too many digits
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     return parse_run_config(doc)
 
 
@@ -150,24 +123,13 @@ def apply_overrides(config: RunConfig, overrides: list[str]) -> RunConfig:
     """Apply ``section.key=value`` overrides; values parse as JSON scalars."""
     doc = {}
     for item in overrides:
-        if "=" not in item:
+        path, eq, raw = item.partition("=")
+        section, dot, key = path.partition(".")
+        if not eq or not dot or "." in key:
             raise ConfigError(f"override {item!r} must look like section.key=value")
-        path, raw = item.split("=", 1)
-        parts = path.split(".")
-        if len(parts) != 2:
-            raise ConfigError(f"override path {path!r} must be section.key")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:
             value = raw  # bare strings allowed
-        doc.setdefault(parts[0], {})[parts[1]] = value
-
-    merged = {}
-    for name in _SECTIONS:
-        section = getattr(config, name)
-        merged[name] = {f.name: getattr(section, f.name) for f in dataclasses.fields(section)}
-    for name, section_doc in doc.items():
-        if name not in merged:
-            raise ConfigError(f"unknown configuration sections: [{name!r}]")
-        merged[name].update(section_doc)
-    return parse_run_config(merged)
+        doc.setdefault(section, {})[key] = value
+    return parse_run_config(doc, config)

@@ -19,7 +19,7 @@ since ``dot`` contracts N-D operands differently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -196,6 +196,33 @@ def require_positive(name: str, value: float, allow_zero: bool = False) -> None:
         raise InvalidInput(f"{name} must be finite, got {value}")
 
 
+_FIELD_TYPES = {"int": (int, "an integer"), "float": (float, "a number"), "bool": (bool, "a boolean"),
+                "str": (str, "a string")}
+
+
+def check_field_types(settings, prefix: str = "") -> None:
+    """Hold each field of the frozen settings dataclass ``settings`` to its
+    annotation, a key of ``_FIELD_TYPES``, else raise InvalidInput naming
+    ``prefix`` + the field. A number field takes no bool, NaN or infinity,
+    and a float field stores an int as its float (none past the float range)."""
+    for f in fields(settings):
+        name, value = prefix + f.name, getattr(settings, f.name)
+        kind = getattr(f.type, "__name__", f.type)  # postponed annotations are strings
+        allowed, noun = _FIELD_TYPES[kind]
+        if kind in ("int", "float") and isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:  # NaN fails the comparison, an int past the float range the conversion
+                finite = abs(float(value)) < np.inf
+            except OverflowError:
+                finite = kind == "int"
+            if not finite:
+                raise InvalidInput(f"{name} must be finite, got {value}")
+            if kind == "float":
+                value = float(value)
+                object.__setattr__(settings, f.name, value)
+        if not isinstance(value, allowed) or isinstance(value, bool) != (kind == "bool"):
+            raise InvalidInput(f"{name} must be {noun}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LrSchedule:
     """Step-decay learning rate: initial * decay^(epoch // period)."""
@@ -205,6 +232,7 @@ class LrSchedule:
     period: int
 
     def __post_init__(self):
+        check_field_types(self, "learning-rate schedule ")
         for name in ("initial", "decay", "period"):
             require_positive(f"learning-rate schedule {name}", getattr(self, name))
 

@@ -37,7 +37,7 @@ from .diffcore import GradCheckResult, ParamTensor, gradient_check
 from .errors import InvalidInput
 from .observation import SceneConfig, episode_arrays, synth_scene
 from .regressor import loss_grad, loss_terms
-from .training import WindowBatch, backward_window, rollout_window, surrogate_loss
+from .training import Window, WindowBatch, backward_window, pack_windows, rollout_window, surrogate_loss
 
 CHECK_DIMS = ModelDims(
     appearance_dim=8, motion_bins=12, slots=4, selector_hidden=16, regressor_hidden=8
@@ -65,10 +65,7 @@ def make_check_batch(
         motion_bins=dims.motion_bins,
         elevation_limit=40.0,
     )
-    arrays = episode_arrays(synth_scene(cfg, [seed, 101]))
-    batch = WindowBatch(
-        arrays.flat[None], arrays.positions[None], arrays.motions[None], arrays.gt_track[None]
-    )
+    batch = pack_windows([episode_arrays(synth_scene(cfg, [seed, 101]))], [Window(0, 0, frames)])
     forced = np.random.default_rng([seed, 102]).integers(dims.slots, size=(1, frames))
     return batch, forced
 

@@ -38,6 +38,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .diffcore import check_field_types
 from .errors import InvalidInput, ParseError, VersionError
 from .geometry import (
     Trajectory, ViewingAngle, clamp_elevation, land_angles, signed_azimuth_delta_array, wrap_azimuth,
@@ -212,7 +213,7 @@ class SceneConfig:
     Observed positions carry Gaussian jitter of ``position_noise``
     degrees, emulating detector box noise, while the ground-truth track
     smooths the true main-object path with a centered moving average.
-    Construction rejects out-of-range fields with InvalidInput.
+    Construction rejects a mistyped or out-of-range field with InvalidInput.
     """
 
     frames: int = 200
@@ -237,6 +238,7 @@ class SceneConfig:
     gt_smooth_window: int = 5
 
     def __post_init__(self):
+        check_field_types(self)
         rules = (
             (self.frames >= 2, "frames >= 2"),
             (1 <= self.objects <= self.slots, "1 <= objects <= slots"),
@@ -439,6 +441,8 @@ def _parse_json_line(line: str, lineno: int) -> dict:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed record: {exc.msg}", line=lineno) from exc
+    except ValueError as exc:  # an integer of too many digits
+        raise ParseError(f"malformed record: {exc}", line=lineno) from exc
     if not isinstance(rec, dict):
         raise ParseError("record is not a JSON object", line=lineno)
     return rec
@@ -537,8 +541,12 @@ def _frame_blocks(fh, header: dict, lineno: int) -> Iterator[tuple]:
     scores (c, n), gt (c, 2) and c gt_object_index values. A block that fails
     a check is parsed again record by record, to name the bad line."""
     has_idx = None  # whether the frames carry gt_object_index: None until the first says
-    for first in range(lineno + 1, lineno + 1 + header["t"], _BLOCK_FRAMES):
-        texts = [fh.readline() for _ in range(min(_BLOCK_FRAMES, lineno + 1 + header["t"] - first))]
+    end = lineno + 1 + header["t"]
+    for first in range(lineno + 1, end, _BLOCK_FRAMES):
+        try:
+            texts = [fh.readline() for _ in range(min(_BLOCK_FRAMES, end - first))]
+        except UnicodeDecodeError:
+            raise _not_utf8(fh.name) from None
         blocks = [_read_block(texts, header, has_idx)]
         if blocks[0] is None:  # each record is parsed with the has_idx of those before it
             blocks = (_parse_frame(s, header, at, has_idx) for at, s in enumerate(texts, first))
@@ -547,12 +555,27 @@ def _frame_blocks(fh, header: dict, lineno: int) -> Iterator[tuple]:
             yield block
 
 
+def _not_utf8(path) -> ParseError:
+    """The ParseError of a file that is not UTF-8, at its first such line: the
+    text reader decodes many lines at once, so it may fail on an earlier one."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ParseError(f"not UTF-8 text: {exc}", line=lineno)
+    return ParseError("not UTF-8 text")
+
+
 def _episode_blocks(path) -> Iterator[tuple[dict, Iterator]]:
     """Yield (header, :func:`_frame_blocks` iterator) per episode, lazily."""
     with open(path, "r", encoding="utf-8") as fh:
         lineno = 0
         while True:
-            line = fh.readline()
+            try:
+                line = fh.readline()
+            except UnicodeDecodeError:
+                raise _not_utf8(fh.name) from None
             if not line:
                 return
             lineno += 1

@@ -6,10 +6,6 @@ hidden state linearly to a 2-D steering action. That step is
 ``diffcore.TanhRnnCell.step`` in ``training._steer`` and
 ``training._branch_rewards``, and its inline B=1 form ``agent.steering_step``
 in ``agent.pilot_step`` and ``agent.pilot_episode`` (the ``agent`` method).
-Their products go through ``ndarray.dot`` for 1-D and 2-D operands, and
-through ``np.matmul`` only for weights with stacked probe axes: ``dot`` calls
-the same BLAS routine as ``@``, so it gives the same floats at about half
-the dispatch cost per call.
 The loss over a predicted trajectory is the summed wrap-aware distance to
 ground truth plus lambda times the summed change in viewing-angle velocity.
 """

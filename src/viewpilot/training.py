@@ -22,11 +22,9 @@ through ``TanhRnnCell.backward_step``, and accumulates weight gradients with
 one GEMM over all B*T steps. The ``RolloutTape`` stores the forward as
 batch-major (B, T[+1], .) arrays.
 
-The per-step products of both loops take ``ndarray.dot`` on 1-D and 2-D
-operands: it reaches the same BLAS routine as ``@``, so the floats are the
-same, at about half the per-call dispatch cost. ``np.matmul`` remains where
-the gradient check stacks probe axes on the weights, and for one strided
-weight slice whose single-row ``@`` product ``dot`` does not reproduce.
+Per-step products follow ``diffcore``'s rule for ``ndarray.dot``, except
+one strided weight slice whose single-row ``@`` product ``dot`` does not
+reproduce.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .agent import ModelDims, PilotModel, save_model_checkpoint, load_model_checkpoint
-from .diffcore import LrSchedule, require_positive
+from .diffcore import LrSchedule, check_field_types, require_positive
 from .errors import ConfigError, InvalidInput, NumericsError, ParseError, StateError, VersionError
 from .geometry import angle_offsets, land_angles
 from .observation import OFFSET_SCALE, Episode, episode_arrays
@@ -85,17 +83,15 @@ class TrainConfig:
     checkpoint_interval: int = 50
 
     def __post_init__(self):
+        check_field_types(self)
         if min(self.batch_size, self.q_samples, self.checkpoint_interval) < 1 or self.seq_len < 2:
             raise InvalidInput("batch_size, q_samples, checkpoint_interval must be >= 1, seq_len >= 2")
-        if self.max_epochs < 0:
-            raise InvalidInput(f"max_epochs must be >= 0, got {self.max_epochs}")
         if self.q_samples == 1 and self.baseline:  # r - mean(r) is 0 for a single sample
             raise InvalidInput("the mean reward baseline needs q_samples >= 2, got 1")
-        for name in ("smooth_lambda", "grad_clip", "pg_weight"):
-            require_positive(name, getattr(self, name), allow_zero=True)
+        for name in ("max_epochs", "smooth_lambda", "grad_clip", "pg_weight", "seed"):
+            require_positive(name, getattr(self, name), allow_zero=True)  # numpy refuses seed < 0
         for name in ("eta", "lr_initial", "lr_decay", "lr_period"):
             require_positive(name, getattr(self, name))
-        require_positive("seed", self.seed, allow_zero=True)  # numpy refuses a negative seed
 
     def schedule(self) -> LrSchedule:
         return LrSchedule(self.lr_initial, self.lr_decay, self.lr_period)

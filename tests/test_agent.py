@@ -219,6 +219,16 @@ class TestCheckpoints:
         with pytest.raises(ParseError, match=key):
             load_model_checkpoint(path)
 
+    @pytest.mark.parametrize("key, value", [("initial", True), ("period", 2.5)])
+    def test_a_schedule_field_of_the_wrong_type_is_a_parse_error(self, tmp_path, key, value):
+        path = tmp_path / "ckpt.json"
+        self._saved(path)
+        doc = json.loads(path.read_text())
+        doc["lr_schedule"][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"learning-rate schedule {key} must be"):
+            load_model_checkpoint(path)
+
     def test_an_rng_record_that_is_not_an_object_is_a_parse_error(self, tmp_path):
         path = tmp_path / "ckpt.json"
         self._saved(path)

@@ -16,7 +16,10 @@ from viewpilot.agent import ModelDims, PilotModel, save_model_checkpoint
 from viewpilot.cli import (
     EXIT_CONFIG, EXIT_GRADCHECK_FAILED, EXIT_IO, EXIT_NUMERICS, EXIT_OK, EXIT_USAGE, main,
 )
-from viewpilot.config import EvalConfig, RunConfig, load_run_config
+from viewpilot.config import (
+    DataConfig, EvalConfig, ModelConfig, PathsConfig, RunConfig, load_run_config,
+)
+from viewpilot.diffcore import LrSchedule
 from viewpilot.errors import InvalidInput
 from viewpilot.observation import SceneConfig, generate_dataset, save_episodes
 from viewpilot.training import TrainConfig
@@ -65,9 +68,59 @@ def test_eval_config_refuses_an_out_of_range_or_nan_field(fields):
         EvalConfig(**fields)
 
 
+# One instance of each settings dataclass, valid as it stands.
+SETTINGS = [
+    SceneConfig(), TrainConfig(), LrSchedule(0.02, 0.9, 50), DIMS,
+    ModelConfig(), DataConfig(), EvalConfig(), PathsConfig(),
+]
+WRONG_TYPE = {"int": True, "float": True, "bool": 1, "str": 1}
+
+
+def test_every_settings_field_has_a_checked_type():
+    # A field of any other annotation would escape diffcore.check_field_types.
+    for settings in SETTINGS:
+        for f in dataclasses.fields(settings):
+            assert f.type in WRONG_TYPE, f"{type(settings).__name__}.{f.name}: {f.type}"
+
+
+@pytest.mark.parametrize(
+    "settings, name",
+    [(s, f.name) for s in SETTINGS for f in dataclasses.fields(s)],
+    ids=lambda v: type(v).__name__ if dataclasses.is_dataclass(v) else v,
+)
+def test_a_settings_field_refuses_a_value_of_the_wrong_type(settings, name):
+    kind = {f.name: f.type for f in dataclasses.fields(settings)}[name]
+    with pytest.raises(InvalidInput, match=f"{name} must be "):
+        dataclasses.replace(settings, **{name: WRONG_TYPE[kind]})
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "train.seed=1.5",
+        "scene.position_noise=NaN",
+        "scene.center_speed_max=Infinity",
+        "scene.elevation_limit=1e400",
+        pytest.param("scene.cluster_radius=" + "9" * 400, id="scene.cluster_radius=<400 digits>"),
+    ],
+)
+def test_a_value_an_override_refuses_for_its_type_is_refused_by_the_dataclass(override):
+    path, raw = override.split("=")
+    section, name = path.split(".")
+    cls = {"scene": SceneConfig, "train": TrainConfig}[section]
+    with pytest.raises(InvalidInput, match=f"^{name} must be"):
+        cls(**{name: json.loads(raw)})
+
+
+def test_a_float_field_stores_an_int_as_its_float():
+    config = TrainConfig(lr_initial=1)
+    assert type(config.lr_initial) is float and config.lr_initial == 1.0
+
+
 @pytest.mark.parametrize(
     "text",
     [
+        pytest.param('{"scene": {"cluster_radius": ' + "9" * 5000 + "}}", id="<5000 digits>"),
         '{"trian": {}}',
         '{"train": {"learning_rate": 0.1}}',
         '{"train": {"lr_initial": "fast"}}',
@@ -102,6 +155,7 @@ def test_bad_config_file_exits_4(tmp_path, capsys, text):
         "scene.center_speed_max=Infinity",  # OverflowError in the generator
         "scene.elevation_limit=1e400",  # JSON reads it as infinity
         pytest.param("scene.cluster_radius=" + "9" * 400, id="scene.cluster_radius=<400 digits>"),
+        pytest.param("scene.cluster_radius=" + "9" * 5000, id="scene.cluster_radius=<5000 digits>"),
         "scene.objects=0",
         "scene.motion_bins=0",
         "scene.score_shape=0",
@@ -242,6 +296,38 @@ def test_pilot_on_a_truncated_episode_file_exits_3(tmp_path, capsys):
     out = tmp_path / "trajectory.jsonl"
     code = _run(capsys, "pilot", "--checkpoint", checkpoint, "--data", data, "--out", out)
     assert code == EXIT_IO
+
+
+def test_a_config_file_that_is_not_utf8_exits_4(tmp_path, capsys):
+    config, out = tmp_path / "config.json", tmp_path / "episodes.jsonl"
+    config.write_bytes(b'\xff\xfe{"train": {}}')
+    code = main(["gen-data", "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("configuration error") and "utf-8" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lineno", [1, 35])  # a header; a frame past the reader's first chunk
+@pytest.mark.parametrize("command", ["train", "eval", "pilot"])
+def test_an_episode_file_that_is_not_utf8_exits_3_naming_the_line(tmp_path, capsys, command, lineno):
+    data = _episodes(tmp_path)
+    lines = data.read_bytes().split(b"\n")
+    assert len(b"\n".join(lines[:34])) > 8192
+    lines[lineno - 1] = lines[lineno - 1][:9] + b"\xff" + lines[lineno - 1][9:]
+    data.write_bytes(b"\n".join(lines))
+    checkpoint = tmp_path / "model.json"
+    model = PilotModel(DIMS, np.random.default_rng(0))
+    save_model_checkpoint(checkpoint, model, 0, TrainConfig().schedule(), {"seed": 0})
+    argv = {
+        "train": ("--config", _small_config(tmp_path), "--out", tmp_path / "run", "--quiet"),
+        "eval": ("--methods", "center_hold"),
+        "pilot": ("--checkpoint", checkpoint, "--out", tmp_path / "trajectory.jsonl"),
+    }[command]
+    code = main([str(a) for a in (command, "--data", data) + argv])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert err.startswith(f"data error: line {lineno}: not UTF-8 text") and "Traceback" not in err
 
 
 def test_pilot_with_a_nan_parameter_exits_5(tmp_path, capsys):

@@ -719,6 +719,7 @@ RECORD_EDITS = {
     "not an object": lambda rec: "[1, 2]",
     "blank": lambda rec: "",
     "truncated": lambda rec: json.dumps(rec)[:40],
+    "an integer of 5000 digits": lambda rec: json.dumps(rec).replace("[", "[" + "9" * 5000 + ", ", 1),
 }
 
 

@@ -15,7 +15,9 @@ from viewpilot.agent import (
     CHECKPOINT_FORMAT_VERSION, ModelDims, PilotModel, pilot_episode, save_model_checkpoint,
 )
 from viewpilot.diffcore import ParamTensor, gradient_check, softmax
-from viewpilot.errors import ConfigError, InvalidInput, ParseError, StateError, VersionError
+from viewpilot.errors import (
+    ConfigError, InvalidInput, NumericsError, ParseError, StateError, VersionError,
+)
 from viewpilot.geometry import signed_azimuth_delta_array
 from viewpilot.gradcheck import (
     CHECK_LAMBDA, MODES, check_model, check_trajectory_loss, make_check_batch,
@@ -274,6 +276,25 @@ class TestRolloutContracts:
         with pytest.raises(InvalidInput, match="learning rate must be finite, got inf"):
             train_step(model, arrays, windows, TrainConfig(), float("inf"), np.random.default_rng(0))
         assert model.digest() == digest
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("position", "non-finite rollout loss"), ("selector weight", "non-finite gradient in selector")],
+    )
+    def test_a_non_finite_loss_or_gradient_aborts_the_step_untouched(self, fault, message):
+        # Windows of 30 and 10 frames: the 10-frame group, which holds the NaN
+        # position, runs after the 30-frame group has accumulated its grads.
+        model, episodes = _model(), generate_dataset(SCENE, 3, 2)
+        windows = slice_windows([len(ep) for ep in episodes], 30)
+        if fault == "position":
+            episodes[1].positions[35] = np.nan
+        else:  # only the policy-gradient term reads the selector
+            model.selector.params()[0].values[0, 0] = np.nan
+        before = [p.values.tobytes() for p in model.params()]
+        with pytest.raises(NumericsError, match=message):
+            train_step(model, episodes, windows, TrainConfig(), 0.02, np.random.default_rng(0))
+        assert [p.values.tobytes() for p in model.params()] == before
+        assert not any(p.grad.any() for p in model.params())
 
     def test_backward_on_a_consumed_tape_is_a_state_error(self):
         model = _model()
