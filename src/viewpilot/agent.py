@@ -16,14 +16,17 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diffcore import LrSchedule, ParamTensor, check_field_types, softmax
 from .errors import ConfigError, InvalidInput, NumericsError, ParseError, VersionError
-from .geometry import Trajectory, ViewingAngle, clamp_elevation, signed_azimuth_delta, wrap_azimuth
-from .observation import OFFSET_SCALE, Episode, FrameObservation, _parse_json_line
+from .geometry import (
+    Trajectory, ViewingAngle, _landed_angle, clamp_elevation, signed_azimuth_delta, wrap_azimuth,
+)
+from .observation import OFFSET_SCALE, Episode, FrameObservation, _lines, _parse_json_line
 from .regressor import RegressorNetwork
 from .selector import SelectorNetwork
 
@@ -232,13 +235,14 @@ def pilot_step(
     obs: FrameObservation, state: AgentState, model: PilotModel
 ) -> tuple[ViewingAngle, int, AgentState]:
     """One online step: select a main object, refine the follow offset into a
-    steering action, and move the viewing angle."""
+    steering action, and move the viewing angle. The pick is the argmax of the
+    head's softmax (not of its logits: rounding can tie slots that they order)."""
     if obs.flat.shape[-1] != model.dims.flat_dim:
         raise InvalidInput(
             f"observation dim {obs.flat.shape[-1]} != model dim {model.dims.flat_dim}"
         )
     h = model.selector.cell.step(obs.flat, state.selector_h)
-    index = int(np.argmax(softmax(h.dot(model.selector.head.w.values.T))))  # ties: lowest slot
+    index = int(softmax(h.dot(model.selector.head.w.values.T)).argmax())  # ties: lowest slot
     if not 0 <= index < len(obs.scores):
         raise InvalidInput(f"selection index {index} out of range")
     k = model.dims.motion_bins
@@ -246,7 +250,9 @@ def pilot_step(
     x[:k] = obs.motions[index]
     target, view = obs.positions[index].tolist(), (state.angle.azimuth, state.angle.elevation)
     az, el, mu = _model_steering_step(model)(x, *target, *view, state.regressor_mu)
-    angle = ViewingAngle(az, el)
+    if not (math.isfinite(az) and math.isfinite(el)):
+        raise InvalidInput(f"non-finite viewing angle ({az}, {el})")
+    angle = _landed_angle(az, el)  # steering_step lands the view
     return angle, index, AgentState(h, mu, angle)
 
 
@@ -302,7 +308,7 @@ def read_trajectories(path) -> list[tuple[dict, Trajectory, list[int]]]:
     count up from 0, selections be integers >= 0, and no value a boolean."""
     episodes = []  # (header, landed angle rows, selections)
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(_lines(fh), start=1):
             rec = _parse_json_line(line, lineno)
             if "checkpoint" in rec:
                 header = {"checkpoint": rec["checkpoint"], "episode": len(episodes)}

@@ -227,7 +227,10 @@ def offline_dp(
     t_total, g_total = unary.shape
     best = unary[0].copy()
     back = np.zeros((t_total, g_total), dtype=np.int64)
-    scores = np.empty((g_total, g_total))
+    # 64-byte aligned: the recursion ran about 10% slower 16, 32 or 48 bytes past.
+    buf = np.empty(g_total * g_total + 8)
+    skip = -buf.__array_interface__["data"][0] % 64 // 8
+    scores = buf[skip : skip + g_total * g_total].reshape(g_total, g_total)
     flat, rows = scores.ravel(), np.arange(0, g_total * g_total, g_total)
     for t in range(1, t_total):
         np.subtract(best, trans_to, out=scores)

@@ -23,16 +23,20 @@ moves K objects on the angle plane, designates one as the main object,
 and emits noisy per-frame detections plus a smoothed ground-truth
 viewing-angle track.
 
-Episode files are read a block of frame records at a time, each field of a
-block checked once as one array, so streaming an episode holds one block in
-memory whatever its length. A record is refused, naming its line, unless it
-holds only finite numbers (no booleans), scores in [0, 1], a gt of two
-angles, and a gt_object_index in [0, N) on every frame of its episode or none.
+Episode files are read a block of frame records at a time, so a streamed
+episode holds one block whatever its length. A block of records of the right
+shape whose lines hold no ``u`` or ``f`` (``true``, ``false``, ``null`` and
+``Infinity`` do; no number or canonical key does) is packed into one float64
+array and checked once; any other block, or one failing a check, is parsed
+record by record to the same result. A record is refused, naming its line,
+unless it holds only finite numbers (no booleans), scores in [0, 1], a gt of
+two angles, and a gt_object_index in [0, N) on every frame or none.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -512,27 +516,41 @@ def _parse_frame(text: str, header: dict, lineno: int, has_idx: bool | None) -> 
 
 
 def _read_block(texts: list, header: dict, has_idx: bool | None) -> tuple | None:
-    """Frame record lines as one block of :func:`_frame_blocks`, each field
-    read by one np.array call and checked once, or None if a check fails."""
+    """Frame record lines as one block of :func:`_frame_blocks`, its fields
+    views of one float64 array, or None. Below 2**63 in magnitude an integer
+    converts to the float that :func:`_parse_frame` gives it."""
     n, d, k, c = header["n"], header["d"], header["k"], len(texts)
-    try:
-        recs = [json.loads(text) for text in texts]
-        s, az, el, app, mot = zip(*(zip(*rec["objects"], strict=True) for rec in recs), strict=True)
-        gt, idxs = [rec["gt"] for rec in recs], [rec.get("gt_object_index") for rec in recs]
-        arrays = [np.array(a) for a in (s, (az, el), app, mot, gt)]
-    except (KeyError, TypeError, ValueError):
+    if any("u" in text or "f" in text for text in texts):
         return None
-    scores, angles, appearance, motions, gt = arrays
+    values, idxs = [], []
+    try:
+        for rec in map(json.loads, texts):
+            objects, gt = rec["objects"], rec["gt"]
+            if len(objects) != n or len(gt) != 2:
+                return None
+            for s, az, el, app, mot in objects:
+                if len(app) != d or len(mot) != k:
+                    return None
+                values += (s, az, el)
+                values += app
+                values += mot
+            values += gt
+            idxs.append(rec.get("gt_object_index"))
+        block = np.empty((c, n * (3 + d + k) + 2))  # per frame: n [s, az, el, *app, *mot], gt
+        struct.pack_into(f"{block.size}d", block, 0, *values)
+    except (KeyError, TypeError, ValueError, struct.error):
+        return None
+    slots, gt = block[:, :-2].reshape(c, n, 3 + d + k), block[:, -2:]
+    scores = slots[..., 0]
     has_idx = idxs[0] is not None if has_idx is None else has_idx
     if not (
-        [a.shape for a in arrays] == [(c, n), (2, c, n), (c, n, d), (c, n, k), (c, 2)]
-        and all(a.dtype == np.float64 and np.isfinite(a).all() for a in arrays)
+        (np.abs(block) < 2.0**63).all()  # false on NaN and infinities too
         and ((scores >= 0.0) & (scores <= 1.0)).all()
-        and not any("true" in text or "false" in text for text in texts)  # booleans read as 1.0
         and (all(type(i) is int and 0 <= i < n for i in idxs) if has_idx else idxs.count(None) == c)
     ):
         return None
-    return appearance, land_angles(angles.transpose(1, 2, 0)), motions, scores, land_angles(gt), idxs
+    positions = land_angles(slots[..., 1:3])
+    return slots[..., 3 : 3 + d], positions, slots[..., 3 + d :], scores, land_angles(gt), idxs
 
 
 def _frame_blocks(fh, header: dict, lineno: int) -> Iterator[tuple]:
@@ -543,10 +561,7 @@ def _frame_blocks(fh, header: dict, lineno: int) -> Iterator[tuple]:
     has_idx = None  # whether the frames carry gt_object_index: None until the first says
     end = lineno + 1 + header["t"]
     for first in range(lineno + 1, end, _BLOCK_FRAMES):
-        try:
-            texts = [fh.readline() for _ in range(min(_BLOCK_FRAMES, end - first))]
-        except UnicodeDecodeError:
-            raise _not_utf8(fh.name) from None
+        texts = _lines(fh, min(_BLOCK_FRAMES, end - first))
         blocks = [_read_block(texts, header, has_idx)]
         if blocks[0] is None:  # each record is parsed with the has_idx of those before it
             blocks = (_parse_frame(s, header, at, has_idx) for at, s in enumerate(texts, first))
@@ -567,15 +582,21 @@ def _not_utf8(path) -> ParseError:
     return ParseError("not UTF-8 text")
 
 
+def _lines(fh, count: int | None = None) -> list[str]:
+    """The next ``count`` lines of the text file ``fh`` ('' past its end), or
+    all the rest; a file that is not UTF-8 raises :func:`_not_utf8`'s error."""
+    try:
+        return list(fh) if count is None else [fh.readline() for _ in range(count)]
+    except UnicodeDecodeError:
+        raise _not_utf8(fh.name) from None
+
+
 def _episode_blocks(path) -> Iterator[tuple[dict, Iterator]]:
     """Yield (header, :func:`_frame_blocks` iterator) per episode, lazily."""
     with open(path, "r", encoding="utf-8") as fh:
         lineno = 0
         while True:
-            try:
-                line = fh.readline()
-            except UnicodeDecodeError:
-                raise _not_utf8(fh.name) from None
+            line = _lines(fh, 1)[0]
             if not line:
                 return
             lineno += 1

@@ -436,6 +436,14 @@ class TestTrajectoryFiles:
             read_trajectories(path)
         assert err.value.line == bad_line
 
+    @pytest.mark.parametrize("content, bad_line", [(b"\xff\n", 1), (HEADER.encode() + b"\n\xff\n", 2)])
+    def test_a_file_that_is_not_utf8_is_a_parse_error_naming_the_line(self, tmp_path, content, bad_line):
+        path = tmp_path / "traj.jsonl"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match="not UTF-8") as err:
+            read_trajectories(path)
+        assert err.value.line == bad_line
+
     def test_string_selection_then_boolean_record_is_refused(self, tmp_path):
         path = tmp_path / "traj.jsonl"
         lines = [

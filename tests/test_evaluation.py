@@ -513,6 +513,62 @@ class TestPilotEpisode:
             pilot_episode(other, model)
 
 
+# The benchmark's tiny size (perfbench/workloads.py SIZES["tiny"]).
+TINY_DIMS = ModelDims(4, 4, 3, selector_hidden=8, regressor_hidden=4)
+TINY_SCENE = SceneConfig(frames=20, objects=2, slots=3, appearance_dim=4, motion_bins=4)
+
+
+class TestPilotStepIdentity:
+    """Folded from the first gt angle, ``pilot_step`` gives ``pilot_episode``'s
+    angles and picks bit for bit, and carries the cell's selector state and
+    the training kernel's regressor state."""
+
+    @pytest.fixture(params=["reference", "tiny"])
+    def split(self, request, reference_test_split):
+        if request.param == "tiny":
+            return TINY_DIMS, generate_dataset(TINY_SCENE, 99, 4)
+        return REFERENCE_DIMS, reference_test_split
+
+    @pytest.mark.parametrize("nan_weight", [None, "selector.head.w", "selector.cell.w_hh"])
+    @pytest.mark.parametrize("model_seed", [7, 8, 9])
+    def test_angles_picks_and_carried_state(self, split, model_seed, nan_weight):
+        dims, episodes = split
+        model = PilotModel(dims, np.random.default_rng([model_seed, 0]))
+        rng = np.random.default_rng([model_seed, 1])
+        for p in model.params():  # nonzero biases put their sums' order to the test
+            p.values += 0.3 * rng.normal(size=p.shape)
+        if nan_weight:  # a NaN logit makes the whole softmax NaN, and every pick slot 0
+            model.param_map()[nan_weight].values[0, 0] = np.nan
+        for episode in episodes:
+            trajectory, picks = pilot_episode(episode, model)
+            batch = WindowBatch(
+                episode.flat[None], episode.positions[None], episode.motions[None], episode.gt_track[None]
+            )
+            mus = rollout_window(model, batch, forced_indices=picks[None]).mus[0]
+            state, angles, indices = initial_state(model, episode.gt[0]), [], []
+            for t, frame in enumerate(episode.frames):
+                h = model.selector.cell.step(frame.flat, state.selector_h)
+                angle, index, state = pilot_step(frame, state, model)
+                assert state.angle is angle and type(index) is int
+                assert state.selector_h.tobytes() == h.tobytes()
+                assert state.regressor_mu.tobytes() == mus[t + 1].tobytes()
+                angles.append((angle.azimuth, angle.elevation))
+                indices.append(index)
+            assert np.array(angles).tobytes() == trajectory.array.tobytes()
+            assert indices == picks.tolist()
+
+    @pytest.mark.parametrize("weight", ["regressor.head.w", "regressor.cell.w_xh", "regressor.cell.b"])
+    def test_nan_weight_raises_the_agents_error(self, split, weight):
+        dims, episodes = split
+        model = PilotModel(dims, np.random.default_rng([7, 0]))
+        model.param_map()[weight].values.flat[0] = np.nan
+        with pytest.raises(InvalidInput, match="non-finite viewing angle") as want:
+            pilot_episode(episodes[0], model)
+        with pytest.raises(InvalidInput) as got:
+            _pilot_step_fold(episodes[0], model)
+        assert str(got.value) == str(want.value)
+
+
 # SHA-256 of the six-method benchmark rows and detail records at the
 # reference dims and eval settings, over test splits 99 and 5 and the
 # initial models of seeds 7 and 8. A change to any method's or metric's

@@ -872,6 +872,86 @@ class TestNewRecordRules:
         assert err.value.line == line == 2
 
 
+def _bits(value):
+    """A reader's result with every float array and angle as bytes, so that
+    equal means bit for bit (-0.0 is not 0.0)."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, ViewingAngle):
+        return _bits(np.array([value.azimuth, value.elevation]))
+    if isinstance(value, (FrameObservation, Episode)):
+        return _bits(list(vars(value).values()))
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value
+
+
+def _set(path, value):
+    """An edit setting rec[path[0]]...[path[-1]] to ``value``."""
+    def edit(rec):
+        for key in path[:-1]:
+            rec = rec[key]
+        rec[path[-1]] = value
+    return edit
+
+
+# name: (edit, whether the block path reads the edited block itself rather
+# than leaving it to the per-record parse)
+PARITY_EDITS = {
+    "string score": (_set(("objects", 1, 0), "0.5"), False),
+    "string appearance": (_set(("objects", 1, 3, 0), "1.5"), False),
+    "string gt": (_set(("gt", 1), "1.5"), False),
+    "integer appearance among floats": (_set(("objects", 1, 3, 0), 3), True),
+    "integer angles": (lambda rec: rec["objects"][2].__setitem__(slice(1, 3), [-725, 89]), True),
+    "integer 2**62 motion": (_set(("objects", 1, 4, 2), 2**62), True),
+    "integer 2**63 - 1 motion": (_set(("objects", 1, 4, 2), 2**63 - 1), False),
+    "integer 2**64 appearance": (_set(("objects", 1, 3, 0), 2**64), False),
+    "integer -2**63 - 1 appearance": (_set(("objects", 1, 3, 0), -(2**63) - 1), False),
+    "integer 2**70 gt": (_set(("gt", 0), 2**70), False),
+    "integer of 400 digits azimuth": (_set(("objects", 0, 1), 10**400), False),
+    "null score": (_set(("objects", 1, 0), None), False),
+    "null motion": (_set(("objects", 1, 4, 1), None), False),
+    "null gt": (_set(("gt", 1), None), False),
+    "null index": (_set(("gt_object_index",), None), False),
+    "NaN appearance": (_set(("objects", 1, 3, 2), float("nan")), False),
+    "NaN gt": (_set(("gt", 0), float("nan")), False),
+    "Infinity score": (_set(("objects", 1, 0), float("inf")), False),
+    "-Infinity elevation": (_set(("objects", 1, 2), -float("inf")), False),
+    "extra key with u and f": (_set(("fu",), 1.0), False),
+    "extra key without": (_set(("extra",), [1.5, "x"]), True),
+    "reordered keys": (lambda rec: "{" + ", ".join(
+        f"{json.dumps(key)}: {json.dumps(rec[key])}" for key in reversed(rec)) + "}", True),
+}
+
+
+class TestBlockPathMatchesPerRecordPath:
+    """load_episodes and stream_episodes give the same arrays, or the same
+    ParseError text and line, whether a block is read as one or every
+    record goes through _parse_frame."""
+
+    @pytest.mark.parametrize("frame", [0, BLOCK + 1, LONG.frames - 1])
+    @pytest.mark.parametrize("name", PARITY_EDITS)
+    def test_edited_record(self, tmp_path, long_lines, monkeypatch, name, frame):
+        edit, block_reads = PARITY_EDITS[name]
+        path, _ = _edited_file(tmp_path, long_lines, frame, edit)
+        lines = path.read_text().splitlines(keepends=True)
+        first = 1 + frame // BLOCK * BLOCK
+        texts = lines[first : min(first + BLOCK, 1 + LONG.frames)]
+        header = json.loads(lines[0])
+        read = observation._read_block(texts, header, None if first == 1 else True)
+        assert (read is not None) == block_reads
+        blocks = _bits(_streamed(path)), _bits(_outcome(load_episodes, path))
+        monkeypatch.setattr(observation, "_read_block", lambda texts, header, has_idx: None)
+        assert blocks == (_bits(_streamed(path)), _bits(_outcome(load_episodes, path)))
+
+    def test_valid_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "episodes.jsonl"
+        save_episodes(generate_dataset(LONG, 11, 2), path)
+        blocks = _bits(_streamed(path)), _bits(_outcome(load_episodes, path))
+        monkeypatch.setattr(observation, "_read_block", lambda texts, header, has_idx: None)
+        assert blocks == (_bits(_streamed(path)), _bits(_outcome(load_episodes, path)))
+
+
 def test_streamed_frames_are_views_of_one_block(tmp_path):
     path = tmp_path / "episodes.jsonl"
     scene = dataclasses.replace(SMALL, frames=1000)
