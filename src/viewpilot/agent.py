@@ -1,10 +1,9 @@
 """The composed online pilot: per-frame selection, naive follow offset,
 recurrent refinement, and viewing-angle update. Strictly causal — each step
-sees only the current observation and the carried state. :func:`pilot_step`
-steps the selector with ``diffcore.TanhRnnCell.step``; :func:`pilot_episode`,
-the benchmark's ``agent`` method, runs the selector once over the episode.
-Both steer with :func:`steering_step`, built once per model, which inlines
-that step and is held by a test to the floats of ``training._steer``.
+sees only the current observation and the carried state. :func:`pilot_episode`
+(the ``agent`` method) runs the selector once and folds
+``RegressorNetwork.steer``, the one B=1 steering loop, over the episode;
+:func:`pilot_step` steps the selector cell and folds ``steer`` over one frame.
 
 The module also owns the model checkpoint file, one JSON document whose
 floats serialize via repr and so round-trip bit-exactly:
@@ -23,10 +22,8 @@ import numpy as np
 
 from .diffcore import LrSchedule, ParamTensor, check_field_types, softmax
 from .errors import ConfigError, InvalidInput, NumericsError, ParseError, VersionError
-from .geometry import (
-    Trajectory, ViewingAngle, _landed_angle, clamp_elevation, signed_azimuth_delta, wrap_azimuth,
-)
-from .observation import OFFSET_SCALE, Episode, FrameObservation, _lines, _parse_json_line
+from .geometry import Trajectory, ViewingAngle, _landed_angle
+from .observation import Episode, FrameObservation, _lines, _parse_json_line
 from .regressor import RegressorNetwork
 from .selector import SelectorNetwork
 
@@ -61,7 +58,6 @@ class PilotModel:
         self.dims = dims
         self.selector = SelectorNetwork(dims.flat_dim, dims.selector_hidden, dims.slots, rng)
         self.regressor = RegressorNetwork(dims.motion_bins, dims.regressor_hidden, rng)
-        self._steering = None  # pilot_step's steering step and the weight arrays it views
 
     def params(self) -> list[ParamTensor]:
         return self.selector.params() + self.regressor.params()
@@ -131,10 +127,11 @@ def load_model_checkpoint(
     path, expect_dims: ModelDims | None = None
 ) -> tuple[PilotModel, Checkpoint]:
     """Read, validate and verify a checkpoint in one pass. An incomplete
-    file, an epoch that is not a count, or values that do not hash to the
-    stored digest raise ParseError; the format version VersionError; dims
-    other than ``expect_dims``, or foreign parameter names or shapes,
-    ConfigError; a non-finite value NumericsError."""
+    file, an epoch that is not a count, a parameter value that is not a JSON
+    number, or values that do not hash to the stored digest raise
+    ParseError; the format version VersionError; dims other than
+    ``expect_dims``, or foreign parameter names or shapes, ConfigError; a
+    non-finite value NumericsError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -151,6 +148,8 @@ def load_model_checkpoint(
         schedule = LrSchedule(**doc["lr_schedule"])
         values = {}
         for name, rec in doc["params"].items():
+            if not set(map(type, rec["values"])) <= {int, float}:  # np.array reads "0.0" and true
+                raise ParseError(f"checkpoint parameter {name} holds a value that is not a number")
             values[name] = np.array(rec["values"], dtype=np.float64).reshape(rec["shape"])
             if not np.all(np.isfinite(values[name])):
                 raise NumericsError(f"checkpoint parameter {name} has non-finite entries")
@@ -191,99 +190,41 @@ def initial_state(model: PilotModel, init: ViewingAngle) -> AgentState:
     return AgentState(model.selector.initial_state(), model.regressor.initial_state(), init)
 
 
-def steering_step(model: PilotModel):
-    """``step(x, target_az, target_el, az, el, mu) -> (az, el, mu)``: move the
-    view (az, el) toward the selected slot at (target_az, target_el). ``x``
-    (k+2,) holds the slot's motions; the step writes the follow offset into
-    its last two entries. It is ``TanhRnnCell.step`` inlined (a call would add
-    a third to its time), then ``training._steer``'s head and landing at B=1,
-    in their order, so the landed views are the same floats (NaN stays NaN).
-    Its three products are ``ndarray.dot`` calls, as in the cell."""
-    cell, k = model.regressor.cell, model.dims.motion_bins
-    w_xh, w_hh, bias = cell.w_xh.values.T, cell.w_hh.values.T, cell.b.values
-    w_r = model.regressor.head.w.values.T
-
-    def step(x, target_az, target_el, az, el, mu):
-        x[k] = signed_azimuth_delta(target_az - az) / OFFSET_SCALE
-        x[k + 1] = (target_el - el) / OFFSET_SCALE
-        pre = x.dot(w_xh)
-        pre += mu.dot(w_hh)
-        pre += bias
-        mu = np.tanh(pre, out=pre)
-        d_az, d_el = mu.dot(w_r).tolist()
-        return wrap_azimuth(az + d_az), clamp_elevation(el + d_el), mu
-
-    return step
-
-
-def _model_steering_step(model: PilotModel):
-    """``steering_step(model)``, built once per model and again only when one
-    of the weight arrays it views is rebound (``gradient_check`` rebinds
-    ``ParamTensor.values`` while probing); in-place updates show through."""
-    cell, head = model.regressor.cell, model.regressor.head
-    cached = model._steering  # (w_xh, w_hh, b, head w, step)
-    if cached is None or not (
-        cached[0] is cell.w_xh.values and cached[1] is cell.w_hh.values
-        and cached[2] is cell.b.values and cached[3] is head.w.values
-    ):
-        views = (cell.w_xh.values, cell.w_hh.values, cell.b.values, head.w.values)
-        cached = model._steering = (*views, steering_step(model))
-    return cached[4]
-
-
 def pilot_step(
     obs: FrameObservation, state: AgentState, model: PilotModel
 ) -> tuple[ViewingAngle, int, AgentState]:
     """One online step: select a main object, refine the follow offset into a
     steering action, and move the viewing angle. The pick is the argmax of the
-    head's softmax (not of its logits: rounding can tie slots that they order)."""
-    if obs.flat.shape[-1] != model.dims.flat_dim:
-        raise InvalidInput(
-            f"observation dim {obs.flat.shape[-1]} != model dim {model.dims.flat_dim}"
-        )
+    head's softmax (not of its logits: rounding can tie slots that they order).
+    The selector state (``cell.step``) may differ in its last bits from the
+    ``unroll`` that :func:`pilot_episode` picks from; a test holds it within
+    1e-14 and the top-two probability gap of the picks above 1e-8 on the
+    eval workload's inputs, so there the two fold to the same floats."""
     h = model.selector.cell.step(obs.flat, state.selector_h)
     index = int(softmax(h.dot(model.selector.head.w.values.T)).argmax())  # ties: lowest slot
     if not 0 <= index < len(obs.scores):
         raise InvalidInput(f"selection index {index} out of range")
-    k = model.dims.motion_bins
-    x = np.empty(k + 2)  # steering_step writes the follow offset into x[k:]
-    x[:k] = obs.motions[index]
-    target, view = obs.positions[index].tolist(), (state.angle.azimuth, state.angle.elevation)
-    az, el, mu = _model_steering_step(model)(x, *target, *view, state.regressor_mu)
+    xs = np.empty((1, model.dims.motion_bins + 2))  # steer writes the follow offset into xs[0, -2:]
+    xs[0, :-2] = obs.motions[index]
+    angle = state.angle
+    [(az, el)], mu = model.regressor.steer(
+        xs, [obs.positions[index].tolist()], angle.azimuth, angle.elevation, state.regressor_mu
+    )
     if not (math.isfinite(az) and math.isfinite(el)):
         raise InvalidInput(f"non-finite viewing angle ({az}, {el})")
-    angle = _landed_angle(az, el)  # steering_step lands the view
+    angle = _landed_angle(az, el)  # steer lands the view
     return angle, index, AgentState(h, mu, angle)
 
 
-def greedy_picks(episode: Episode, model: PilotModel) -> np.ndarray:
-    """Each frame's slot by the argmax of the selector run over the episode."""
-    _, probs = model.selector.unroll(episode.flat[None])
-    return np.argmax(probs[0], axis=-1)
-
-
-def pilot_episode(
-    episode: Episode, model: PilotModel, picks: np.ndarray | None = None
-) -> tuple[Trajectory, np.ndarray]:
-    """The floats of :func:`pilot_step` folded over an episode from its first
-    ground-truth angle, as (trajectory, picks): the selector runs once and
-    its argmax picks each frame's slot (``picks``, from :func:`greedy_picks`
-    when not given), then :func:`steering_step` moves the view frame by
-    frame. Given ``picks`` must be an integer array of the episode's length
-    with every value in [0, N), else InvalidInput."""
-    picks = greedy_picks(episode, model) if picks is None else np.asarray(picks)
-    t_total, n = episode.scores.shape
-    if picks.dtype.kind not in "iu" or picks.shape != (t_total,) or np.any((picks < 0) | (picks >= n)):
-        raise InvalidInput(
-            f"picks must be {t_total} integers in [0, {n}), got {picks.dtype} {picks.shape}"
-        )
+def pilot_episode(episode: Episode, model: PilotModel) -> tuple[Trajectory, np.ndarray]:
+    """:func:`pilot_step` folded over an episode from its first ground-truth
+    angle, as (trajectory, picks): the argmax of one selector pass picks every
+    frame's slot, then ``RegressorNetwork.steer`` moves the view."""
+    picks = np.argmax(model.selector.unroll(episode.flat[None])[1][0], axis=-1)
     frames = np.arange(len(episode))
     xs = np.append(episode.motions[frames, picks], np.zeros((len(episode), 2)), axis=1)
-    step, mu, views = _model_steering_step(model), model.regressor.initial_state(), []
-    az, el = episode.gt_track[0].tolist()
-    for x, target in zip(xs, episode.positions[frames, picks].tolist()):
-        az, el, mu = step(x, *target, az, el, mu)
-        views.append((az, el))
+    targets, start = episode.positions[frames, picks].tolist(), episode.gt_track[0].tolist()
+    views, _ = model.regressor.steer(xs, targets, *start, model.regressor.initial_state())
     return Trajectory(views), picks
 
 

@@ -5,11 +5,12 @@ The metrics take (..., T, 2) angle arrays and reduce the frame axis: MO
 averages ``geometry.nfov_iou`` over the frames, and MVD is reported in
 degrees per frame. A method maps an episode to a ``geometry.Trajectory`` of
 its length, built from arrays the method already holds; the ``agent``
-method is ``agent.pilot_episode``. ``benchmark`` runs every method on one
-episode before the next, stacks each method's ``Trajectory.array`` per
-group of equal-length episodes and calls each metric once per (method,
-length group). ``agent`` and ``selector_only`` built together share one
-greedy selector pass per episode.
+method is ``agent.pilot_episode`` (``RegressorNetwork.steer``, the one B=1
+steering loop, folded over the episode), and ``selector_only`` emits the
+positions of its picks; built together they read one result per episode.
+``benchmark`` runs every method on one episode before the next, stacks each
+method's ``Trajectory.array`` per group of equal-length episodes and calls
+each metric once per (method, length group).
 ``offline_dp`` runs over the step x step view grid of ``default_view_grid``,
 prepared once per (grid_step, smooth_weight). Benchmark rows carry, per
 method, the MO/MVD means over episodes plus per-episode detail records,
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .agent import PilotModel, greedy_picks, pilot_episode
+from .agent import PilotModel, pilot_episode
 from .errors import InvalidInput
 from .geometry import DEFAULT_H_SPAN, Trajectory, land_angles, nfov_iou, signed_azimuth_delta_array
 from .observation import Episode
@@ -81,11 +82,9 @@ def greedy_salient(episode: Episode) -> Trajectory:
     return Trajectory(episode.positions[:, 0])
 
 
-def selector_only(episode: Episode, model: PilotModel, picks: np.ndarray | None = None) -> Trajectory:
-    """Run the trained selector greedily and emit the chosen object's
-    position directly, skipping the refinement network. ``picks`` are
-    ``agent.greedy_picks``, computed when not given."""
-    picks = greedy_picks(episode, model) if picks is None else picks
+def selector_only(episode: Episode, picks: np.ndarray) -> Trajectory:
+    """Emit the position of the slot the agent's selector picked each frame
+    (``picks``, from ``agent.pilot_episode``), skipping the refinement."""
     return Trajectory(episode.positions[np.arange(len(picks)), picks])
 
 
@@ -94,19 +93,20 @@ def gt_replay(episode: Episode) -> Trajectory:
     return episode.gt
 
 
-def _shared_picks(model: PilotModel) -> Callable[[Episode], np.ndarray]:
-    """``agent.greedy_picks`` for ``agent`` and ``selector_only`` built together:
-    a call for the Episode object of the call before reuses its picks while
-    that episode's ``flat`` and the selector weights equal what they were."""
-    last = [None, [], None]  # the episode, copies of its flat and the weights, the picks
+def _shared_fold(model: PilotModel) -> Callable[[Episode], tuple[Trajectory, np.ndarray]]:
+    """``agent.pilot_episode`` for ``agent`` and ``selector_only`` built
+    together: a call for the Episode object of the call before reuses its
+    result while all it reads (the episode's ``flat``, ``positions`` and
+    ``gt_track``, every model weight) equals what it was."""
+    last = [None, [], None]  # the episode, copies of what the fold reads, its result
 
-    def picks(episode: Episode) -> np.ndarray:
-        inputs = [episode.flat] + [p.values for p in model.selector.params()]
+    def fold(episode: Episode) -> tuple[Trajectory, np.ndarray]:
+        inputs = [episode.flat, episode.positions, episode.gt_track] + [p.values for p in model.params()]
         if last[0] is not episode or not all(map(np.array_equal, last[1], inputs)):
-            last[:] = episode, [a.copy() for a in inputs], greedy_picks(episode, model)
+            last[:] = episode, [a.copy() for a in inputs], pilot_episode(episode, model)
         return last[2]
 
-    return picks
+    return fold
 
 
 # The DP's dense (G, G) float64 arrays may hold at most this many entries
@@ -275,17 +275,17 @@ def build_methods(
     """Resolve method names to episode -> trajectory callables. An empty
     list, an unknown name, or a method of ``MODEL_METHODS`` without a model
     raises InvalidInput. ``agent`` and ``selector_only`` built together share
-    one selector pass per episode (see :func:`benchmark`)."""
+    one ``agent.pilot_episode`` call per episode."""
     unknown = [n for n in names if n not in METHOD_NAMES]
     if unknown or not names:
         problem = f"unknown methods {unknown}" if unknown else "no methods given"
         raise InvalidInput(f"{problem}; valid methods: {', '.join(METHOD_NAMES)}")
     if set(MODEL_METHODS) & set(names) and model is None:
         raise InvalidInput(f"the methods {'/'.join(MODEL_METHODS)} need a model checkpoint")
-    picks = _shared_picks(model) if set(MODEL_METHODS) <= set(names) else lambda ep: None
+    fold = _shared_fold(model) if set(MODEL_METHODS) <= set(names) else lambda ep: pilot_episode(ep, model)
     table: dict[str, Callable] = {
-        "agent": lambda ep: pilot_episode(ep, model, picks(ep))[0],
-        "selector_only": lambda ep: selector_only(ep, model, picks(ep)),
+        "agent": lambda ep: fold(ep)[0],
+        "selector_only": lambda ep: selector_only(ep, fold(ep)[1]),
         "center_hold": center_hold,
         "greedy_salient": greedy_salient,
         "offline_dp": lambda ep: offline_dp(

@@ -55,7 +55,6 @@ _BLOCK_FRAMES = 64  # frame records an episode reader reads and checks as one bl
 # units so every feature block is O(1); raw tanh units saturate on degree
 #-scale inputs. Slot positions, episode files, and geometry stay in degrees.
 ANGLE_SCALE = 180.0
-OFFSET_SCALE = 30.0
 
 # Fixed appearance signature of the main object. Constant across episodes
 # and seeds so that a selector trained on some scenes can recognize the

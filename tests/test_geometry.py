@@ -10,8 +10,7 @@ from viewpilot.geometry import (
     DEFAULT_H_SPAN, Trajectory, ViewingAngle, land_angles, nfov_iou, signed_azimuth_delta,
     signed_azimuth_delta_array,
 )
-from viewpilot.observation import OFFSET_SCALE
-from viewpilot.regressor import loss_terms
+from viewpilot.regressor import OFFSET_SCALE, loss_terms
 from viewpilot.training import _follow_offset
 
 

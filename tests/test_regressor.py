@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from viewpilot.agent import ModelDims, PilotModel, steering_step
+from viewpilot.agent import ModelDims, PilotModel
 from viewpilot.errors import InvalidInput
 from viewpilot.gradcheck import CHECK_DIMS, make_check_batch
+from viewpilot.observation import SceneConfig, synth_scene
 from viewpilot.regressor import loss_grad, loss_terms
-from viewpilot.training import WindowBatch, rollout_window, surrogate_loss
+from viewpilot.training import WindowBatch, _steer, rollout_window, surrogate_loss
 
 from test_geometry import follow_offset, steer
 
@@ -34,14 +35,21 @@ class TestNaiveAction:
 
 
 def _steering(motion_bins=6, hidden=4, seed=0):
-    """``agent.steering_step`` of a fresh model and that model's regressor."""
+    """``step(x, target_az, target_el, az, el, mu) -> (az, el, mu)``, a
+    one-frame ``RegressorNetwork.steer`` of a fresh model's regressor, and
+    that regressor."""
     dims = ModelDims(3, motion_bins, 2, selector_hidden=2, regressor_hidden=hidden)
-    model = PilotModel(dims, np.random.default_rng(seed))
-    return steering_step(model), model.regressor
+    net = PilotModel(dims, np.random.default_rng(seed)).regressor
+
+    def step(x, target_az, target_el, az, el, mu):
+        [(az, el)], mu = net.steer(x[None], [(target_az, target_el)], az, el, mu)
+        return az, el, mu
+
+    return step, net
 
 
 class TestRegressorForward:
-    """``agent.steering_step``, one frame of the regressor's forward."""
+    """``RegressorNetwork.steer`` over one frame of the regressor's forward."""
 
     def test_zero_weights_emit_zero_action(self):
         step, net = _steering()
@@ -79,6 +87,54 @@ class TestRegressorForward:
         batch = WindowBatch(batch.flat, batch.positions, wide, batch.gt)
         with pytest.raises(InvalidInput, match="cell expects input 14 / hidden 8, got 15 / 8"):
             rollout_window(model, batch, forced_indices=forced)
+
+
+def _fold_inputs():
+    """A model with nonzero biases, a 120-frame episode, random picks (any
+    picks steer) and ``steer``'s (xs, targets) for them."""
+    dims = ModelDims(4, 5, 3, selector_hidden=6, regressor_hidden=4)
+    scene = SceneConfig(frames=120, objects=2, slots=3, appearance_dim=4, motion_bins=5)
+    model, rng = PilotModel(dims, np.random.default_rng(0)), np.random.default_rng(1)
+    for p in model.params():
+        p.values += 0.3 * rng.normal(size=p.shape)
+    episode = synth_scene(scene, 3)
+    frames = np.arange(len(episode))
+    picks = rng.integers(0, 3, len(episode))
+    xs = np.append(episode.motions[frames, picks], np.zeros((len(episode), 2)), axis=1)
+    return model, episode, picks, xs, episode.positions[frames, picks].tolist()
+
+
+class TestSteerFold:
+    """``RegressorNetwork.steer`` folds on from whatever view and state it
+    is handed: ``pilot_step`` is its T=1 fold, and a start rule other than
+    the first gt angle only changes the view it starts from."""
+
+    def test_a_fold_carried_on_equals_the_whole_fold(self):
+        model, episode, _, xs, targets = _fold_inputs()
+        net, start = model.regressor, episode.gt_track[0].tolist()
+        whole, mu = net.steer(xs, targets, *start, net.initial_state())
+        head, carried = net.steer(xs[:77], targets[:77], *start, net.initial_state())
+        tail, last = net.steer(xs[77:], targets[77:], *head[-1], carried)
+        assert head + tail == whole and last.tobytes() == mu.tobytes()
+        view, state, steps = start, net.initial_state(), []
+        for t in range(len(episode)):  # one frame per call, as pilot_step folds it
+            [view], state = net.steer(xs[t : t + 1], targets[t : t + 1], *view, state)
+            steps.append(view)
+        assert steps == whole and state.tobytes() == mu.tobytes()
+
+    def test_a_fold_from_another_start_equals_the_training_kernel(self):
+        model, episode, picks, xs, targets = _fold_inputs()
+        gt = episode.gt_track.copy()
+        gt[0] = (123.0, 7.0)
+        batch = WindowBatch(
+            episode.flat[None], episode.positions[None], episode.motions[None], gt[None]
+        )
+        _, mus, _, angles = _steer(model, batch, picks[None])
+        net = model.regressor
+        views, mu = net.steer(xs, targets, 123.0, 7.0, net.initial_state())
+        assert views != net.steer(xs, targets, *episode.gt_track[0].tolist(), net.initial_state())[0]
+        assert angles[1:, 0].tolist() == [list(v) for v in views]
+        assert mu.tobytes() == mus[-1, 0].tobytes()
 
 
 def _track(pairs) -> np.ndarray:
