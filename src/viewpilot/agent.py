@@ -201,7 +201,7 @@ def pilot_step(
     1e-14 and the top-two probability gap of the picks above 1e-8 on the
     eval workload's inputs, so there the two fold to the same floats."""
     h = model.selector.cell.step(obs.flat, state.selector_h)
-    index = int(softmax(h.dot(model.selector.head.w.values.T)).argmax())  # ties: lowest slot
+    index = int(softmax(h.dot(model.selector.head.values.T)).argmax())  # ties: lowest slot
     if not 0 <= index < len(obs.scores):
         raise InvalidInput(f"selection index {index} out of range")
     xs = np.empty((1, model.dims.motion_bins + 2))  # steer writes the follow offset into xs[0, -2:]

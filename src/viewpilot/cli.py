@@ -22,7 +22,7 @@ import numpy as np
 from . import evaluation
 from .agent import ModelDims, initial_state, load_model_checkpoint, pilot_step, write_trajectory
 from .config import RunConfig, apply_overrides, load_run_config
-from .diffcore import require_positive
+from .diffcore import DEFAULT_GRADCHECK_TOLERANCE, require_positive
 from .errors import ConfigError, InvalidInput, NumericsError, ParseError, PilotError
 from .gradcheck import MODES, check_model, check_trajectory_loss
 from .observation import generate_dataset, load_episodes, save_episodes, stream_episodes
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
     common(p)
     p.add_argument("--seeds", type=_positive(int), default=10, help="number of random seeds")
-    p.add_argument("--tolerance", type=_positive(float), default=1e-4)
+    p.add_argument("--tolerance", type=_positive(float), default=DEFAULT_GRADCHECK_TOLERANCE)
     p.add_argument("--corrupt", help="perturb this parameter's joint-check gradient (negative control)")
     p.set_defaults(func=cmd_gradcheck)
     return parser

@@ -1,6 +1,6 @@
-"""Minimal differentiable plumbing: parameters, tanh RNN cell, affine heads,
-softmax, SGD with a step-decay schedule, and finite-difference gradient
-checks.
+"""Minimal differentiable plumbing: parameters (each network's bias-free
+head is one), the tanh RNN cell, softmax, SGD with a step-decay schedule,
+and finite-difference gradient checks.
 
 Everything is float64 numpy. Backward passes are hand-derived; there is no
 general autodiff. ``TanhRnnCell.step`` and ``backward_step`` are the cells'
@@ -163,31 +163,6 @@ class TanhRnnCell:
         return carry
 
 
-class Linear:
-    """Bias-free affine head: y = W x.
-
-    ``gain`` scales the init range; heads whose outputs live on a larger
-    scale than the (-1, 1) hidden units (e.g. steering in degrees) need it
-    to express useful magnitudes from the start.
-    """
-
-    def __init__(
-        self, name: str, input_dim: int, output_dim: int, rng: np.random.Generator,
-        gain: float = 1.0,
-    ):
-        self.w = ParamTensor(
-            f"{name}.w", gain * uniform_init(rng, (output_dim, input_dim), input_dim)
-        )
-
-    def params(self) -> list[ParamTensor]:
-        return [self.w]
-
-    def backward(self, dy: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Accumulate the weight grad for outputs ``x @ W^T``; returns dx."""
-        self.w.grad += dy.T @ x
-        return dy @ self.w.values
-
-
 def require_positive(name: str, value: float, allow_zero: bool = False) -> None:
     """Raise InvalidInput naming ``name`` unless ``value`` is finite and
     positive (or zero, with ``allow_zero``). Written so that NaN fails."""
@@ -287,10 +262,11 @@ class GradCheckResult:
 
 
 _PROBE_BLOCK_ENTRIES = 1 << 16  # bound on one probe block's stacked entries (512 kB)
+DEFAULT_GRADCHECK_TOLERANCE = 1e-4  # max relative error; gradcheck and its CLI flag default to it
 
 
 def gradient_check(
-    loss_fn, params: Sequence[ParamTensor], tolerance: float = 1e-4
+    loss_fn, params: Sequence[ParamTensor], tolerance: float = DEFAULT_GRADCHECK_TOLERANCE
 ) -> GradCheckResult:
     """Compare the analytic grads already stored in ``params`` against
     central finite differences of ``loss_fn`` with step 1e-5.

@@ -28,12 +28,13 @@ import numpy as np
 
 from .agent import PilotModel, pilot_episode
 from .errors import InvalidInput
-from .geometry import DEFAULT_H_SPAN, Trajectory, land_angles, nfov_iou, signed_azimuth_delta_array
+from .geometry import (
+    DEFAULT_H_SPAN, Trajectory, land_angles, nfov_iou, signed_azimuth_delta_array, velocity_array,
+)
 from .observation import Episode
 # Unused here; perfbench's tracer swaps these bindings and fails a check if one is missing.
 from .observation import episode_arrays, synth_scene  # noqa: F401
-from .regressor import velocity_array
-from .training import DEFAULT_ETA
+from .training import DEFAULT_ETA, focus_reward
 
 DEFAULT_GRID_STEP = 30.0
 DEFAULT_DP_SMOOTH_WEIGHT = 1.0
@@ -93,18 +94,18 @@ def gt_replay(episode: Episode) -> Trajectory:
     return episode.gt
 
 
-def _shared_fold(model: PilotModel) -> Callable[[Episode], tuple[Trajectory, np.ndarray]]:
-    """``agent.pilot_episode`` for ``agent`` and ``selector_only`` built
-    together: a call for the Episode object of the call before reuses its
-    result while all it reads (the episode's ``flat``, ``positions`` and
-    ``gt_track``, every model weight) equals what it was."""
-    last = [None, [], None]  # the episode, copies of what the fold reads, its result
+def _shared_fold(model: PilotModel) -> Callable[[Episode, str], tuple[Trajectory, np.ndarray]]:
+    """``fold(episode, method)`` is ``agent.pilot_episode(episode, model)``,
+    reusing the last result only for the same Episode object and a method
+    that has not read it yet: a pass folds each episode once, a method called
+    twice folds twice, and an edit between passes (not methods) is seen."""
+    last = [None, None, set()]  # the episode, its result, the methods that read it
 
-    def fold(episode: Episode) -> tuple[Trajectory, np.ndarray]:
-        inputs = [episode.flat, episode.positions, episode.gt_track] + [p.values for p in model.params()]
-        if last[0] is not episode or not all(map(np.array_equal, last[1], inputs)):
-            last[:] = episode, [a.copy() for a in inputs], pilot_episode(episode, model)
-        return last[2]
+    def fold(episode: Episode, method: str) -> tuple[Trajectory, np.ndarray]:
+        if last[0] is not episode or method in last[2]:
+            last[:] = episode, pilot_episode(episode, model), set()
+        last[2].add(method)
+        return last[1]
 
     return fold
 
@@ -170,8 +171,7 @@ def _dp_unaries(
     view's among them. A running minimum over the real slots in slot order
     keeps a view's distance and score where a slot is strictly closer, so
     ties keep the lower slot as argmin does; a padded slot's distance is inf.
-    The reward (``reward_array``'s piecewise form) is taken at the kept
-    distance. Frames go in blocks.
+    ``training.focus_reward`` is taken at the kept distance. Frames go in blocks.
     """
     (t_total, n), g_total = episode.scores.shape, grid_arr.shape[0]
     unary = np.zeros((t_total, g_total))
@@ -188,7 +188,7 @@ def _dp_unaries(
             dist[~real[:, s]] = np.inf
             score = np.where(dist < nearest, scores[:, s, None], score)
             nearest = np.minimum(nearest, dist)
-        value = score * np.where(nearest <= eta, 1.0 - nearest / eta, -1.0)
+        value = score * focus_reward(nearest, eta)
         unary[lo : lo + block] = np.where(real.any(axis=1)[:, None], value, 0.0)
     return unary
 
@@ -274,18 +274,18 @@ def build_methods(
 ) -> dict[str, Callable[[Episode], Trajectory]]:
     """Resolve method names to episode -> trajectory callables. An empty
     list, an unknown name, or a method of ``MODEL_METHODS`` without a model
-    raises InvalidInput. ``agent`` and ``selector_only`` built together share
-    one ``agent.pilot_episode`` call per episode."""
+    raises InvalidInput. ``agent`` and ``selector_only`` share one
+    ``agent.pilot_episode`` call per episode and pass (``_shared_fold``)."""
     unknown = [n for n in names if n not in METHOD_NAMES]
     if unknown or not names:
         problem = f"unknown methods {unknown}" if unknown else "no methods given"
         raise InvalidInput(f"{problem}; valid methods: {', '.join(METHOD_NAMES)}")
     if set(MODEL_METHODS) & set(names) and model is None:
         raise InvalidInput(f"the methods {'/'.join(MODEL_METHODS)} need a model checkpoint")
-    fold = _shared_fold(model) if set(MODEL_METHODS) <= set(names) else lambda ep: pilot_episode(ep, model)
+    fold = _shared_fold(model)
     table: dict[str, Callable] = {
-        "agent": lambda ep: fold(ep)[0],
-        "selector_only": lambda ep: selector_only(ep, fold(ep)[1]),
+        "agent": lambda ep: fold(ep, "agent")[0],
+        "selector_only": lambda ep: selector_only(ep, fold(ep, "selector_only")[1]),
         "center_hold": center_hold,
         "greedy_salient": greedy_salient,
         "offline_dp": lambda ep: offline_dp(

@@ -58,6 +58,14 @@ def angle_offsets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def velocity_array(pred: np.ndarray) -> np.ndarray:
+    """Wrap-aware per-frame velocities of a (..., T, 2) angle array, the first
+    one (0, 0) because no angle precedes the first frame."""
+    v = np.zeros_like(pred)
+    v[..., 1:, :] = angle_offsets(pred[..., 1:, :], pred[..., :-1, :])
+    return v
+
+
 def land_angles(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Viewing angles from (..., 2) unclamped ones, into ``out`` (a new
     float64 array by default; ``raw`` itself works): azimuth wrapped into

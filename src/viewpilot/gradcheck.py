@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .agent import ModelDims, PilotModel
-from .diffcore import GradCheckResult, ParamTensor, gradient_check
+from .diffcore import DEFAULT_GRADCHECK_TOLERANCE, GradCheckResult, ParamTensor, gradient_check
 from .errors import InvalidInput
 from .observation import SceneConfig, episode_arrays, synth_scene
 from .regressor import loss_grad, loss_terms
@@ -75,7 +75,7 @@ def check_model(
     seed: int,
     dims: ModelDims = CHECK_DIMS,
     frames: int = CHECK_FRAMES,
-    tolerance: float = 1e-4,
+    tolerance: float = DEFAULT_GRADCHECK_TOLERANCE,
     corrupt: str | None = None,
 ) -> GradCheckResult:
     """Gradient-check one training path ("selector", "regressor", or "joint").
@@ -115,7 +115,9 @@ def check_model(
     return GradCheckResult(errors, tolerance)
 
 
-def check_trajectory_loss(seed: int, frames: int = 12, tolerance: float = 1e-4) -> GradCheckResult:
+def check_trajectory_loss(
+    seed: int, frames: int = 12, tolerance: float = DEFAULT_GRADCHECK_TOLERANCE
+) -> GradCheckResult:
     """Finite-difference check of the trajectory-loss gradient itself."""
     rng = np.random.default_rng([seed, 103])
     pred = np.column_stack([rng.uniform(0, 360, frames), rng.uniform(-50, 50, frames)])

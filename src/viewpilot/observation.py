@@ -45,7 +45,7 @@ import numpy as np
 from .diffcore import check_field_types
 from .errors import InvalidInput, ParseError, VersionError
 from .geometry import (
-    Trajectory, ViewingAngle, clamp_elevation, land_angles, signed_azimuth_delta_array, wrap_azimuth,
+    Trajectory, ViewingAngle, clamp_elevation, land_angles, velocity_array, wrap_azimuth,
 )
 
 EPISODE_FORMAT_VERSION = 1
@@ -215,7 +215,8 @@ class SceneConfig:
     foreground objects cluster around the action in sports footage.
     Observed positions carry Gaussian jitter of ``position_noise``
     degrees, emulating detector box noise, while the ground-truth track
-    smooths the true main-object path with a centered moving average.
+    smooths the true main-object path with a centered moving average of
+    2 * (gt_smooth_window // 2) + 1 frames (an even window takes one more).
     Construction rejects a mistyped or out-of-range field with InvalidInput.
     """
 
@@ -323,9 +324,7 @@ def _object_paths(config: SceneConfig, center: np.ndarray, rng: np.random.Genera
     """True per-frame positions (T, 2) and velocities (T, 2) for one object
     riding a bounded offset around the action center."""
     pos = land_angles(center + _offset_path(config, rng))
-    vel = np.empty_like(pos)
-    vel[1:, 0] = signed_azimuth_delta_array(np.diff(pos[:, 0]))
-    vel[1:, 1] = np.diff(pos[:, 1])
+    vel = velocity_array(pos)
     vel[0] = vel[1]
     return pos, vel
 
@@ -353,7 +352,7 @@ def _smooth_track(pos: np.ndarray, window: int) -> np.ndarray:
     """Centered moving average of an angle track; azimuth is unwrapped
     before averaging so the smoothing never crosses the 0/360 seam."""
     t_total, half = pos.shape[0], window // 2
-    az = np.concatenate([[pos[0, 0]], pos[0, 0] + np.cumsum(signed_azimuth_delta_array(np.diff(pos[:, 0])))])
+    az = pos[0, 0] + np.cumsum(velocity_array(pos)[:, 0])
     track = np.stack([az, pos[:, 1]])  # (2, T): each mean reduces one contiguous row
     mean = np.empty_like(track)
     full = t_total - 2 * half  # frames whose whole 2*half+1 window fits

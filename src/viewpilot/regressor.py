@@ -1,11 +1,12 @@
 """Steering-action refinement and the regression + smoothness training loss.
 
 The regressor consumes the selected object's motion histogram concatenated
-with the naive follow-the-object offset, runs one tanh RNN step, and maps the
-hidden state linearly to a 2-D steering action. :meth:`RegressorNetwork.steer`
-is the one B=1 steering loop (``agent.pilot_episode`` and ``pilot_step``);
-batches call ``TanhRnnCell.step`` in ``training._steer``, which at B=1 takes
-3.7x ``steer``'s time per frame (16.25 vs 4.36 us), and ``_branch_rewards``.
+with the naive follow-the-object offset, runs one tanh RNN step, and its
+bias-free (2, R) head ``regressor.head.w`` maps the hidden state to a 2-D
+steering action. :meth:`RegressorNetwork.steer` is the one B=1 steering loop
+(``agent.pilot_episode`` and ``pilot_step``); batches call
+``TanhRnnCell.step`` in ``training._steer``, which at B=1 takes 3.7x
+``steer``'s time per frame (16.25 vs 4.36 us), and ``_branch_rewards``.
 The loss over a predicted trajectory is the summed wrap-aware distance to
 ground truth plus lambda times the summed change in viewing-angle velocity.
 """
@@ -14,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diffcore import Linear, TanhRnnCell
-from .geometry import angle_offsets, clamp_elevation, signed_azimuth_delta, wrap_azimuth
+from .diffcore import ParamTensor, TanhRnnCell, uniform_init
+from .geometry import angle_offsets, clamp_elevation, signed_azimuth_delta, velocity_array, wrap_azimuth
 
 
 ACTION_GAIN = 8.0  # init scale of the steering head; outputs are degrees/frame
@@ -28,10 +29,11 @@ class RegressorNetwork:
     def __init__(self, motion_bins: int, hidden_dim: int, rng: np.random.Generator):
         self.hidden_dim = hidden_dim
         self.cell = TanhRnnCell("regressor.cell", motion_bins + 2, hidden_dim, rng)
-        self.head = Linear("regressor.head", hidden_dim, 2, rng, gain=ACTION_GAIN)
+        init = ACTION_GAIN * uniform_init(rng, (2, hidden_dim), hidden_dim)
+        self.head = ParamTensor("regressor.head.w", init)
 
     def params(self):
-        return self.cell.params() + self.head.params()
+        return self.cell.params() + [self.head]
 
     def initial_state(self) -> np.ndarray:
         return np.zeros(self.hidden_dim)
@@ -44,7 +46,7 @@ class RegressorNetwork:
         ``TanhRnnCell.step`` inline (a call adds a third to its time), then
         ``training._steer``'s head and landing, so at B=1 its floats."""
         w_xh, w_hh, bias = self.cell.w_xh.values.T, self.cell.w_hh.values.T, self.cell.b.values
-        w_r, views = self.head.w.values.T, []
+        w_r, views = self.head.values.T, []
         for x, (target_az, target_el) in zip(xs, targets):
             x[-2] = signed_azimuth_delta(target_az - az) / OFFSET_SCALE
             x[-1] = (target_el - el) / OFFSET_SCALE
@@ -62,17 +64,6 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     """vec / ||vec|| rows, with zero rows kept zero (subgradient choice)."""
     norm = np.linalg.norm(vec, axis=-1, keepdims=True)
     return np.divide(vec, norm, out=np.zeros_like(vec), where=norm > 0.0)
-
-
-def velocity_array(pred: np.ndarray) -> np.ndarray:
-    """Per-frame viewing-angle velocities with the v_1 = (0, 0) convention.
-
-    pred is (..., T, 2); the first velocity is defined as zero because no
-    angle precedes the first frame.
-    """
-    v = np.zeros_like(pred)
-    v[..., 1:, :] = angle_offsets(pred[..., 1:, :], pred[..., :-1, :])
-    return v
 
 
 def loss_terms(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

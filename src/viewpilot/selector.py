@@ -1,6 +1,7 @@
-"""Main-object selection: a recurrent network over frame observations with a
-softmax head. Its step is ``diffcore.TanhRnnCell.step`` (one frame, in
-``agent.pilot_step``) or ``TanhRnnCell.unroll`` (a whole sequence, here).
+"""Main-object selection: a recurrent network over frame observations, then a
+softmax over the logits of its bias-free (N, H) head ``selector.head.w``. Its
+step is ``diffcore.TanhRnnCell.step`` (one frame, in ``agent.pilot_step``) or
+``TanhRnnCell.unroll`` (a whole sequence, here).
 Greedy selection is the argmax (``agent.pilot_step`` and ``pilot_episode``,
 which then steer through ``RegressorNetwork.steer``, the one B=1 steering
 loop); sampled selection and the REINFORCE gradient run batched in
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diffcore import Linear, TanhRnnCell, softmax
+from .diffcore import ParamTensor, TanhRnnCell, softmax, uniform_init
 
 
 class SelectorNetwork:
@@ -21,10 +22,10 @@ class SelectorNetwork:
         self.hidden_dim = hidden_dim
         self.n_slots = n_slots
         self.cell = TanhRnnCell("selector.cell", input_dim, hidden_dim, rng)
-        self.head = Linear("selector.head", hidden_dim, n_slots, rng)
+        self.head = ParamTensor("selector.head.w", uniform_init(rng, (n_slots, hidden_dim), hidden_dim))
 
     def params(self):
-        return self.cell.params() + self.head.params()
+        return self.cell.params() + [self.head]
 
     def initial_state(self) -> np.ndarray:
         return np.zeros(self.hidden_dim)
@@ -39,5 +40,5 @@ class SelectorNetwork:
         """
         hs = self.cell.unroll(flat)
         states = hs[..., 1:, :].reshape(hs.shape[:-3] + (-1, self.hidden_dim))
-        logits = states @ self.head.w.values.swapaxes(-1, -2)
+        logits = states @ self.head.values.swapaxes(-1, -2)
         return hs, softmax(logits.reshape(logits.shape[:-2] + flat.shape[:2] + (self.n_slots,)))

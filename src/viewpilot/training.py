@@ -47,15 +47,16 @@ from .regressor import OFFSET_SCALE, loss_grad, loss_terms
 DEFAULT_ETA = 40.9
 
 
-def reward_array(pred: np.ndarray, gt: np.ndarray, eta: float) -> np.ndarray:
-    """Piecewise-linear focus reward in [-1, 1] for (..., 2) angle arrays.
-
-    1 at zero distance, falling linearly to 0 at ``eta`` degrees, and -1
-    beyond ``eta`` (the predicted view no longer covers the target).
-    """
-    off = angle_offsets(pred, gt)
-    dist = np.hypot(off[..., 0], off[..., 1])
+def focus_reward(dist: np.ndarray, eta: float) -> np.ndarray:
+    """Focus reward in [-1, 1] of view-to-target distances in degrees: 1 at
+    zero, linear down to 0 at ``eta``, -1 beyond (the view misses the target)."""
     return np.where(dist <= eta, 1.0 - dist / eta, -1.0)
+
+
+def reward_array(pred: np.ndarray, gt: np.ndarray, eta: float) -> np.ndarray:
+    """:func:`focus_reward` of the wrap-aware distance of (..., 2) angle arrays."""
+    off = angle_offsets(pred, gt)
+    return focus_reward(np.hypot(off[..., 0], off[..., 1]), eta)
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ def _steer(model: PilotModel, batch: WindowBatch, selected: np.ndarray):
     "..." the weights' leading probe axes (none for 2-D weights)."""
     b, t_total = selected.shape
     k = batch.motions.shape[3]
-    cell, w_r = model.regressor.cell, model.regressor.head.w.values.swapaxes(-1, -2)
+    cell, w_r = model.regressor.cell, model.regressor.head.values.swapaxes(-1, -2)
     lead = np.broadcast_shapes(
         w_r.shape[:-2], cell.w_xh.shape[:-2], cell.w_hh.shape[:-2], cell.b.shape[:-1]
     )
@@ -203,7 +204,7 @@ def _branch_rewards(
     _follow_offset(batch.positions[pick], prev, x[..., k:])
     mu_prev = np.broadcast_to(mus.transpose(1, 0, 2)[:, :, None], (b, t_total, s, mus.shape[2]))
     mu = cell.step(x.reshape(-1, k + 2), mu_prev.reshape(-1, cell.hidden_dim))
-    raw = prev + (mu @ model.regressor.head.w.values.T).reshape(b, t_total, s, 2)
+    raw = prev + (mu @ model.regressor.head.values.T).reshape(b, t_total, s, 2)
     return reward_array(land_angles(raw, raw), batch.gt[:, :, None], eta)
 
 
@@ -321,7 +322,7 @@ def backward_window(
     gate[..., 1] = tape.el_free.T
     mus = tape.mus.transpose(1, 0, 2)
     deriv = 1.0 - mus[1:] * mus[1:]
-    w_r, w_off = reg.head.w.values, reg.cell.w_xh.values[:, k:]
+    w_r, w_off = reg.head.values, reg.cell.w_xh.values[:, k:]
     ddelta = np.empty_like(dl_loss)
     dpre = np.empty_like(deriv)
     carry_l = np.zeros((b, 2))
@@ -335,12 +336,13 @@ def backward_window(
         # slice w_off runs numpy's own loop, which ``dot`` (BLAS) does not
         # reproduce bit for bit, so this product stays on ``@``.
         carry_l = g - (d @ w_off) / OFFSET_SCALE
-    reg.head.w.grad += ddelta.reshape(-1, 2).T @ mus[1:].reshape(-1, reg.hidden_dim)
+    reg.head.grad += ddelta.reshape(-1, 2).T @ mus[1:].reshape(-1, reg.hidden_dim)
     reg.cell.accumulate_grads(dpre, tape.xrs.transpose(1, 0, 2), mus[:-1])
 
     # Selector chain (policy gradient only; selection itself is discrete).
     u = policy_upstream(tape, pg_weight, baseline).reshape(b * t_total, -1)
-    dh = sel.head.backward(u, tape.hs[:, 1:].reshape(b * t_total, -1)).reshape(b, t_total, -1)
+    sel.head.grad += u.T @ tape.hs[:, 1:].reshape(b * t_total, -1)
+    dh = (u @ sel.head.values).reshape(b, t_total, -1)
     sel.cell.backward_unroll(dh, tape.batch.flat, tape.hs)
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from viewpilot.diffcore import (
     GradCheckResult,
-    Linear,
     LrSchedule,
     ParamTensor,
     TanhRnnCell,
@@ -183,14 +182,6 @@ class TestBpttBackward:
         np.testing.assert_array_equal(dh0, np.zeros((1, 4)))
         for p in cell.params():
             np.testing.assert_array_equal(p.grad, np.zeros(p.shape))
-
-    def test_single_affine_grad_is_input(self):
-        # y = W x with scalar loss y: dW = x
-        rng = np.random.default_rng(3)
-        layer = Linear("l", 4, 1, rng)
-        x = rng.normal(size=(1, 4))
-        layer.backward(np.ones((1, 1)), x)
-        np.testing.assert_allclose(layer.w.grad, x, atol=1e-15)
 
     def test_matches_finite_differences(self):
         # Sum-of-hidden-states loss over a short unroll vs central differences.

@@ -60,7 +60,7 @@ class TestSelectorOnly:
     def test_matches_a_per_frame_fold_of_the_selector(self):
         model = _model()
         episode = synth_scene(SCENE, 1)
-        cell, head = model.selector.cell, model.selector.head.w.values
+        cell, head = model.selector.cell, model.selector.head.values
         h = model.selector.initial_state()
         expected, picks = [], []
         for frame in episode.frames:
@@ -306,24 +306,51 @@ class TestBenchmark:
             methods["agent"](ep)
         assert len(calls) == 13
 
+    def test_a_method_called_twice_on_one_episode_folds_twice(self, monkeypatch):
+        """The shared result goes to each method once: a second call by the
+        same method folds afresh, and the other method then reads that fold."""
+        model, episode, calls = _model(0, 0.5), synth_scene(SCENE, 1), []
+        fold = evaluation.pilot_episode
+        monkeypatch.setattr(evaluation, "pilot_episode", lambda ep, m: calls.append(ep) or fold(ep, m))
+        methods = evaluation.build_methods(["agent", "selector_only"], model)
+        first, second = methods["agent"](episode), methods["agent"](episode)
+        assert len(calls) == 2 and first == second
+        methods["selector_only"](episode)
+        assert len(calls) == 2
+
+    def test_model_methods_apart_in_the_table_fold_once_per_listed_episode(self, monkeypatch):
+        """With other methods between them and one Episode object listed
+        twice in a row, ``agent`` and ``selector_only`` fold once per listed
+        episode and give the rows of their own single-method builds."""
+        model, calls = _model(0, 0.5), []
+        fold = evaluation.pilot_episode
+        monkeypatch.setattr(evaluation, "pilot_episode", lambda ep, m: calls.append(ep) or fold(ep, m))
+        first, second = synth_scene(SCENE, 1), synth_scene(SCENE, 2)
+        episodes = [first, first, second]
+        names = ["selector_only", "center_hold", "offline_dp", "agent"]
+        rows, _ = evaluation.benchmark(evaluation.build_methods(names, model), episodes)
+        assert list(map(id, calls)) == list(map(id, episodes))
+        for row in (rows[0], rows[3]):
+            single, _ = evaluation.benchmark(evaluation.build_methods([row.method], model), episodes)
+            assert repr(single) == repr([row])
+
     @pytest.mark.parametrize(
-        "edit, moved",
+        "edit, names",
         [
-            ("sgd_step", (0, 1)),
-            ("flat", (0, 1)),
-            ("rebound weights", (0, 1)),
-            ("regressor weight in place", (0,)),
-            ("rebound regressor weights", (0,)),
-            ("positions", (0, 1)),
-            ("gt_track", (0, 1)),
+            pytest.param(edit, names, id=f"{edit}-moved{i}" + ("" if len(names) == 2 else f"-{names[0]}"))
+            for names in (["agent", "selector_only"], ["agent"], ["selector_only"])
+            for i, edit in enumerate(
+                ["sgd_step", "flat", "rebound weights", "regressor weight in place",
+                 "rebound regressor weights", "positions", "gt_track"]
+            )
         ],
     )
-    def test_an_edit_between_passes_gives_a_fresh_pass(self, edit, moved):
-        """The shared ``pilot_episode`` result is reused only while all it
-        reads is unchanged: an edit to any of it moves the rows that read
-        the edit (0: ``agent``, 1: ``selector_only``), as a fresh build does."""
+    def test_an_edit_between_passes_gives_a_fresh_pass(self, edit, names):
+        """Every pass folds afresh, so an edit to anything ``pilot_episode``
+        reads moves the rows that read the edit (a regressor edit moves only
+        ``agent``), as a fresh build does, whichever model methods the table
+        holds."""
         model, episodes = _model(0, 0.5), [synth_scene(SCENE, 4)]
-        names = ["agent", "selector_only"]
         methods = evaluation.build_methods(names, model)
         before = evaluation.benchmark(methods, episodes)
         rng, episode = np.random.default_rng(5), episodes[0]
@@ -335,12 +362,13 @@ class TestBenchmark:
             array = getattr(episode, edit)
             array[...] += rng.normal(scale=2.0 if edit == "flat" else 20.0, size=array.shape)
         elif edit == "regressor weight in place":
-            model.regressor.head.w.values[...] *= -1.0
+            model.regressor.head.values[...] *= -1.0
         else:
             for p in (model.selector if edit == "rebound weights" else model.regressor).params():
                 p.values = p.values[::-1].copy()
         after = evaluation.benchmark(methods, episodes)
-        assert [i for i in (0, 1) if after[0][i] != before[0][i]] == list(moved)
+        moved = [name for name in names if "regressor" not in edit or name == "agent"]
+        assert [row.method for row, old in zip(after[0], before[0]) if row != old] == moved
         assert repr(after) == repr(evaluation.benchmark(evaluation.build_methods(names, model), episodes))
 
     @pytest.mark.parametrize(

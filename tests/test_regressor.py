@@ -74,7 +74,7 @@ class TestRegressorForward:
         net.cell.w_xh.values[...] = 0.0
         net.cell.w_hh.values[...] = 0.0
         net.cell.b.values[...] = np.arctanh(0.5)
-        net.head.w.values[...] = np.array([[10.0], [0.0]])
+        net.head.values[...] = np.array([[10.0], [0.0]])
         az, el, mu = step(np.ones(3), 97.0, 14.0, 100.0, 7.0, net.initial_state())
         assert (az, el) == (105.0, 7.0)
         assert mu[0] == 0.5

@@ -69,8 +69,7 @@ class TestSelectorForward:
 
     def test_zero_weights_give_uniform(self):
         net = _net()
-        for p in net.head.params():
-            p.values[...] = 0.0
+        net.head.values[...] = 0.0
         _, probs = net.unroll(np.ones((1, 3, 12)))
         np.testing.assert_allclose(probs, 0.25, atol=1e-15)
 
@@ -102,7 +101,7 @@ def _greedy_picks(logits) -> tuple[list[int], list[int]]:
     cell = model.selector.cell
     cell.w_xh.values[...] = cell.w_hh.values[...] = 0.0
     cell.b.values[...] = np.arctanh(0.5)
-    model.selector.head.w.values[...] = np.asarray(logits, dtype=float)[:, None]
+    model.selector.head.values[...] = np.asarray(logits, dtype=float)[:, None]
     ep = GREEDY_EPISODE
     state, online = initial_state(model, ViewingAngle(*ep.gt_track[0])), []
     for frame in ep.frames:
