@@ -3,7 +3,9 @@
 Subcommands: gen-data, train, eval, pilot, gradcheck. Every command is
 deterministic given its config file, flag overrides (flags win), and
 seeds. The VIEWPILOT_OUT environment variable overrides the configured
-output directory; explicit --out flags win over both.
+output directory; explicit --out flags win over both. pilot reads its
+settings from the checkpoint, and gradcheck runs at gradcheck.CHECK_DIMS,
+so neither takes --config or --set.
 
 Exit codes: 0 success, 1 gradient check failed, 2 usage, 3 I/O (including a
 malformed data or checkpoint file), 4 configuration, 5 numerics.
@@ -183,7 +185,6 @@ def cmd_pilot(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    config = _load_config(args)
     tolerance = args.tolerance
     failures = []
     for seed in range(args.seeds):
@@ -274,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pilot)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
-    common(p)
     p.add_argument("--seeds", type=_positive(int), default=10, help="number of random seeds")
     p.add_argument("--tolerance", type=_positive(float), default=DEFAULT_GRADCHECK_TOLERANCE)
     p.add_argument("--corrupt", help="perturb this parameter's joint-check gradient (negative control)")

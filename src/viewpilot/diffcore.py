@@ -261,7 +261,7 @@ class GradCheckResult:
         return name, self.max_rel_error[name]
 
 
-_PROBE_BLOCK_ENTRIES = 1 << 16  # bound on one probe block's stacked entries (512 kB)
+_PROBE_BLOCK_ENTRIES = 1 << 17  # bound on one probe block's stacked entries (1 MB of float64)
 DEFAULT_GRADCHECK_TOLERANCE = 1e-4  # max relative error; gradcheck and its CLI flag default to it
 
 
@@ -275,11 +275,13 @@ def gradient_check(
     ``_PROBE_BLOCK_ENTRIES`` (k >= 1). ``loss_fn(param, values)`` runs with
     ``param.values`` set to the (2k, *shape) stack whose row j holds the
     j-th entry at orig + step and row k + j at orig - step, and returns the
-    2k losses, with no gradient side effects. Each probe is its own slice
-    and reductions run along contiguous trailing axes, so each loss is the
-    float the 2-D forward gives for that probe alone. The relative error
-    denominator is floored at 1e-3 so that gradients far below the
-    finite-difference noise floor compare in absolute terms.
+    2k losses, with no gradient side effects. Every block of a tensor is
+    written into one buffer, so ``loss_fn`` may not keep ``values`` (or a
+    view of it) past its call. Each probe is its own slice and reductions
+    run along contiguous trailing axes, so each loss is the float the 2-D
+    forward gives for that probe alone. The relative error denominator is
+    floored at 1e-3 so that gradients far below the finite-difference noise
+    floor compare in absolute terms.
     """
     step = 1e-5
     analytic = {p.name: p.grad.reshape(-1).copy() for p in params}
@@ -288,9 +290,11 @@ def gradient_check(
         nominal, ref, worst = p.values, analytic[p.name], 0.0
         flat = nominal.reshape(-1)
         per_block = max(1, _PROBE_BLOCK_ENTRIES // max(2 * flat.size, 1))
+        buffer = np.empty(2 * min(per_block, flat.size) * flat.size)  # any prefix is a block
         for lo in range(0, flat.size, per_block):
             idx = np.arange(lo, min(lo + per_block, flat.size))
-            stack = np.tile(flat, (2, idx.size, 1))
+            stack = buffer[: 2 * idx.size * flat.size].reshape(2, idx.size, flat.size)
+            stack[...] = flat
             stack[0, idx - lo, idx] = flat[idx] + step
             stack[1, idx - lo, idx] = flat[idx] - step
             p.values = stack.reshape((2 * idx.size,) + nominal.shape)

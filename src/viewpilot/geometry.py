@@ -161,10 +161,10 @@ def nfov_iou(a: np.ndarray, b: np.ndarray, h_span: float = DEFAULT_H_SPAN) -> np
     Centers are wrapped and clamped as :class:`ViewingAngle` does. The
     azimuth overlap is wrap-aware; elevation extents are clipped to
     [-90, 90] before intersecting. Symmetric, in [0, 1], and exactly 1
-    where the centers coincide.
+    where the centers coincide. ``h_span`` must be positive and finite.
     """
-    if not h_span > 0.0:
-        raise InvalidInput(f"NFoV spans must be positive, got {h_span}")
+    if not 0.0 < h_span < math.inf:
+        raise InvalidInput(f"NFoV span h_span must be positive and finite, got {h_span}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise InvalidInput("non-finite viewing angle")
     az_a, el_a = np.moveaxis(land_angles(a), -1, 0)

@@ -19,7 +19,8 @@ and ``loss_terms``), which take weights with leading probe axes. The
 analytic side is ``training.backward_window``, whose reverse loops run
 ``TanhRnnCell.backward_step``. Probes go in blocks whose stack holds at most
 ``diffcore._PROBE_BLOCK_ENTRIES`` entries, which bounds the temporaries
-(the selector's input weights at ``CHECK_DIMS`` take about 60 blocks).
+(the selector's input weights at ``CHECK_DIMS`` take 31 blocks), and every
+block of one tensor is written into the same buffer.
 The results are bit-identical to evaluating each probe alone: every probe
 is its own slice of each stacked array, each stacked matmul runs the same
 per-slice GEMM as the 2-D call, and every reduction runs along contiguous

@@ -453,13 +453,16 @@ def train_step(
     """One SGD step over a batch of windows.
 
     Windows of different lengths are grouped and rolled out separately but
-    contribute to a single parameter update. On a non-finite loss or
-    gradient the step aborts with NumericsError and parameters stay
+    contribute to a single parameter update. An empty window list is
+    refused with InvalidInput before anything is touched. On a non-finite
+    loss or gradient the step aborts with NumericsError and parameters stay
     exactly as they were.
     """
     from .diffcore import clip_gradients, sgd_step
 
     require_positive("learning rate", lr)
+    if not windows:
+        raise InvalidInput("train_step needs at least one window")
     by_len: dict[int, list[Window]] = {}
     for w in windows:
         by_len.setdefault(w.stop - w.start, []).append(w)

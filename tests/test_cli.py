@@ -246,6 +246,8 @@ def test_bad_eval_setting_exits_4(tmp_path, capsys, override):
         ("eval", "--jobs", "0"),  # the --jobs flag is gone: an unknown flag
         ("eval", "--jobs", "-3"),
         ("gradcheck", "--corrupt-mode", "selector"),  # gone: --corrupt applies to the joint check
+        ("gradcheck", "--set", "model.selector_hidden=3"),  # checks run at CHECK_DIMS
+        ("gradcheck", "--config", "configs/reference.json"),
         ("gen-data", "--seed", "-1"),  # numpy refuses a negative seed
     ],
     ids=lambda argv: " ".join(argv),

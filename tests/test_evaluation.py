@@ -137,6 +137,8 @@ class TestMeanOverlap:
             mean_overlap(pred, gt[:-1])
         with pytest.raises(InvalidInput):
             mean_overlap(pred, gt, h_span=0.0)
+        with pytest.raises(InvalidInput, match="h_span must be positive and finite, got inf"):
+            mean_overlap(pred, gt, h_span=float("inf"))
         pred[4, 1] = np.nan
         with pytest.raises(InvalidInput):
             mean_overlap(pred, gt)

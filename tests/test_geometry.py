@@ -283,6 +283,12 @@ class TestNfovIou:
     def test_identical_centers(self):
         assert iou([120, 30], [120, 30]) == 1.0
 
+    @pytest.mark.parametrize("h_span", [0.0, -5.0, math.nan, math.inf, -math.inf])
+    def test_a_span_that_is_not_positive_and_finite_is_refused_by_name(self, h_span):
+        # An infinite span would make every overlap NaN (inf - inf).
+        with pytest.raises(InvalidInput, match=r"NFoV span h_span must be positive and finite, got "):
+            iou([120, 30], [100, 20], h_span)
+
     def test_opposite_centers_disjoint(self):
         assert iou([0, 0], [180, 0]) == 0.0
 

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from viewpilot import gradcheck
+from viewpilot import diffcore, gradcheck
 from viewpilot.agent import (
     CHECKPOINT_FORMAT_VERSION, ModelDims, PilotModel, pilot_episode, save_model_checkpoint,
 )
@@ -185,6 +185,18 @@ class TestSplitGradientCheck:
 
         assert got == per_entry_gradient_check(loss_fn, [tensor]).max_rel_error
 
+    def test_the_probe_block_budget_moves_no_float(self, monkeypatch):
+        # One probe pair per block against the default budget, under which
+        # selector.cell.w_xh at gradcheck.CHECK_DIMS spans many blocks.
+        def errors():
+            checks = [check_model(mode, 0) for mode in MODES] + [check_trajectory_loss(0)]
+            return [list(result.max_rel_error.items()) for result in checks]
+
+        default = errors()
+        with monkeypatch.context() as patch:
+            patch.setattr(diffcore, "_PROBE_BLOCK_ENTRIES", 1)
+            assert errors() == default
+
     @pytest.mark.parametrize("network, pg_weight, sup_weight", [
         ("selector", 0.0, 1.0), ("regressor", 1.0, 0.0),
     ])
@@ -267,6 +279,19 @@ class TestRolloutContracts:
         for step in range(3):
             train_step(model, arrays, windows, TrainConfig(), 0.02, np.random.default_rng(step))
         assert model.digest() == "617ec5947fa5"
+
+    def test_an_empty_window_list_is_refused_before_the_step(self):
+        # No window means no frames to average the step's statistics over.
+        model, episodes = _model(), generate_dataset(SCENE, 3, 2)
+        arrays = [episode_arrays(ep) for ep in episodes]
+        for p in model.params():
+            p.grad += 1.0
+        before = [(p.values.copy(), p.grad.copy()) for p in model.params()]
+        with pytest.raises(InvalidInput, match="at least one window"):
+            train_step(model, arrays, [], TrainConfig(), 0.02, np.random.default_rng(0))
+        for p, (values, grad) in zip(model.params(), before):
+            np.testing.assert_array_equal(p.values, values)
+            np.testing.assert_array_equal(p.grad, grad)
 
     def test_an_infinite_lr_is_refused_before_the_rollout(self):
         model, episodes = _model(), generate_dataset(SCENE, 3, 2)
